@@ -27,6 +27,7 @@ from .disk import (
     build_sdg,
     build_sdg_graph,
     build_udg,
+    sdg_msf,
     udg_msf_containment,
 )
 from .graph import (
@@ -38,9 +39,11 @@ from .graph import (
     brute_force_optimal_tree,
     complete_graph,
     cycle_property_check,
+    dense_msf,
     edge_key,
     forest_cycle,
     kruskal_msf,
+    metric_mst,
     tree_parameters,
 )
 from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, ham_path, shortcut_path

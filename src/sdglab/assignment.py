@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .decomposition import lightness_bound
-from .disk import RangeAssignment, build_sdg
-from .graph import complete_graph, kruskal_msf
+from .disk import RangeAssignment, sdg_msf
+from .graph import metric_mst
 from .metric import Metric
 
 
@@ -32,7 +32,7 @@ def bounded_assignment(m: Metric, r_prime: RangeAssignment) -> AssignmentReport:
     """Heaviest-incident-edge assignment on the MSF of the capped disk graph."""
     if len(r_prime) != m.n:
         raise ValueError(f"bounding function has {len(r_prime)} radii for {m.n} points")
-    forest = kruskal_msf(build_sdg(m, r_prime))
+    forest = sdg_msf(m, r_prime)
     radii = [0.0] * m.n  # isolated vertices transmit nothing
     for u, v, w in forest.edges:
         radii[u] = max(radii[u], w)
@@ -44,7 +44,7 @@ def bounded_assignment(m: Metric, r_prime: RangeAssignment) -> AssignmentReport:
         ranges=out,
         cost=cost,
         w_forest=forest.weight,
-        lower_bound=kruskal_msf(complete_graph(m)).weight if m.n >= 2 else 0.0,
+        lower_bound=metric_mst(m).weight,
         feasible=feasible,
         connected_input=forest.connected,
     )

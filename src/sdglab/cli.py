@@ -24,7 +24,7 @@ from .decomposition import (
     verify_certificate,
     weight_coefficient,
 )
-from .disk import build_sdg, build_sdg_graph
+from .disk import build_sdg, build_sdg_graph, sdg_msf
 from .graph import kruskal_msf
 from .hamiltonian import HamPath, ham_path, path_weight
 from .instances import (
@@ -93,10 +93,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_two_points(args) -> InstanceBundle:
+    """The instance of a command whose bound or certificate needs two points."""
+    bundle = read_instance(args.instance)
+    if bundle.n < 2:
+        raise ValueError(f"{args.command} needs at least two points, got n={bundle.n}")
+    return bundle
+
+
 def _instance_sdg(bundle: InstanceBundle):
     if bundle.metric is not None:
         return build_sdg(bundle.metric, bundle.ranges)
     return build_sdg_graph(bundle.graph, bundle.ranges)
+
+
+def _instance_msf(bundle: InstanceBundle):
+    if bundle.metric is not None:
+        return sdg_msf(bundle.metric, bundle.ranges)
+    return kruskal_msf(build_sdg_graph(bundle.graph, bundle.ranges))
 
 
 def _cmd_sdg(args) -> int:
@@ -115,8 +129,8 @@ def _cmd_sdg(args) -> int:
 
 
 def _cmd_msf(args) -> int:
-    bundle = read_instance(args.instance)
-    forest = kruskal_msf(_instance_sdg(bundle))
+    bundle = _read_two_points(args)
+    forest = _instance_msf(bundle)
     if bundle.metric is not None:
         report = weight_coefficient(bundle.metric, bundle.ranges)
         note = None
@@ -147,9 +161,9 @@ def _instance_ham(bundle: InstanceBundle, mode: str) -> HamPath:
 
 
 def _cmd_decompose(args) -> int:
-    bundle = read_instance(args.instance)
+    bundle = _read_two_points(args)
     space = bundle.metric if bundle.metric is not None else bundle.graph
-    forest = kruskal_msf(_instance_sdg(bundle))
+    forest = _instance_msf(bundle)
     h = _instance_ham(bundle, args.ham)
     cert = decompose(space, bundle.ranges, forest, h)
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)
@@ -167,7 +181,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    bundle = read_instance(args.instance)
+    bundle = _read_two_points(args)
     if bundle.metric is None:
         raise InstanceFormatError("trace requires a metric instance")
     trace = lightness_trace(bundle.metric, bundle.ranges, ham_mode=args.ham)
@@ -180,7 +194,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    bundle = read_instance(args.instance)
+    bundle = _read_two_points(args)
     if bundle.metric is None:
         raise InstanceFormatError("assign requires a metric instance")
     report = bounded_assignment(bundle.metric, bundle.ranges)

@@ -25,18 +25,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .disk import RangeAssignment, build_sdg, build_sdg_graph
+from .disk import RangeAssignment, build_sdg, build_sdg_graph, sdg_matrix, sdg_msf
 from .graph import (
     Edge,
     Forest,
     WeightedGraph,
     canonical_edge,
-    complete_graph,
+    dense_msf,
     edge_key,
     kruskal_msf,
+    metric_mst,
     tree_path,
 )
-from .hamiltonian import HamPath, ham_path, shortcut_path
+from .hamiltonian import HamPath, distance_matrix, ham_path, shortcut_path
 from .metric import Metric
 
 Space = Union[Metric, WeightedGraph]
@@ -177,16 +178,15 @@ def decompose(space: Space, r: RangeAssignment, f: Forest, h: HamPath) -> Decomp
     """
     n = space.n
     ham_edges = _ham_edges(space, h)
-    sdg = _sdg_of(space, r)
-    if kruskal_msf(sdg) != f:
+    sdg = sdg_matrix(distance_matrix(space), r)
+    if dense_msf(sdg) != f:
         raise ValueError("forest is not the MSF of the symmetric disk graph")
 
-    sdg_pairs = sdg.edge_pairs()
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
 
-    e_prime = sorted((e for e in ham_edges if (e[0], e[1]) in sdg_pairs), key=edge_key)
-    e_dprime = sorted((e for e in ham_edges if (e[0], e[1]) not in sdg_pairs), key=edge_key)
+    e_prime = sorted((e for e in ham_edges if sdg[e[0], e[1]] != math.inf), key=edge_key)
+    e_dprime = sorted((e for e in ham_edges if sdg[e[0], e[1]] == math.inf), key=edge_key)
     e1 = sorted((e for e in e_prime if (e[0], e[1]) in forest_pairs), key=edge_key)
     e2 = sorted((e for e in e_prime if (e[0], e[1]) not in forest_pairs), key=edge_key)
 
@@ -468,7 +468,8 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
     if len(r) != m.n:
         raise ValueError(f"range assignment has {len(r)} radii for {m.n} points")
 
-    w_msf = kruskal_msf(build_sdg(m, r)).weight
+    forest = sdg_msf(m, r)
+    w_msf = forest.weight
     labels = tuple(range(m.n))
     cur_m, cur_r = m, r
     cur_h: HamPath | None = None
@@ -483,7 +484,6 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
         if cur_h is not None and new_h.weight > cur_h.weight:
             raise BoundViolationError("path weight increased between rounds")
         cur_h = new_h
-        forest = kruskal_msf(build_sdg(cur_m, cur_r))
         cert = decompose(cur_m, cur_r, forest, cur_h)
         survivors = tuple(v for v in range(cur_m.n) if v not in set(cert.isolated))
         if len(survivors) > (4 * cur_m.n) // 5:
@@ -497,7 +497,7 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
         if survivors:
             next_m, relabel = cur_m.induce(survivors)
             next_r = cur_r.restrict(survivors)
-            next_forest = kruskal_msf(build_sdg(next_m, next_r))
+            next_forest = sdg_msf(next_m, next_r)
             if w_kept > next_forest.weight:
                 raise BoundViolationError("kept forest weight exceeds the induced MSF weight")
             position = {old: new for new, old in enumerate(survivors)}
@@ -509,7 +509,7 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
             )
             w_next = next_forest.weight
         else:
-            next_m, next_r, next_h, w_next = None, None, None, 0.0
+            next_m, next_r, next_h, next_forest, w_next = None, None, None, None, 0.0
 
         rounds.append(
             TraceRound(
@@ -527,14 +527,11 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
             labels, cur_m, cur_r, cur_h = (), None, None, None
             break
         labels = tuple(labels[v] for v in survivors)
-        cur_m, cur_r, cur_h = next_m, next_r, next_h
+        cur_m, cur_r, cur_h, forest = next_m, next_r, next_h, next_forest
 
     # Basis: at most 4 vertices (possibly zero when a round isolated everything).
     if cur_m is not None:
-        basis_forest = kruskal_msf(build_sdg(cur_m, cur_r))
-        basis_edges = tuple(
-            canonical_edge(labels[u], labels[v], w) for u, v, w in basis_forest.edges
-        )
+        basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in forest.edges)
         if cur_m.n >= 2:
             if cur_h is None:
                 cur_h = ham_path(cur_m, mode=ham_mode)
@@ -587,8 +584,8 @@ def weight_coefficient(m: Metric, r: RangeAssignment) -> WeightCoefficientReport
     """w(MSF(SDG(M,r))) / w(MST(M)), asserted against 2 * log_{5/4} n."""
     if m.n < 2:
         raise ValueError("weight coefficient needs at least two points")
-    msf = kruskal_msf(build_sdg(m, r))
-    mst = kruskal_msf(complete_graph(m))
+    msf = sdg_msf(m, r)
+    mst = metric_mst(m)
     coefficient = msf.weight / mst.weight
     bound = lightness_bound(m.n)
     if coefficient > bound:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, WeightedGraph, complete_graph, kruskal_msf
+from .graph import Forest, WeightedGraph, dense_msf, metric_mst
 from .metric import Metric
 
 
@@ -58,6 +58,21 @@ def build_sdg(m: Metric, r: RangeAssignment) -> WeightedGraph:
     return WeightedGraph(n=m.n, edges=tuple(edges))
 
 
+def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
+    """Dense disk graph of a weight matrix: d(u,v) where min(r(u), r(v)) >= d(u,v),
+    +inf elsewhere. Absent (+inf) entries stay absent, since radii are finite."""
+    if len(r) != d.shape[0]:
+        raise ValueError(f"range assignment has {len(r)} radii for {d.shape[0]} vertices")
+    radii = np.asarray(r.radii, dtype=float)
+    return np.where(np.minimum.outer(radii, radii) >= d, d, np.inf)
+
+
+def sdg_msf(m: Metric, r: RangeAssignment) -> Forest:
+    """MSF of the symmetric disk graph, by `dense_msf` on the masked distance matrix;
+    equal to kruskal_msf(build_sdg(m, r))."""
+    return dense_msf(sdg_matrix(m.matrix, r))
+
+
 def build_sdg_graph(g: WeightedGraph, r: RangeAssignment) -> WeightedGraph:
     """Symmetric disk graph of an arbitrary weighted graph: keep edges with
     min(r(u), r(v)) >= w(e)."""
@@ -67,11 +82,15 @@ def build_sdg_graph(g: WeightedGraph, r: RangeAssignment) -> WeightedGraph:
     return WeightedGraph(n=g.n, edges=kept)
 
 
-def build_udg(m: Metric, c: float) -> WeightedGraph:
-    """Unit disk graph: the symmetric disk graph under the constant assignment c."""
+def _unit_ranges(n: int, c: float) -> RangeAssignment:
     if not c > 0:
         raise ValueError(f"disk radius must be positive, got {c}")
-    return build_sdg(m, RangeAssignment.constant(m.n, c))
+    return RangeAssignment.constant(n, c)
+
+
+def build_udg(m: Metric, c: float) -> WeightedGraph:
+    """Unit disk graph: the symmetric disk graph under the constant assignment c."""
+    return build_sdg(m, _unit_ranges(m.n, c))
 
 
 @dataclass(frozen=True)
@@ -90,9 +109,8 @@ def udg_msf_containment(m: Metric, c: float) -> UdgContainmentReport:
     Containment must always hold; if the UDG is connected, the two edge sets
     must coincide and the weight ratio is exactly 1.
     """
-    udg = build_udg(m, c)
-    msf_udg = kruskal_msf(udg)
-    mst = kruskal_msf(complete_graph(m))
+    msf_udg = sdg_msf(m, _unit_ranges(m.n, c))
+    mst = metric_mst(m)
     contained = msf_udg.edge_pairs() <= mst.edge_pairs()
     connected = msf_udg.connected
     equal = None
@@ -117,8 +135,3 @@ def udg_msf_containment(m: Metric, c: float) -> UdgContainmentReport:
         coefficient=coefficient,
         message=message,
     )
-
-
-def sdg_components(m: Metric, r: RangeAssignment) -> Forest:
-    """MSF of the symmetric disk graph (convenience wrapper)."""
-    return kruskal_msf(build_sdg(m, r))

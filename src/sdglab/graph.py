@@ -4,6 +4,13 @@ Every edge comparison in this package uses the total order
 ``(weight, min endpoint, max endpoint)``. Ties in weight are therefore broken
 combinatorially, never by perturbing values, which makes the MSF unique and
 every "maximum weight edge" selection deterministic.
+
+Two algorithms compute that unique forest. `dense_msf` runs Prim on a dense
+weight matrix (+inf marks an absent edge); it is what the builders use for
+metrics and disk graphs (`metric_mst`, `disk.sdg_msf`), since it needs no edge
+list. `kruskal_msf` runs Kruskal on an edge-list `WeightedGraph`; it serves
+edge-list spaces, the brute-force oracle, and `verify_certificate`, which thus
+re-derives every forest with an algorithm independent of the builder's.
 """
 from __future__ import annotations
 
@@ -182,6 +189,52 @@ def kruskal_msf(g: WeightedGraph) -> Forest:
         if uf.union(e[0], e[1]):
             kept.append(e)
     return Forest(n=g.n, edges=tuple(kept), component=_component_ids(g.n, uf))
+
+
+def dense_msf(d: np.ndarray) -> Forest:
+    """Minimum spanning forest of a dense symmetric weight matrix, by Prim.
+
+    +inf marks an absent edge and the diagonal is ignored. Keys are compared
+    exactly in the total order (weight, min endpoint, max endpoint), with the
+    endpoint pair encoded as min * n + max, so the result equals `kruskal_msf`
+    of the same graph: the same sorted edges and the same component labels.
+    When no finite edge leaves the trees grown so far, Prim restarts at the
+    smallest vertex not yet reached, the minimum member of its component.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    idx = np.arange(n)
+    code = np.minimum.outer(idx, idx) * n + np.maximum.outer(idx, idx)
+    # Lightest known edge from the grown trees to each vertex, NaN once the
+    # vertex joins (NaN compares false, so it is never updated again). The
+    # code stays -1 while no edge is known, so absent edges never tie-update.
+    best_w = np.full(n, np.inf)
+    best_c = np.full(n, -1)
+    component = [0] * n
+    edges = []
+    root = 0
+    for _ in range(n):
+        w = np.fmin.reduce(best_w)
+        tied = np.flatnonzero(best_w == w)
+        v = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(best_c[tied])])
+        if w == np.inf:
+            root = v
+        else:
+            c = int(best_c[v])
+            edges.append((c // n, c % n, float(w)))
+        component[v] = root
+        best_w[v] = np.nan
+        row, row_c = d[v], code[v]
+        better = np.where(row == best_w, row_c < best_c, row < best_w)
+        np.copyto(best_w, row, where=better)
+        np.copyto(best_c, row_c, where=better)
+    edges.sort(key=edge_key)
+    return Forest(n=n, edges=tuple(edges), component=tuple(component))
+
+
+def metric_mst(m: Metric) -> Forest:
+    """Minimum spanning tree of a metric, by `dense_msf` on its distance matrix."""
+    return dense_msf(m.matrix)
 
 
 def tree_path(adj: Sequence[dict[int, float]], u: int, v: int) -> list[Edge] | None:

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import WeightedGraph, complete_graph, kruskal_msf
+from .graph import WeightedGraph, metric_mst
 from .metric import Metric, as_vertex_subset
 
 Space = Union[Metric, WeightedGraph]
@@ -116,7 +116,7 @@ def approx_ham_path(m: Metric) -> HamPath:
     """MST preorder with shortcutting; weight is at most twice the MST weight."""
     if m.n < 2:
         raise ValueError("need at least two points")
-    mst = kruskal_msf(complete_graph(m))
+    mst = metric_mst(m)
     adj = mst.adjacency()
     order = []
     stack = [0]

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Forest, RootedTree, WeightedGraph, complete_graph, kruskal_msf, tree_parameters
+from .graph import Forest, RootedTree, WeightedGraph, metric_mst, tree_parameters
 from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric, MetricError, validate_metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
@@ -269,7 +269,7 @@ def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:
     lo, hi = m.min_distance(), m.diameter()
     radii = rng.uniform(lo, hi, size=m.n)
     if mode == "biased":
-        mst = kruskal_msf(complete_graph(m))
+        mst = metric_mst(m)
         floor = [0.0] * m.n
         for u, v, w in mst.edges:
             floor[u] = max(floor[u], w)

@@ -15,6 +15,9 @@ import numpy as np
 EUCLIDEAN_LP = "euclidean_lp"
 EXPLICIT_MATRIX = "matrix"
 
+# Triples per block of the triangle check: an 8 MiB float64 buffer of sums.
+TRIANGLE_BLOCK_TRIPLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class MetricViolation:
@@ -68,17 +71,26 @@ def validate_metric(matrix) -> MetricViolation | None:
     if not np.all(np.isfinite(d)):
         u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
         return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
-    # d[u,w] <= d[u,v] + d[v,w] for every triple, checked exhaustively.
-    viol = d[:, None, :] > d[:, :, None] + d[None, :, :]
-    bad = np.argwhere(viol)
-    if bad.size:
-        u, v, w = (int(x) for x in bad[0])
-        return MetricViolation(
-            "triangle",
-            (u, v, w),
-            f"triangle inequality fails for ({u},{v},{w}): "
-            f"d({u},{w})={d[u, w]} > d({u},{v})+d({v},{w})={d[u, v] + d[v, w]}",
-        )
+    # d[u,w] <= d[u,v] + d[v,w] for every triple, checked exhaustively over
+    # blocks of consecutive u, so memory stays O(n^2) and the first violating
+    # triple in lexicographic order is found in the first block that has one.
+    block = max(1, TRIANGLE_BLOCK_TRIPLES // max(1, n * n))
+    sums = np.empty((min(block, n), n, n))
+    viol = np.empty(sums.shape, dtype=bool)
+    for start in range(0, n, block):
+        rows = d[start : start + block]
+        k = len(rows)
+        np.add(rows[:, :, None], d[None, :, :], out=sums[:k])
+        np.greater(rows[:, None, :], sums[:k], out=viol[:k])
+        if viol[:k].any():
+            u, v, w = (int(x) for x in np.argwhere(viol[:k])[0])
+            u += start
+            return MetricViolation(
+                "triangle",
+                (u, v, w),
+                f"triangle inequality fails for ({u},{v},{w}): "
+                f"d({u},{w})={d[u, w]} > d({u},{v})+d({v},{w})={d[u, v] + d[v, w]}",
+            )
     return None
 
 

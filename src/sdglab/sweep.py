@@ -23,8 +23,8 @@ from .decomposition import (
     verify_certificate,
     weight_coefficient,
 )
-from .disk import build_sdg, build_sdg_graph
-from .graph import complete_graph, kruskal_msf
+from .disk import build_sdg_graph, sdg_msf
+from .graph import kruskal_msf, metric_mst
 from .hamiltonian import exact_min_ham_path, ham_path
 from .instances import (
     InstanceBundle,
@@ -117,8 +117,8 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
     bound = lightness_bound(n)
     if bundle.metric is not None:
         m, r = bundle.metric, bundle.ranges
-        msf = kruskal_msf(build_sdg(m, r))
-        mst = kruskal_msf(complete_graph(m))
+        msf = sdg_msf(m, r)
+        mst = metric_mst(m)
         h = ham_path(m, mode=ham_mode)
         cert = decompose(m, r, msf, h)
         cert_ok = not verify_certificate(m, r, msf, h, cert)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
 from sdglab.graph import (
     Forest,
     RootedTree,
@@ -12,16 +13,24 @@ from sdglab.graph import (
     brute_force_optimal_tree,
     complete_graph,
     cycle_property_check,
+    dense_msf,
     edge_key,
     forest_cycle,
     kruskal_msf,
+    metric_mst,
     sum_pairwise,
     tree_parameters,
 )
-from sdglab.instances import gen_chain_metric, gen_random_euclidean
+from sdglab.instances import (
+    gen_chain_metric,
+    gen_random_euclidean,
+    gen_random_ranges,
+    gen_star_metric,
+)
+from sdglab.metric import Metric
 
 import support
-from strategies import seeds
+from strategies import metric_range_pairs, seeds
 
 C3 = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 2.0), (1, 2, 1000.0)))
 
@@ -58,6 +67,55 @@ def test_kruskal_deterministic_under_permutation():
     perm = list(g.edges)
     rng.shuffle(perm)
     assert kruskal_msf(WeightedGraph(n=9, edges=tuple(perm))).edges == kruskal_msf(g).edges
+
+
+def _assert_prim_equals_kruskal(m, r):
+    """Whole forests, component labels included, for the disk graph and the complete graph."""
+    assert sdg_msf(m, r) == kruskal_msf(build_sdg(m, r))
+    assert metric_mst(m) == kruskal_msf(complete_graph(m))
+
+
+@given(metric_range_pairs(max_n=40))
+def test_dense_msf_equals_kruskal_random(pair):
+    _assert_prim_equals_kruskal(*pair)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+def test_dense_msf_equals_kruskal_all_ties(n):
+    for bundle in (gen_star_metric(n), gen_chain_metric(n)):
+        _assert_prim_equals_kruskal(bundle.metric, bundle.ranges)
+
+
+def test_dense_msf_equals_kruskal_disconnected():
+    components = set()
+    for seed in range(20):
+        for p in (2.0, 1.0, math.inf):
+            m = gen_random_euclidean(24, 2, p, seed)
+            r = gen_random_ranges(m, "uniform", seed + 100)
+            _assert_prim_equals_kruskal(m, r)
+            components.add(sdg_msf(m, r).num_components)
+        _assert_prim_equals_kruskal(m, RangeAssignment.constant(24, 0.0))
+    assert max(components) > 1
+
+
+def test_dense_msf_one_and_two_points():
+    one = Metric.euclidean([[0.5]])
+    _assert_prim_equals_kruskal(one, RangeAssignment((0.0,)))
+    assert metric_mst(one) == Forest(n=1, edges=(), component=(0,))
+    two = Metric.euclidean([[0.0], [0.25]])
+    for radius in (0.0, 0.25):
+        _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
+
+
+def test_dense_msf_equals_kruskal_on_tied_graphs():
+    # Weights from {1, 2, 3}: ties between edges from different tree vertices
+    # to one outside vertex are common, so the endpoint tie-break decides.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
+        g = WeightedGraph(n=n, edges=tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
+        assert dense_msf(g.adjacency_matrix()) == kruskal_msf(g)
 
 
 def test_cycle_property_c3():

@@ -47,9 +47,10 @@ def test_cli_one_point_instance(family, tmp_path, capsys):
     assert bundle.ranges.radii == (0.0,)
     capsys.readouterr()
     # The bound and the certificate need two points: input error, not a traceback.
-    for command in ("trace", "decompose", "assign"):
+    for command in ("msf", "trace", "decompose", "assign"):
         assert cli([command, str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError"
+        assert err["error"] == f"{command} needs at least two points, got n=1"
     assert cli(["sweep", "--family", family, "--n", "1", "--workers", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["type"] == "ValueError"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdglab.instances import gen_chain_metric, gen_random_matrix_metric
+from sdglab import metric as metric_module
 from sdglab.metric import Metric, MetricError, validate_metric
 
 from strategies import metrics, seeds
@@ -94,6 +96,48 @@ def test_validate_c3_reports_first_triple():
     assert violation is not None
     assert violation.kind == "triangle"
     assert violation.indices == (1, 0, 2)  # d(b,c) > d(b,a) + d(a,c)
+
+
+def _first_triangle_violation(d):
+    d = d.tolist()
+    n = len(d)
+    for u in range(n):
+        for v in range(n):
+            for w in range(n):
+                if d[u][w] > d[u][v] + d[v][w]:
+                    return u, v, w
+    return None
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5, None])
+def test_validate_reports_first_of_several_triangle_violations(rows_per_block, monkeypatch):
+    n = 12
+    if rows_per_block is not None:
+        monkeypatch.setattr(metric_module, "TRIANGLE_BLOCK_TRIPLES", rows_per_block * n * n)
+    rng = np.random.default_rng(41)
+    for seed in range(10):
+        d = np.array(gen_random_matrix_metric(n, seed).matrix)
+        for _ in range(3):  # entries in [1, 2] lifted to 4.5 break several triangles
+            u, w = rng.choice(n, size=2, replace=False)
+            d[u, w] = d[w, u] = 4.5
+        violation = validate_metric(d)
+        u, v, w = _first_triangle_violation(d)
+        assert violation.kind == "triangle" and violation.indices == (u, v, w)
+        assert violation.message == (
+            f"triangle inequality fails for ({u},{v},{w}): "
+            f"d({u},{w})={d[u, w]} > d({u},{v})+d({v},{w})={d[u, v] + d[v, w]}"
+        )
+
+
+def test_validate_triangle_check_memory_is_quadratic():
+    d = gen_random_matrix_metric(256, 5).matrix
+    tracemalloc.start()
+    try:
+        assert validate_metric(d) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one n^3 float64 array would take 128 MiB
 
 
 def test_validate_chain_ok():
