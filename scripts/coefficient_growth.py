@@ -12,7 +12,7 @@ import sys
 
 from sdglab.decomposition import lightness_bound, weight_coefficient
 from sdglab.instances import gen_random_euclidean, gen_random_matrix_metric, gen_random_ranges, mix_seed
-from sdglab.sweep import emit_svg, ExperimentRecord
+from sdglab.sweep import emit_svg
 
 
 def main() -> int:
@@ -25,7 +25,7 @@ def main() -> int:
 
     sizes = [int(x) for x in args.sizes.split(",")]
     print(f"{'n':>5} {'max coef':>10} {'argmax seed':>20} {'2*log_5/4 n':>12}")
-    rows = []
+    by_n = {}
     index = 0
     for n in sizes:
         best, best_seed = 0.0, None
@@ -41,19 +41,10 @@ def main() -> int:
             if coef > best:
                 best, best_seed = coef, seed
         print(f"{n:>5} {best:>10.4f} {best_seed:>20} {lightness_bound(n):>12.4f}")
-        rows.append((n, best))
+        by_n[n] = best
 
     if args.svg:
-        records = [
-            ExperimentRecord(
-                id=f"probe-n{n}", seed=0, n=n, family="euclidean", connected=True,
-                w_mst=1.0, w_msf_sdg=coef, coefficient=coef, bound_2log=lightness_bound(n),
-                ham_mode="approx", w_ham=None, trace_rounds=None, max_round_bound=0,
-                cert_ok=True, assign_cost=None, assign_lower_bound=None,
-            )
-            for n, coef in rows
-        ]
-        emit_svg(records, args.svg)
+        emit_svg(by_n, args.svg)
         print(f"chart -> {args.svg}")
     return 0
 

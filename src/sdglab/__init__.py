@@ -14,7 +14,6 @@ from .decomposition import (
     TraceRound,
     WeightCoefficientReport,
     decompose,
-    graph_weight_coefficient,
     lightness_bound,
     lightness_trace,
     log_rounds_bound,
@@ -25,7 +24,6 @@ from .disk import (
     RangeAssignment,
     UdgContainmentReport,
     build_sdg,
-    build_sdg_graph,
     build_udg,
     sdg_msf,
     udg_msf_containment,
@@ -40,6 +38,7 @@ from .graph import (
     complete_graph,
     cycle_property_check,
     dense_msf,
+    distance_matrix,
     edge_key,
     forest_cycle,
     kruskal_msf,

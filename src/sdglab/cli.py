@@ -18,36 +18,33 @@ from .decomposition import (
     BoundViolationError,
     DecompositionCertificate,
     decompose,
-    graph_weight_coefficient,
-    lightness_bound,
     lightness_trace,
     verify_certificate,
     weight_coefficient,
 )
-from .disk import build_sdg, build_sdg_graph, sdg_msf
+from .disk import build_sdg, sdg_msf
 from .graph import kruskal_msf
 from .hamiltonian import HamPath, ham_path, path_weight
 from .instances import (
-    InstanceFormatError,
-    gen_c3,
-    gen_chain_metric,
-    gen_line_graph,
-    gen_random_euclidean,
-    gen_random_matrix_metric,
-    gen_random_ranges,
-    gen_star_metric,
+    FAMILIES,
     InstanceBundle,
+    InstanceFormatError,
+    bundle_to_dict,
     read_instance,
     write_instance,
 )
 from .metric import MetricError
 from .sweep import (
+    RANGE_MODES,
     InstanceSpec,
+    build_instance,
     emit_csv,
     emit_summary,
     emit_svg,
-    mix_seed,
+    euclidean_kinds,
+    max_coefficient_by,
     run_sweep,
+    spec_grid,
     standard_suite,
 )
 
@@ -65,30 +62,21 @@ def _parse_p(text: str) -> float:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "star":
-        bundle = gen_star_metric(args.n)
-    elif args.family == "chain":
-        bundle = gen_chain_metric(args.n)
-    elif args.family == "c3":
-        bundle = gen_c3(args.w if args.w is not None else 1000.0)
-    elif args.family == "line":
-        bundle = gen_line_graph(args.n, args.w, args.eps)
-    elif args.family in ("euclidean", "matrix"):
-        if args.family == "euclidean":
-            metric = gen_random_euclidean(args.n, args.dim, _parse_p(args.p), args.seed)
-        else:
-            metric = gen_random_matrix_metric(args.n, args.seed)
-        ranges = gen_random_ranges(metric, args.ranges, mix_seed(args.seed, 1))
-        bundle = InstanceBundle(
-            family=args.family, metric=metric, ranges=ranges, seed=args.seed
-        )
-    else:
-        raise InstanceFormatError(f"unknown family {args.family!r}")
+    spec = InstanceSpec(
+        id=args.family,
+        family=args.family,
+        n=args.n,
+        seed=args.seed,
+        range_mode=args.ranges,
+        d=args.dim,
+        p=_parse_p(args.p) if args.family == "euclidean" else None,
+        w=args.w,
+        eps=args.eps,
+    )
+    bundle = build_instance(spec)
     if args.out:
         write_instance(bundle, args.out)
     else:
-        from .instances import bundle_to_dict
-
         print(json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True))
     return 0
 
@@ -101,21 +89,9 @@ def _read_two_points(args) -> InstanceBundle:
     return bundle
 
 
-def _instance_sdg(bundle: InstanceBundle):
-    if bundle.metric is not None:
-        return build_sdg(bundle.metric, bundle.ranges)
-    return build_sdg_graph(bundle.graph, bundle.ranges)
-
-
-def _instance_msf(bundle: InstanceBundle):
-    if bundle.metric is not None:
-        return sdg_msf(bundle.metric, bundle.ranges)
-    return kruskal_msf(build_sdg_graph(bundle.graph, bundle.ranges))
-
-
 def _cmd_sdg(args) -> int:
     bundle = read_instance(args.instance)
-    sdg = _instance_sdg(bundle)
+    sdg = build_sdg(bundle.space, bundle.ranges)
     _emit(
         {
             "n": sdg.n,
@@ -130,13 +106,8 @@ def _cmd_sdg(args) -> int:
 
 def _cmd_msf(args) -> int:
     bundle = _read_two_points(args)
-    forest = _instance_msf(bundle)
-    if bundle.metric is not None:
-        report = weight_coefficient(bundle.metric, bundle.ranges)
-        note = None
-    else:
-        report = graph_weight_coefficient(bundle.graph, bundle.ranges)
-        note = "general-graph: bound not applicable"
+    forest = sdg_msf(bundle.space, bundle.ranges)
+    report = weight_coefficient(bundle.space, bundle.ranges)
     data = {
         "n": forest.n,
         "family": bundle.family,
@@ -147,24 +118,18 @@ def _cmd_msf(args) -> int:
         "coefficient": report.coefficient,
         "bound_2log": None if math.isinf(report.bound) else report.bound,
     }
-    if note:
-        data["note"] = note
+    if math.isinf(report.bound):
+        data["note"] = "general-graph: bound not applicable"
     _emit(data, args.out)
     return 0
 
 
-def _instance_ham(bundle: InstanceBundle, mode: str) -> HamPath:
-    space = bundle.metric if bundle.metric is not None else bundle.graph
-    if bundle.graph is not None:
-        return ham_path(space, mode="exact")
-    return ham_path(space, mode=mode)
-
-
 def _cmd_decompose(args) -> int:
     bundle = _read_two_points(args)
-    space = bundle.metric if bundle.metric is not None else bundle.graph
-    forest = _instance_msf(bundle)
-    h = _instance_ham(bundle, args.ham)
+    space = bundle.space
+    forest = sdg_msf(space, bundle.ranges)
+    # The approximate path needs the triangle inequality; graphs are solved exactly.
+    h = ham_path(space, mode=args.ham if bundle.metric is not None else "exact")
     cert = decompose(space, bundle.ranges, forest, h)
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)
     _emit(
@@ -218,12 +183,12 @@ def _cmd_assign(args) -> int:
 
 def _cmd_verify(args) -> int:
     bundle = read_instance(args.instance)
-    space = bundle.metric if bundle.metric is not None else bundle.graph
+    space = bundle.space
     payload = json.loads(Path(args.certificate).read_text())
     order = tuple(int(v) for v in payload["ham_order"])
     h = HamPath(order=order, weight=path_weight(space, order), exact=False)
     cert = DecompositionCertificate.from_dict(payload["certificate"], space)
-    forest = kruskal_msf(_instance_sdg(bundle))
+    forest = kruskal_msf(build_sdg(space, bundle.ranges))
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)
     _emit({"ok": not problems, "violations": problems}, args.out)
     return 0 if not problems else 1
@@ -237,41 +202,17 @@ def _cmd_sweep(args) -> int:
     if args.family == "standard":
         specs = standard_suite(args.seed, trials=args.trials)
     else:
-        specs = []
-        index = 0
-        dims = _parse_int_list(args.dim)
-        ps = [_parse_p(x) for x in args.p.split(",") if x]
-        modes = ["uniform", "biased"] if args.ranges == "both" else [args.ranges]
-        for trial in range(args.trials):
-            for n in _parse_int_list(args.n):
-                combos = (
-                    [(d, p) for d in dims for p in ps]
-                    if args.family == "euclidean"
-                    else [(None, None)]
-                )
-                for d, p in combos:
-                    for mode in modes:
-                        seed = mix_seed(args.seed, index)
-                        tag = f"d{d}p{p:g}" if d is not None else args.family
-                        specs.append(
-                            InstanceSpec(
-                                id=f"{args.family}-{tag}-n{n:03d}-{mode}-t{trial}",
-                                family=args.family,
-                                n=n,
-                                seed=seed,
-                                range_mode=mode,
-                                d=d,
-                                p=p,
-                                w=args.w,
-                                eps=args.eps,
-                            )
-                        )
-                        index += 1
+        if args.family == "euclidean":
+            kinds = euclidean_kinds(_parse_int_list(args.dim), [_parse_p(x) for x in args.p.split(",") if x])
+        else:
+            kinds = [(args.family, args.family, None, None)]
+        modes = RANGE_MODES if args.ranges == "both" else [args.ranges]
+        specs = spec_grid(args.seed, args.trials, _parse_int_list(args.n), kinds, modes)
     records = run_sweep(specs, ham_mode=args.ham, workers=args.workers)
     if args.out:
         emit_csv(records, args.out)
     if args.svg:
-        emit_svg(records, args.svg)
+        emit_svg(max_coefficient_by(records, lambda rec: rec.n), args.svg)
     print(emit_summary(records))
     bad = [r for r in records if not (r.within_bound() and r.cert_ok)]
     if bad:
@@ -291,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance JSON file")
-    gen.add_argument("--family", required=True, choices=["star", "chain", "c3", "line", "euclidean", "matrix"])
+    gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--p", default="2")

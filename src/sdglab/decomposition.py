@@ -1,9 +1,10 @@
 """Lightness certificates and the peeling bound for symmetric disk graphs.
 
-Given a metric (or any traceable weighted graph) with a range assignment, the
-MSF F of its symmetric disk graph, and a Hamiltonian path H, `decompose`
-constructs an edge set inside F of weight at most w(H) whose removal isolates
-at least a fifth of the vertices. The construction is an exchange argument:
+Given a space (a metric, or an edge-list graph for the non-metric
+counterexamples) with a range assignment, the MSF F of its symmetric disk
+graph, and a Hamiltonian path H, `decompose` constructs an edge set inside F
+of weight at most w(H) whose removal isolates at least a fifth of the
+vertices. The construction is an exchange argument:
 
   * path edges present in the disk graph but outside F are swapped, in
     ascending order, against the heaviest non-path edge of the unique cycle
@@ -22,25 +23,25 @@ w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
-from .disk import RangeAssignment, build_sdg, build_sdg_graph, sdg_matrix, sdg_msf
+import numpy as np
+
+from .disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
 from .graph import (
     Edge,
     Forest,
-    WeightedGraph,
+    Space,
     canonical_edge,
     dense_msf,
+    distance_matrix,
     edge_key,
     kruskal_msf,
-    metric_mst,
     tree_path,
 )
-from .hamiltonian import HamPath, distance_matrix, ham_path, shortcut_path
+from .hamiltonian import EXACT_CUTOFF, HamPath, ham_path, shortcut_path
 from .metric import Metric
-
-Space = Union[Metric, WeightedGraph]
 
 LOG_BASE = 5.0 / 4.0
 
@@ -69,26 +70,15 @@ def _pairs(edges: Sequence[Edge]) -> set[tuple[int, int]]:
     return {(u, v) for u, v, _ in edges}
 
 
-def _sdg_of(space: Space, r: RangeAssignment) -> WeightedGraph:
-    if isinstance(space, Metric):
-        return build_sdg(space, r)
-    return build_sdg_graph(space, r)
-
-
-def _ham_edges(space: Space, h: HamPath) -> list[Edge]:
-    """Canonical weighted edges of a path, validated against the space."""
-    n = space.n
-    if sorted(h.order) != list(range(n)):
+def _ham_edges(d: np.ndarray, h: HamPath) -> list[Edge]:
+    """Canonical weighted edges of a path, validated against a space's matrix."""
+    if sorted(h.order) != list(range(d.shape[0])):
         raise ValueError("hamiltonian path order is not a permutation of the vertices")
-    if isinstance(space, Metric):
-        return [canonical_edge(a, b, space.matrix[a, b]) for a, b in zip(h.order, h.order[1:])]
-    weights = space.weight_map()
     edges = []
     for a, b in zip(h.order, h.order[1:]):
-        key = (min(a, b), max(a, b))
-        if key not in weights:
+        if d[a, b] == math.inf:
             raise ValueError(f"path step ({a},{b}) is not an edge of the graph")
-        edges.append((key[0], key[1], weights[key]))
+        edges.append(canonical_edge(a, b, d[a, b]))
     return edges
 
 
@@ -108,6 +98,8 @@ class DecompositionCertificate:
     tilde_e = e1 + tilde_e2 + star_f is the removed set.
     """
 
+    EDGE_FIELDS = ("e_prime", "e_dprime", "e1", "e2", "tilde_e2", "star_h", "star_f", "tilde_e")
+
     n: int
     e_prime: tuple[Edge, ...]
     e_dprime: tuple[Edge, ...]
@@ -121,51 +113,24 @@ class DecompositionCertificate:
 
     @property
     def weights(self) -> dict[str, float]:
-        return {
-            name: _fsum_edges(getattr(self, name))
-            for name in ("e_prime", "e_dprime", "e1", "e2", "tilde_e2", "star_h", "star_f", "tilde_e")
-        }
+        return {name: _fsum_edges(getattr(self, name)) for name in self.EDGE_FIELDS}
 
     def to_dict(self) -> dict:
-        def enc(edges):
-            return [[u, v] for u, v, _ in edges]
-
-        return {
-            "n": self.n,
-            "e_prime": enc(self.e_prime),
-            "e_dprime": enc(self.e_dprime),
-            "e1": enc(self.e1),
-            "e2": enc(self.e2),
-            "tilde_e2": enc(self.tilde_e2),
-            "star_h": enc(self.star_h),
-            "star_f": enc(self.star_f),
-            "tilde_e": enc(self.tilde_e),
-            "isolated": list(self.isolated),
-            "weights": self.weights,
-        }
+        data = {name: [[u, v] for u, v, _ in getattr(self, name)] for name in self.EDGE_FIELDS}
+        data.update(n=self.n, isolated=list(self.isolated), weights=self.weights)
+        return data
 
     @staticmethod
     def from_dict(data: dict, space: Space) -> "DecompositionCertificate":
-        d = (
-            space.matrix
-            if isinstance(space, Metric)
-            else space.adjacency_matrix()
-        )
+        d = distance_matrix(space)
 
         def dec(pairs):
             return tuple(canonical_edge(int(u), int(v), float(d[int(u), int(v)])) for u, v in pairs)
 
         return DecompositionCertificate(
             n=int(data["n"]),
-            e_prime=dec(data["e_prime"]),
-            e_dprime=dec(data["e_dprime"]),
-            e1=dec(data["e1"]),
-            e2=dec(data["e2"]),
-            tilde_e2=dec(data["tilde_e2"]),
-            star_h=dec(data["star_h"]),
-            star_f=dec(data["star_f"]),
-            tilde_e=dec(data["tilde_e"]),
             isolated=tuple(int(v) for v in data["isolated"]),
+            **{name: dec(data[name]) for name in DecompositionCertificate.EDGE_FIELDS},
         )
 
 
@@ -177,8 +142,9 @@ def decompose(space: Space, r: RangeAssignment, f: Forest, h: HamPath) -> Decomp
     deterministic: ties resolve through the total edge order.
     """
     n = space.n
-    ham_edges = _ham_edges(space, h)
-    sdg = sdg_matrix(distance_matrix(space), r)
+    d = distance_matrix(space)
+    ham_edges = _ham_edges(d, h)
+    sdg = sdg_matrix(d, r)
     if dense_msf(sdg) != f:
         raise ValueError("forest is not the MSF of the symmetric disk graph")
 
@@ -258,10 +224,10 @@ def verify_certificate(
     if cert.n != n:
         return [f"certificate is for n={cert.n}, space has n={n}"]
     try:
-        ham_edges = _ham_edges(space, h)
+        ham_edges = _ham_edges(distance_matrix(space), h)
     except ValueError as exc:
         return [str(exc)]
-    sdg = _sdg_of(space, r)
+    sdg = build_sdg(space, r)
     if kruskal_msf(sdg) != f:
         problems.append("forest is not the MSF of the symmetric disk graph")
     ham_weight = _fsum_edges(ham_edges)
@@ -273,6 +239,7 @@ def verify_certificate(
     ham_pairs = _pairs(ham_edges)
 
     e_prime_ref = {(u, v) for u, v, _ in ham_edges if (u, v) in sdg_pairs}
+    e_dprime_ref = [e for e in ham_edges if (e[0], e[1]) not in sdg_pairs]
     if _pairs(cert.e_prime) != e_prime_ref:
         problems.append("e_prime is not (path edges of the disk graph)")
     if _pairs(cert.e_dprime) != ham_pairs - e_prime_ref:
@@ -320,7 +287,7 @@ def verify_certificate(
             problems.append(f"star_f[{i}] is not incident to the smaller-radius endpoint of star_h[{i}]")
         if fe[2] > r[me]:
             problems.append(f"retired edge {i} exceeds the endpoint radius: w={fe[2]} > r={r[me]}")
-    for u, v, w in e_dprime_edges(ham_edges, sdg_pairs):
+    for u, v, w in e_dprime_ref:
         me = _min_endpoint((u, v, w), r)
         if not r[me] < w:
             problems.append(f"path edge ({u},{v}) outside the disk graph has radius >= weight")
@@ -360,7 +327,7 @@ def verify_certificate(
             f"isolated count {len(isolated_ref)} is below ceil(n/5) = {math.ceil(n / 5)}"
         )
     retired = _pairs(cert.star_h)
-    for u, v, w in e_dprime_edges(ham_edges, sdg_pairs):
+    for u, v, w in e_dprime_ref:
         if (u, v) in retired:
             continue
         me = _min_endpoint((u, v, w), r)
@@ -369,10 +336,6 @@ def verify_certificate(
                 f"residual path edge ({u},{v}) has a non-isolated smaller-radius endpoint"
             )
     return problems
-
-
-def e_dprime_edges(ham_edges: Sequence[Edge], sdg_pairs: frozenset) -> list[Edge]:
-    return [e for e in ham_edges if (e[0], e[1]) not in sdg_pairs]
 
 
 @dataclass(frozen=True)
@@ -477,7 +440,7 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
     removed_weights: list[float] = []
 
     while cur_m.n > 4:
-        if cur_h is None or ham_mode == "exact" or (ham_mode == "auto" and cur_m.n <= 16):
+        if cur_h is None or ham_mode == "exact" or (ham_mode == "auto" and cur_m.n <= EXACT_CUTOFF):
             new_h = ham_path(cur_m, mode=ham_mode)
         else:
             new_h = cur_h  # already shortcut onto the current point set
@@ -580,14 +543,23 @@ class WeightCoefficientReport:
     connected: bool
 
 
-def weight_coefficient(m: Metric, r: RangeAssignment) -> WeightCoefficientReport:
-    """w(MSF(SDG(M,r))) / w(MST(M)), asserted against 2 * log_{5/4} n."""
-    if m.n < 2:
-        raise ValueError("weight coefficient needs at least two points")
-    msf = sdg_msf(m, r)
-    mst = metric_mst(m)
+def weight_coefficient(space: Space, r: RangeAssignment) -> WeightCoefficientReport:
+    """w(MSF(SDG(space,r))) / w(MSF(space)), asserted against 2 * log_{5/4} n.
+
+    The bound needs the triangle inequality. On an edge-list graph the ratio
+    can be arbitrarily large, so `bound` is reported as +inf and nothing is
+    asserted.
+    """
+    d = distance_matrix(space)
+    metric = isinstance(space, Metric)
+    msf = dense_msf(sdg_matrix(d, r))
+    mst = dense_msf(d)
+    if mst.weight <= 0:
+        raise ValueError(
+            "weight coefficient needs at least two points" if metric else "graph MSF weight must be positive"
+        )
     coefficient = msf.weight / mst.weight
-    bound = lightness_bound(m.n)
+    bound = lightness_bound(space.n) if metric else math.inf
     if coefficient > bound:
         raise BoundViolationError(
             f"weight coefficient {coefficient} exceeds 2*log_(5/4) n = {bound}"
@@ -598,23 +570,4 @@ def weight_coefficient(m: Metric, r: RangeAssignment) -> WeightCoefficientReport
         coefficient=coefficient,
         bound=bound,
         connected=msf.connected,
-    )
-
-
-def graph_weight_coefficient(g: WeightedGraph, r: RangeAssignment) -> WeightCoefficientReport:
-    """w(MSF(SDG(G,r))) / w(MSF(G)) for a general weighted graph.
-
-    No bound applies here: without the triangle inequality the ratio can be
-    arbitrarily large, so `bound` is reported as +inf.
-    """
-    msf_sdg = kruskal_msf(build_sdg_graph(g, r))
-    msf_g = kruskal_msf(g)
-    if msf_g.weight <= 0:
-        raise ValueError("graph MSF weight must be positive")
-    return WeightCoefficientReport(
-        w_msf_sdg=msf_sdg.weight,
-        w_mst_metric=msf_g.weight,
-        coefficient=msf_sdg.weight / msf_g.weight,
-        bound=math.inf,
-        connected=msf_sdg.connected,
     )

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, WeightedGraph, dense_msf, metric_mst
+from .graph import Forest, Space, WeightedGraph, dense_msf, distance_matrix, metric_mst
 from .metric import Metric
 
 
@@ -43,19 +43,21 @@ class RangeAssignment:
         return RangeAssignment(radii=tuple(self.radii[v] for v in subset))
 
 
-def build_sdg(m: Metric, r: RangeAssignment) -> WeightedGraph:
-    """Symmetric disk graph of a metric: edge (u,v) iff min(r(u), r(v)) >= d(u,v)."""
-    if len(r) != m.n:
-        raise ValueError(f"range assignment has {len(r)} radii for {m.n} points")
+def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
+    """Symmetric disk graph of a space: edge (u,v) iff min(r(u), r(v)) >= d(u,v).
+    A graph's absent (+inf) edges stay absent, since radii are finite."""
+    if len(r) != space.n:
+        raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
+    d = distance_matrix(space)
     radii = np.asarray(r.radii, dtype=float)
     reach = np.minimum(radii[:, None], radii[None, :])
-    iu, iv = np.triu_indices(m.n, 1)
-    keep = reach[iu, iv] >= m.matrix[iu, iv]
+    iu, iv = np.triu_indices(space.n, 1)
+    keep = reach[iu, iv] >= d[iu, iv]
     edges = [
         (int(a), int(b), float(w))
-        for a, b, w in zip(iu[keep], iv[keep], m.matrix[iu, iv][keep])
+        for a, b, w in zip(iu[keep], iv[keep], d[iu, iv][keep])
     ]
-    return WeightedGraph(n=m.n, edges=tuple(edges))
+    return WeightedGraph(n=space.n, edges=tuple(edges))
 
 
 def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
@@ -67,19 +69,10 @@ def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
     return np.where(np.minimum.outer(radii, radii) >= d, d, np.inf)
 
 
-def sdg_msf(m: Metric, r: RangeAssignment) -> Forest:
+def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     """MSF of the symmetric disk graph, by `dense_msf` on the masked distance matrix;
-    equal to kruskal_msf(build_sdg(m, r))."""
-    return dense_msf(sdg_matrix(m.matrix, r))
-
-
-def build_sdg_graph(g: WeightedGraph, r: RangeAssignment) -> WeightedGraph:
-    """Symmetric disk graph of an arbitrary weighted graph: keep edges with
-    min(r(u), r(v)) >= w(e)."""
-    if len(r) != g.n:
-        raise ValueError(f"range assignment has {len(r)} radii for {g.n} vertices")
-    kept = tuple(e for e in g.edges if min(r[e[0]], r[e[1]]) >= e[2])
-    return WeightedGraph(n=g.n, edges=kept)
+    equal to kruskal_msf(build_sdg(space, r))."""
+    return dense_msf(sdg_matrix(distance_matrix(space), r))
 
 
 def _unit_ranges(n: int, c: float) -> RangeAssignment:

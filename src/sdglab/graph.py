@@ -11,6 +11,11 @@ metrics and disk graphs (`metric_mst`, `disk.sdg_msf`), since it needs no edge
 list. `kruskal_msf` runs Kruskal on an edge-list `WeightedGraph`; it serves
 edge-list spaces, the brute-force oracle, and `verify_certificate`, which thus
 re-derives every forest with an algorithm independent of the builder's.
+
+A space is either a `Metric` or an edge-list `WeightedGraph` (the non-metric
+counterexample families). `distance_matrix` is the only place that tells the
+two apart: every disk-graph, forest and path computation reads the dense
+matrix it returns, where +inf marks an absent edge.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +62,8 @@ def _normalize_edges(n: int, edges: Iterable) -> tuple[Edge, ...]:
             raise ValueError(f"edge {e} out of range for n={n}")
         if (e[0], e[1]) in seen:
             raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+        if not math.isfinite(e[2]):
+            raise ValueError(f"edge ({e[0]},{e[1]}) has non-finite weight {e[2]}")
         seen.add((e[0], e[1]))
         out.append(e)
     return tuple(sorted(out, key=edge_key))
@@ -82,14 +89,24 @@ class WeightedGraph:
     def weight_map(self) -> dict[tuple[int, int], float]:
         return {(u, v): w for u, v, w in self.edges}
 
-    def adjacency_matrix(self, absent: float = np.inf) -> np.ndarray:
-        """Dense symmetric weight matrix with `absent` in non-edge entries."""
-        d = np.full((self.n, self.n), absent, dtype=float)
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense symmetric weight matrix with +inf in non-edge entries."""
+        d = np.full((self.n, self.n), np.inf)
         np.fill_diagonal(d, 0.0)
         for u, v, w in self.edges:
             d[u, v] = w
             d[v, u] = w
         return d
+
+
+Space = Union[Metric, WeightedGraph]
+
+
+def distance_matrix(space: Space) -> np.ndarray:
+    """Pairwise weights of a space; +inf marks the absent edges of a graph."""
+    if isinstance(space, Metric):
+        return space.matrix
+    return space.adjacency_matrix()
 
 
 def complete_graph(m: Metric) -> WeightedGraph:

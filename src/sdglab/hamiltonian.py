@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, metric_mst
+from .graph import Space, distance_matrix, metric_mst
 from .metric import Metric, as_vertex_subset
 
-Space = Union[Metric, WeightedGraph]
-
 EXACT_LIMIT = 18  # 2^18 * 18 DP states
+EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
 
 
 @dataclass(frozen=True)
@@ -37,19 +36,6 @@ class HamPath:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (min(a, b), max(a, b))
-            for a, b in zip(self.order, self.order[1:])
-        ]
-
-
-def distance_matrix(space: Space) -> np.ndarray:
-    """Pairwise weights; +inf marks absent edges of a non-complete graph."""
-    if isinstance(space, Metric):
-        return space.matrix
-    return space.adjacency_matrix(absent=np.inf)
 
 
 def path_weight(space: Space, order: Sequence[int]) -> float:
@@ -148,16 +134,16 @@ def shortcut_path(m: Metric, h: HamPath, subset: Sequence[int]) -> HamPath:
     return HamPath(order=order, weight=path_weight(m, order), exact=False)
 
 
-def ham_path(space: Space, mode: str = "auto", exact_cutoff: int = 16) -> HamPath:
+def ham_path(space: Space, mode: str = "auto") -> HamPath:
     """Dispatch between the exact and approximate providers.
 
-    mode "auto" runs the exact solver up to `exact_cutoff` vertices and the
+    mode "auto" runs the exact solver up to EXACT_CUTOFF vertices and the
     MST-doubling approximation above it.
     """
     if mode not in ("exact", "approx", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     n = space.n
-    if mode == "exact" or (mode == "auto" and n <= exact_cutoff):
+    if mode == "exact" or (mode == "auto" and n <= EXACT_CUTOFF):
         return exact_min_ham_path(space)
     if not isinstance(space, Metric):
         raise ValueError("approximate paths need a metric; use mode='exact' on graphs")

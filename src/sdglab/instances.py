@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Forest, RootedTree, WeightedGraph, metric_mst, tree_parameters
-from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric, MetricError, validate_metric
+from .graph import Forest, RootedTree, Space, WeightedGraph, metric_mst, tree_parameters
+from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
 MATRIX_GRID_BITS = 20
@@ -57,13 +57,16 @@ class InstanceBundle:
     def __post_init__(self):
         if (self.metric is None) == (self.graph is None):
             raise ValueError("an instance holds exactly one of metric or graph")
-        n = self.metric.n if self.metric is not None else self.graph.n
-        if len(self.ranges) != n:
-            raise ValueError(f"range assignment has {len(self.ranges)} radii for {n} vertices")
+        if len(self.ranges) != self.n:
+            raise ValueError(f"range assignment has {len(self.ranges)} radii for {self.n} vertices")
+
+    @property
+    def space(self) -> Space:
+        return self.metric if self.metric is not None else self.graph
 
     @property
     def n(self) -> int:
-        return self.metric.n if self.metric is not None else self.graph.n
+        return self.space.n
 
 
 def mix_seed(base: int, index: int) -> int:
@@ -343,10 +346,12 @@ def bundle_from_dict(data: dict) -> InstanceBundle:
         spec = data["graph"]
         if set(spec) != {"n", "edges"}:
             raise InstanceFormatError("graph needs exactly n, edges")
-        graph = WeightedGraph(
-            n=int(spec["n"]),
-            edges=tuple((int(u), int(v), float(w)) for u, v, w in spec["edges"]),
-        )
+        edges = []
+        for row in spec["edges"]:
+            if not (isinstance(row, list) and len(row) == 3):
+                raise InstanceFormatError(f"graph edge row {row!r} is not [u, v, weight]")
+            edges.append((int(row[0]), int(row[1]), float(row[2])))
+        graph = WeightedGraph(n=int(spec["n"]), edges=tuple(edges))
     return InstanceBundle(
         family=str(data.get("family", "custom")),
         metric=metric,

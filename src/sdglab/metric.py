@@ -147,8 +147,15 @@ class Metric:
             raise ValueError("need at least one point")
         if not (p >= 1.0):
             raise ValueError(f"p must be >= 1 or inf, got {p}")
-        d = _pairwise_lp(pts, float(p))
+        if not np.isfinite(pts).all():
+            u = int(np.argwhere(~np.isfinite(pts))[0][0])
+            raise ValueError(f"point {u} has a non-finite coordinate")
+        with np.errstate(over="ignore"):
+            d = _pairwise_lp(pts, float(p))
         n = pts.shape[0]
+        if not np.isfinite(d).all():
+            u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
+            raise ValueError(f"distance between points {u} and {v} overflows")
         zero = np.argwhere((d + np.eye(n)) == 0.0)
         if zero.size:
             u, v = (int(x) for x in zero[0])

@@ -4,6 +4,11 @@ Sweeps are deterministic: per-instance seeds derive from the base seed through
 `instances.mix_seed`, workers evaluate pure functions, and records are sorted
 by instance id before emission, so the CSV bytes do not depend on the worker
 count. The SDGLAB_THREADS environment variable caps the worker pool.
+
+The default experiment, the standard mixed-metric grid with four trials
+(1144 instances), is one command:
+
+    sdglab sweep --family standard --seed 20260810 --trials 4 --out sweep.csv
 """
 from __future__ import annotations
 
@@ -16,16 +21,14 @@ from pathlib import Path
 from .assignment import bounded_assignment
 from .decomposition import (
     decompose,
-    graph_weight_coefficient,
     lightness_bound,
     lightness_trace,
     log_rounds_bound,
     verify_certificate,
-    weight_coefficient,
 )
-from .disk import build_sdg_graph, sdg_msf
-from .graph import kruskal_msf, metric_mst
-from .hamiltonian import exact_min_ham_path, ham_path
+from .disk import sdg_msf
+from .graph import metric_mst
+from .hamiltonian import ham_path
 from .instances import (
     InstanceBundle,
     gen_c3,
@@ -46,6 +49,10 @@ CSV_HEADER = (
 SWEEP_DIMS = (1, 2, 3, 5)
 SWEEP_PS = (1.0, 2.0, math.inf)
 SWEEP_NS = (5, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128)
+RANGE_MODES = ("uniform", "biased")
+
+# A grid kind: (family, id tag, d, p).
+Kind = tuple[str, str, int | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -75,19 +82,15 @@ class ExperimentRecord:
     coefficient: float
     bound_2log: float
     ham_mode: str
-    w_ham: float | None
-    trace_rounds: int | None
+    w_ham: float
+    trace_rounds: int
     max_round_bound: int
     cert_ok: bool
-    assign_cost: float | None
-    assign_lower_bound: float | None
-
-    @property
-    def is_metric(self) -> bool:
-        return self.family not in ("c3", "line")
+    assign_cost: float
+    assign_lower_bound: float
 
     def within_bound(self) -> bool:
-        return not self.is_metric or self.coefficient <= self.bound_2log
+        return self.coefficient <= self.bound_2log
 
 
 def build_instance(spec: InstanceSpec) -> InstanceBundle:
@@ -100,7 +103,9 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
     if spec.family == "line":
         return gen_line_graph(spec.n, spec.w, spec.eps)
     if spec.family == "euclidean":
-        metric = gen_random_euclidean(spec.n, spec.d or 2, spec.p or 2.0, spec.seed)
+        d = spec.d if spec.d is not None else 2
+        p = spec.p if spec.p is not None else 2.0
+        metric = gen_random_euclidean(spec.n, d, p, spec.seed)
     elif spec.family == "matrix":
         metric = gen_random_matrix_metric(spec.n, spec.seed)
     else:
@@ -113,97 +118,70 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
 def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> ExperimentRecord:
     """Compute one record: weights, coefficient, certificate, trace, assignment."""
     bundle = build_instance(spec)
-    n = bundle.n
-    bound = lightness_bound(n)
-    if bundle.metric is not None:
-        m, r = bundle.metric, bundle.ranges
-        msf = sdg_msf(m, r)
-        mst = metric_mst(m)
-        h = ham_path(m, mode=ham_mode)
-        cert = decompose(m, r, msf, h)
-        cert_ok = not verify_certificate(m, r, msf, h, cert)
-        trace = lightness_trace(m, r, ham_mode=ham_mode)
-        report = bounded_assignment(m, r)
-        return ExperimentRecord(
-            id=spec.id,
-            seed=spec.seed,
-            n=n,
-            family=spec.family,
-            connected=msf.connected,
-            w_mst=mst.weight,
-            w_msf_sdg=msf.weight,
-            coefficient=msf.weight / mst.weight,
-            bound_2log=bound,
-            ham_mode=ham_mode,
-            w_ham=h.weight,
-            trace_rounds=trace.round_count,
-            max_round_bound=log_rounds_bound(n),
-            cert_ok=cert_ok,
-            assign_cost=report.cost,
-            assign_lower_bound=report.lower_bound,
-        )
-    g, r = bundle.graph, bundle.ranges
-    msf_sdg = kruskal_msf(build_sdg_graph(g, r))
-    msf_g = kruskal_msf(g)
-    h = exact_min_ham_path(g) if n <= 18 else None
-    cert_ok = True
-    if h is not None:
-        cert = decompose(g, r, msf_sdg, h)
-        cert_ok = not verify_certificate(g, r, msf_sdg, h, cert)
+    if bundle.metric is None:
+        raise ValueError(f"sweeps evaluate metric instances only, got family {spec.family!r}")
+    m, r, n = bundle.metric, bundle.ranges, bundle.n
+    msf = sdg_msf(m, r)
+    mst = metric_mst(m)
+    h = ham_path(m, mode=ham_mode)
+    cert = decompose(m, r, msf, h)
+    cert_ok = not verify_certificate(m, r, msf, h, cert)
+    trace = lightness_trace(m, r, ham_mode=ham_mode)
+    report = bounded_assignment(m, r)
     return ExperimentRecord(
         id=spec.id,
         seed=spec.seed,
         n=n,
         family=spec.family,
-        connected=msf_sdg.connected,
-        w_mst=msf_g.weight,
-        w_msf_sdg=msf_sdg.weight,
-        coefficient=msf_sdg.weight / msf_g.weight,
-        bound_2log=bound,
-        ham_mode="exact" if h is not None else "none",
-        w_ham=h.weight if h is not None else None,
-        trace_rounds=None,
+        connected=msf.connected,
+        w_mst=mst.weight,
+        w_msf_sdg=msf.weight,
+        coefficient=msf.weight / mst.weight,
+        bound_2log=lightness_bound(n),
+        ham_mode=ham_mode,
+        w_ham=h.weight,
+        trace_rounds=trace.round_count,
         max_round_bound=log_rounds_bound(n),
         cert_ok=cert_ok,
-        assign_cost=None,
-        assign_lower_bound=None,
+        assign_cost=report.cost,
+        assign_lower_bound=report.lower_bound,
     )
 
 
-def standard_suite(base_seed: int, trials: int = 4) -> list[InstanceSpec]:
-    """The mixed random-metric grid: every (d, p) pair plus matrix metrics,
-    crossed with the n ladder and both range modes. trials=4 gives 1144 specs."""
+def euclidean_kinds(dims, ps) -> list[Kind]:
+    """One l_p grid kind per (d, p) pair, tagged dDpP."""
+    return [("euclidean", f"d{d}p{p:g}", d, p) for d in dims for p in ps]
+
+
+def spec_grid(
+    base_seed: int, trials: int, ns, kinds: list[Kind], modes=RANGE_MODES
+) -> list[InstanceSpec]:
+    """Every (trial, n, kind, range mode), in that nesting order; the i-th spec
+    gets seed mix_seed(base_seed, i) and the id family-tag-nNNN-mode-tTRIAL."""
     specs: list[InstanceSpec] = []
-    index = 0
-    kinds: list[tuple[str, int | None, float | None]] = [
-        ("euclidean", d, p) for d in SWEEP_DIMS for p in SWEEP_PS
-    ]
-    kinds.append(("matrix", None, None))
     for trial in range(trials):
-        for n in SWEEP_NS:
-            for family, d, p in kinds:
-                for mode in ("uniform", "biased"):
-                    seed = mix_seed(base_seed, index)
-                    tag = f"d{d}p{_p_label(p)}" if family == "euclidean" else "mat"
+        for n in ns:
+            for family, tag, d, p in kinds:
+                for mode in modes:
                     specs.append(
                         InstanceSpec(
                             id=f"{family}-{tag}-n{n:03d}-{mode}-t{trial}",
                             family=family,
                             n=n,
-                            seed=seed,
+                            seed=mix_seed(base_seed, len(specs)),
                             range_mode=mode,
                             d=d,
                             p=p,
                         )
                     )
-                    index += 1
     return specs
 
 
-def _p_label(p: float | None) -> str:
-    if p is None:
-        return "-"
-    return "inf" if math.isinf(p) else f"{p:g}"
+def standard_suite(base_seed: int, trials: int = 4) -> list[InstanceSpec]:
+    """The mixed random-metric grid: every (d, p) pair plus matrix metrics,
+    crossed with the n ladder and both range modes. trials=4 gives 1144 specs."""
+    kinds = euclidean_kinds(SWEEP_DIMS, SWEEP_PS) + [("matrix", "mat", None, None)]
+    return spec_grid(base_seed, trials, SWEEP_NS, kinds)
 
 
 def max_workers(requested: int | None = None) -> int:
@@ -233,8 +211,6 @@ def run_sweep(
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -271,45 +247,18 @@ def emit_csv(records: list[ExperimentRecord], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_csv(path) -> list[ExperimentRecord]:
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}")
-    records = []
-    for line in text[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        records.append(
-            ExperimentRecord(
-                id=f[0],
-                seed=int(f[1]),
-                n=int(f[2]),
-                family=f[3],
-                connected=f[4] == "true",
-                w_mst=float(f[5]),
-                w_msf_sdg=float(f[6]),
-                coefficient=float(f[7]),
-                bound_2log=float(f[8]),
-                ham_mode=f[9],
-                w_ham=float(f[10]) if f[10] else None,
-                trace_rounds=int(f[11]) if f[11] else None,
-                max_round_bound=int(f[12]),
-                cert_ok=f[13] == "true",
-                assign_cost=float(f[14]) if f[14] else None,
-                assign_lower_bound=float(f[15]) if f[15] else None,
-            )
-        )
-    return records
+def max_coefficient_by(records: list[ExperimentRecord], key) -> dict:
+    """Largest coefficient per key(record), e.g. per n or per family."""
+    best: dict = {}
+    for rec in records:
+        best[key(rec)] = max(best.get(key(rec), 0.0), rec.coefficient)
+    return best
 
 
 def emit_summary(records: list[ExperimentRecord]) -> str:
     """Text table: maximum coefficient per n and per family."""
-    by_n: dict[int, float] = {}
-    by_family: dict[str, float] = {}
-    for rec in records:
-        by_n[rec.n] = max(by_n.get(rec.n, 0.0), rec.coefficient)
-        by_family[rec.family] = max(by_family.get(rec.family, 0.0), rec.coefficient)
+    by_n = max_coefficient_by(records, lambda rec: rec.n)
+    by_family = max_coefficient_by(records, lambda rec: rec.family)
     lines = [f"instances: {len(records)}"]
     lines.append("max coefficient by n:")
     for n in sorted(by_n):
@@ -324,12 +273,9 @@ def emit_summary(records: list[ExperimentRecord]) -> str:
     return "\n".join(lines)
 
 
-def emit_svg(records: list[ExperimentRecord], path) -> None:
-    """Standalone SVG line chart: max coefficient and its bound vs log_{5/4} n."""
-    by_n: dict[int, float] = {}
-    for rec in records:
-        if rec.is_metric:
-            by_n[rec.n] = max(by_n.get(rec.n, 0.0), rec.coefficient)
+def emit_svg(by_n: dict[int, float], path) -> None:
+    """Standalone SVG line chart: the maximum coefficient per n (as computed by
+    `max_coefficient_by`) and its bound, against log_{5/4} n."""
     ns = sorted(by_n)
     if not ns:
         Path(path).write_text('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400"/>\n')

@@ -14,7 +14,6 @@ from sdglab.cli import cli
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = ("chain_n5", "star_n5", "c3_w1000", "line_n5_w1000")
 METRIC_FIXTURES = ("chain_n5", "star_n5")
-GRAPH_FIXTURES = ("c3_w1000", "line_n5_w1000")
 
 FIXTURE_SHA256 = {
     ("chain_n5", "sdg"): "827a272bb963f599d9bee099a1219f1bfbcdac41e4a3ee17c042c2c051006ddd",
@@ -127,3 +126,12 @@ def test_sweep_svg_and_summary_bytes(tmp_path, capsys):
     assert _sha(svg) == EUCLIDEAN_SVG_SHA256
     summary = capsys.readouterr().out
     assert hashlib.sha256(summary.encode()).hexdigest() == EUCLIDEAN_SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("flag,value", [("--dim", "0"), ("--p", "0")])
+def test_zero_dimension_or_norm_exits_2(flag, value, tmp_path, capsys):
+    assert cli(["gen", "--family", "euclidean", "--n", "5", flag, value, "--out", str(tmp_path / "g.json")]) == 2
+    sweep = ["sweep", "--family", "euclidean", "--n", "5", "--workers", "1", flag, value]
+    assert cli([*sweep, "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["type"] == "ValueError"

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from sdglab.decomposition import (
     BoundViolationError,
+    DecompositionCertificate,
     decompose,
-    graph_weight_coefficient,
     lightness_bound,
     lightness_trace,
     log_rounds_bound,
     verify_certificate,
     weight_coefficient,
 )
-from sdglab.disk import RangeAssignment, build_sdg, build_sdg_graph
+from sdglab.disk import RangeAssignment, build_sdg
 from sdglab.graph import complete_graph, kruskal_msf
 from sdglab.hamiltonian import HamPath, approx_ham_path, exact_min_ham_path
 from sdglab.instances import (
@@ -38,7 +38,7 @@ def _setup(bundle, exact=True):
         h = exact_min_ham_path(space) if exact else approx_ham_path(space)
     else:
         space, r = bundle.graph, bundle.ranges
-        forest = kruskal_msf(build_sdg_graph(space, r))
+        forest = kruskal_msf(build_sdg(space, r))
         h = exact_min_ham_path(space)
     return space, r, forest, h
 
@@ -244,7 +244,7 @@ def test_weight_coefficient_bound_value():
 
 def test_graph_coefficient_line_family():
     b = gen_line_graph(5, 1000.0, 1e-4)
-    report = graph_weight_coefficient(b.graph, b.ranges)
+    report = weight_coefficient(b.graph, b.ranges)
     assert report.coefficient == b.reference["weight_coefficient"]
     assert math.isinf(report.bound)
     assert abs(report.coefficient - 3.0) / 3.0 < 0.01
@@ -253,7 +253,7 @@ def test_graph_coefficient_line_family():
 def test_graph_coefficient_c3_grows_with_w():
     for w in (10.0, 100.0, 1000.0):
         b = gen_c3(w)
-        report = graph_weight_coefficient(b.graph, b.ranges)
+        report = weight_coefficient(b.graph, b.ranges)
         assert report.coefficient == (w + 1.0) / 3.0
 
 
@@ -261,7 +261,7 @@ def test_graph_coefficient_c3_grows_with_w():
 @settings(max_examples=25)
 def test_metric_and_graph_mode_agree(pair):
     m, r = pair
-    assert build_sdg(m, r).edges == build_sdg_graph(complete_graph(m), r).edges
+    assert build_sdg(m, r).edges == build_sdg(complete_graph(m), r).edges
 
 
 @given(metric_range_pairs(min_n=2, max_n=20))
@@ -270,3 +270,24 @@ def test_weight_coefficient_never_exceeds_bound(pair):
     m, r = pair
     report = weight_coefficient(m, r)  # raises BoundViolationError on failure
     assert report.coefficient <= report.bound
+
+
+def test_graph_path_step_outside_the_graph_is_reported():
+    # The line graph joins only the endpoints to the middles, so 1-2 is no edge.
+    space, r, forest, good = _setup(gen_line_graph(5, 1000.0, 1e-4))
+    cert = decompose(space, r, forest, good)
+    h = HamPath(order=(0, 1, 2, 3, 4), weight=0.0, exact=False)
+    with pytest.raises(ValueError, match=r"path step \(1,2\) is not an edge of the graph"):
+        decompose(space, r, forest, h)
+    assert verify_certificate(space, r, forest, h, cert) == [
+        "path step (1,2) is not an edge of the graph"
+    ]
+
+
+@pytest.mark.parametrize(
+    "bundle", [gen_chain_metric(6), gen_star_metric(5), gen_c3(1000.0), gen_line_graph(5, 1000.0, 1e-4)]
+)
+def test_certificate_dict_round_trip(bundle):
+    space, r, forest, h = _setup(bundle)
+    cert = decompose(space, r, forest, h)
+    assert DecompositionCertificate.from_dict(cert.to_dict(), space) == cert

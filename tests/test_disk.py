@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sdglab.disk import (
     RangeAssignment,
     build_sdg,
-    build_sdg_graph,
     build_udg,
     udg_msf_containment,
 )
@@ -46,13 +45,13 @@ def test_chain_sdg_is_unit_path():
 
 def test_c3_sdg_keeps_heavy_edge():
     b = gen_c3(1000.0)
-    sdg = build_sdg_graph(b.graph, b.ranges)
+    sdg = build_sdg(b.graph, b.ranges)
     assert sdg.edge_pairs() == {(0, 1), (1, 2)}
 
 
 def test_line_graph_sdg_routes_through_far_endpoint():
     b = gen_line_graph(5, 1000.0, 1e-4)
-    sdg = build_sdg_graph(b.graph, b.ranges)
+    sdg = build_sdg(b.graph, b.ranges)
     # all middle-to-right edges, plus the left endpoint's nearest neighbor
     assert sdg.edge_pairs() == {(1, 4), (2, 4), (3, 4), (0, 1)}
 

@@ -14,6 +14,7 @@ from sdglab.graph import (
     complete_graph,
     cycle_property_check,
     dense_msf,
+    distance_matrix,
     edge_key,
     forest_cycle,
     kruskal_msf,
@@ -265,3 +266,20 @@ def test_weighted_graph_validation():
         WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 2.0)))
     with pytest.raises(ValueError):
         WeightedGraph(n=2, edges=((0, 2, 1.0),))
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_weighted_graph_rejects_non_finite_weights(w):
+    # +inf marks an absent edge in distance_matrix; such an edge would vanish silently.
+    with pytest.raises(ValueError, match="non-finite weight"):
+        WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, w)))
+
+
+def test_distance_matrix_is_the_space_seam():
+    g = WeightedGraph(n=3, edges=((0, 1, 1.5), (1, 2, 2.0)))
+    d = distance_matrix(g)
+    assert d[0, 1] == d[1, 0] == 1.5 and d[1, 2] == 2.0
+    assert d[0, 2] == d[2, 0] == math.inf and np.all(np.diagonal(d) == 0.0)
+    m = Metric.euclidean([[0.0], [1.0], [3.0]])
+    assert distance_matrix(m) is m.matrix
+    assert distance_matrix(complete_graph(m)).tolist() == m.matrix.tolist()

@@ -6,6 +6,8 @@ import pytest
 
 from sdglab.cli import cli
 from sdglab.instances import (
+    InstanceFormatError,
+    bundle_from_dict,
     gen_random_euclidean,
     gen_random_matrix_metric,
     gen_random_ranges,
@@ -54,3 +56,31 @@ def test_cli_one_point_instance(family, tmp_path, capsys):
         assert err["error"] == f"{command} needs at least two points, got n=1"
     assert cli(["sweep", "--family", family, "--n", "1", "--workers", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+
+
+def test_malformed_edge_row_is_named(tmp_path, capsys):
+    data = {"graph": {"n": 2, "edges": [[0, 1]]}, "ranges": [1.0, 1.0]}
+    with pytest.raises(InstanceFormatError, match=r"graph edge row \[0, 1\] is not \[u, v, weight\]"):
+        bundle_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli(["sdg", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "graph edge row [0, 1] is not [u, v, weight]", "type": "InstanceFormatError"}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"metric": {"kind": "euclidean_lp", "p": 2.0, "points": [[0.0], [math.nan]]}, "ranges": [1.0, 1.0]},
+        {"metric": {"kind": "euclidean_lp", "p": 2.0, "points": [[0.0, 1.0], [1e308, 1e308]]}, "ranges": [1.0, 1.0]},
+        {"graph": {"n": 2, "edges": [[0, 1, math.inf]]}, "ranges": [1.0, 1.0]},
+        {"graph": {"n": 2, "edges": [[0, 1, math.nan]]}, "ranges": [1.0, 1.0]},
+    ],
+)
+def test_cli_rejects_non_finite_instances(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
+    for command in ("sdg", "msf"):
+        assert cli([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "ValueError"

@@ -196,3 +196,18 @@ def test_symmetry_and_positivity(m):
     assert np.array_equal(m.matrix, m.matrix.T)
     off = m.matrix + np.eye(m.n)
     assert (off > 0).all()
+
+
+@pytest.mark.parametrize(
+    "points,p,message",
+    [
+        ([[0.0, 1.0], [math.nan, 1.0]], 2.0, "point 1 has a non-finite coordinate"),
+        ([[0.0], [math.inf]], 1.0, "point 1 has a non-finite coordinate"),
+        ([[0.0, 1.0], [1e308, 1e308]], 2.0, "distance between points 0 and 1 overflows"),
+        ([[0.0, 1.0], [1e308, 1e308]], 1.0, "distance between points 0 and 1 overflows"),
+        ([[-1e308, 0.0], [1e308, 0.0]], math.inf, "distance between points 0 and 1 overflows"),
+    ],
+)
+def test_euclidean_rejects_non_finite_distances(points, p, message):
+    with pytest.raises(ValueError, match=message):
+        Metric.euclidean(points, p=p)
