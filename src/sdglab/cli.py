@@ -233,7 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance JSON file")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--n", type=int, default=8)
+    gen.add_argument(
+        "--n",
+        type=int,
+        default=8,
+        help="number of points (line: only n = 4 or 5 has a Hamiltonian path, so decompose needs one of them)",
+    )
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--p", default="2")
     gen.add_argument("--w", type=float, default=None)
@@ -268,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)
 
-    sweep = sub.add_parser("sweep", help="run a seeded instance grid and emit CSV")
+    # No prefix matching: `sweep --w 1000` would otherwise mean `--workers 1000`.
+    sweep = sub.add_parser("sweep", help="run a seeded instance grid and emit CSV", allow_abbrev=False)
     sweep.add_argument(
         "--family",
         default="standard",
@@ -277,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", default="8,16,32,64")
     sweep.add_argument("--dim", default="2")
     sweep.add_argument("--p", default="2")
-    sweep.add_argument("--w", type=float, default=None)
-    sweep.add_argument("--eps", type=float, default=None)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--ranges", choices=["uniform", "biased", "both"], default="both")

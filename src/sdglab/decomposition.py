@@ -418,20 +418,28 @@ class LightnessTrace:
         }
 
 
-def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> LightnessTrace:
+def lightness_trace(
+    m: Metric, r: RangeAssignment, ham_mode: str = "auto", first_path: HamPath | None = None
+) -> LightnessTrace:
     """Peel the disk-graph forest until at most 4 vertices survive.
 
     Each round removes a certificate's edge set and recomputes the MSF of the
     disk graph induced on the survivors; the path is shortcut (or re-solved
-    exactly, depending on ham_mode) for the next round. Raises
-    BoundViolationError if any step of the telescoped accounting fails.
+    exactly, depending on ham_mode) for the next round. The first round uses
+    first_path when given, a caller's own ham_path(m, mode=ham_mode), instead
+    of solving it again. Raises BoundViolationError if any step of the
+    telescoped accounting fails.
     """
     if ham_mode not in ("exact", "approx", "auto"):
         raise ValueError(f"unknown ham_mode {ham_mode!r}")
     if len(r) != m.n:
         raise ValueError(f"range assignment has {len(r)} radii for {m.n} points")
+    if first_path is not None and first_path.n != m.n:
+        raise ValueError(f"first path has {first_path.n} vertices for {m.n} points")
 
     forest = sdg_msf(m, r)
+    if first_path is None and m.n >= 2:
+        first_path = ham_path(m, mode=ham_mode)
     w_msf = forest.weight
     labels = tuple(range(m.n))
     cur_m, cur_r = m, r
@@ -440,7 +448,9 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
     removed_weights: list[float] = []
 
     while cur_m.n > 4:
-        if cur_h is None or ham_mode == "exact" or (ham_mode == "auto" and cur_m.n <= EXACT_CUTOFF):
+        if cur_h is None:
+            new_h = first_path
+        elif ham_mode == "exact" or (ham_mode == "auto" and cur_m.n <= EXACT_CUTOFF):
             new_h = ham_path(cur_m, mode=ham_mode)
         else:
             new_h = cur_h  # already shortcut onto the current point set
@@ -497,7 +507,7 @@ def lightness_trace(m: Metric, r: RangeAssignment, ham_mode: str = "auto") -> Li
         basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in forest.edges)
         if cur_m.n >= 2:
             if cur_h is None:
-                cur_h = ham_path(cur_m, mode=ham_mode)
+                cur_h = first_path
             w_ham_last = cur_h.weight
         else:
             w_ham_last = 0.0

@@ -1,8 +1,13 @@
 """Minimum-weight Hamiltonian paths.
 
 Three providers:
-  * exact bitmask dynamic programming over (visited set, last vertex) states,
-    usable up to n = 18 and on non-complete graphs (absent edges are +inf);
+  * exact Held-Karp dynamic programming over (visited set, last vertex)
+    states, usable up to n = 18 and on non-complete graphs (absent edges are
+    +inf). It runs one popcount layer of visited sets at a time: every state
+    (T, v) has the single predecessor set T minus v, so each state is written
+    once, from one vectorised argmin over the last-but-one vertex u (ties go
+    to the smallest u). Only two layers of float64 values are held, C(n, k)*n
+    each, beside the full 2^n*n int8 parent table that rebuilds the path;
   * an MST-doubling 2-approximation for metrics: depth-first preorder of the
     minimum spanning tree with triangle-inequality shortcutting;
   * subsequence shortcutting of an existing path onto a vertex subset.
@@ -21,7 +26,9 @@ import numpy as np
 from .graph import Space, distance_matrix, metric_mst
 from .metric import Metric, as_vertex_subset
 
-EXACT_LIMIT = 18  # 2^18 * 18 DP states
+# 2^18 * 18 states: a 4.5 MiB int8 parent table plus two float64 layers of
+# at most C(18, 9) * 18 values (6.7 MiB) each.
+EXACT_LIMIT = 18
 EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
 
 
@@ -63,28 +70,32 @@ def exact_min_ham_path(space: Space) -> HamPath:
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
     size = 1 << n
-    dp = np.full((size, n), np.inf)
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    rank = np.empty(size, dtype=np.int32)  # position of a mask within its layer
     parent = np.full((size, n), -1, dtype=np.int8)
-    idx = np.arange(n)
-    for v in range(n):
-        dp[1 << v, v] = 0.0
-    for mask in range(1, size - 1):
-        row = dp[mask]
-        if not np.isfinite(row).any():
-            continue
-        outside = np.where(((mask >> idx) & 1) == 0)[0]
-        cand = row[:, None] + d[:, outside]
-        best = cand.min(axis=0)
-        arg = cand.argmin(axis=0)
-        targets = mask + (1 << outside)
-        cur = dp[targets, outside]
-        improved = best < cur
-        if improved.any():
-            dp[targets[improved], outside[improved]] = best[improved]
-            parent[targets[improved], outside[improved]] = arg[improved]
+    layer = np.flatnonzero(popcount == 1)  # 1 << v, ascending: rank v
+    dp = np.full((n, n), np.inf)
+    np.fill_diagonal(dp, 0.0)
+    for k in range(2, n + 1):
+        nxt_layer = np.flatnonzero(popcount == k)
+        rank[nxt_layer] = np.arange(nxt_layer.size)
+        nxt = np.full((nxt_layer.size, n), np.inf)
+        for v in range(n):
+            lacks = ((layer >> v) & 1) == 0
+            cand = dp[lacks]
+            cand += d[:, v]
+            arg = cand.argmin(axis=1)
+            best = cand[np.arange(arg.size), arg]
+            reached = best < np.inf
+            targets = layer[lacks][reached] | (1 << v)
+            nxt[rank[targets], v] = best[reached]
+            parent[targets, v] = arg[reached]
+        layer, dp = nxt_layer, nxt
     full = size - 1
-    last = int(dp[full].argmin())
-    if not np.isfinite(dp[full, last]):
+    last = int(dp[0].argmin())
+    if not np.isfinite(dp[0, last]):
         raise ValueError("graph has no Hamiltonian path")
     order = []
     mask = full

@@ -167,6 +167,10 @@ def gen_line_graph(n: int, w: float | None = None, eps: float | None = None) -> 
     left endpoint to every middle point and every middle point to the right
     endpoint. Radii are 1 at the left endpoint and W elsewhere. Defaults
     W = 1000*n and eps = 1/(1000*n) keep the coefficient within 1% of n-2.
+
+    The graph is bipartite between the two endpoints and the n-2 middle
+    points, so it has a Hamiltonian path only for n = 4 and 5; for n >= 6 the
+    exact path solver raises and no lightness certificate exists.
     """
     if n < 4:
         raise ValueError(f"line family needs n >= 4, got {n}")

@@ -126,7 +126,7 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
     h = ham_path(m, mode=ham_mode)
     cert = decompose(m, r, msf, h)
     cert_ok = not verify_certificate(m, r, msf, h, cert)
-    trace = lightness_trace(m, r, ham_mode=ham_mode)
+    trace = lightness_trace(m, r, ham_mode=ham_mode, first_path=h)
     report = bounded_assignment(m, r)
     return ExperimentRecord(
         id=spec.id,

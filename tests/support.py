@@ -13,7 +13,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from sdglab.graph import WeightedGraph
+from sdglab.graph import WeightedGraph, distance_matrix
+from sdglab.hamiltonian import EXACT_LIMIT, HamPath, _canonical, path_weight
 
 _PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
 
@@ -122,6 +123,52 @@ def permutation_min_path(matrix: np.ndarray) -> tuple[tuple[int, ...], float]:
     best = perms[int(weights.argmin())]
     order = tuple(int(v) for v in best)
     return order, math.fsum(float(matrix[a, b]) for a, b in zip(order, order[1:]))
+
+
+def mask_loop_min_ham_path(space) -> HamPath:
+    """The subset DP as one Python loop over all 2^n masks in numeric order.
+
+    The reference for `exact_min_ham_path`: the same states, sums, tie-breaks
+    and error, visited mask by mask instead of layer by layer.
+    """
+    d = distance_matrix(space)
+    n = d.shape[0]
+    if not 2 <= n <= EXACT_LIMIT:
+        raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
+    size = 1 << n
+    dp = np.full((size, n), np.inf)
+    parent = np.full((size, n), -1, dtype=np.int8)
+    idx = np.arange(n)
+    for v in range(n):
+        dp[1 << v, v] = 0.0
+    for mask in range(1, size - 1):
+        row = dp[mask]
+        if not np.isfinite(row).any():
+            continue
+        outside = np.where(((mask >> idx) & 1) == 0)[0]
+        cand = row[:, None] + d[:, outside]
+        best = cand.min(axis=0)
+        arg = cand.argmin(axis=0)
+        targets = mask + (1 << outside)
+        cur = dp[targets, outside]
+        improved = best < cur
+        if improved.any():
+            dp[targets[improved], outside[improved]] = best[improved]
+            parent[targets[improved], outside[improved]] = arg[improved]
+    full = size - 1
+    last = int(dp[full].argmin())
+    if not np.isfinite(dp[full, last]):
+        raise ValueError("graph has no Hamiltonian path")
+    order = []
+    mask = full
+    while last >= 0:
+        order.append(last)
+        prev = int(parent[mask, last])
+        mask ^= 1 << last
+        last = prev
+    order.reverse()
+    order = _canonical(order)
+    return HamPath(order=order, weight=path_weight(space, order), exact=True)
 
 
 def all_cycles(g: WeightedGraph) -> list[frozenset]:

@@ -135,3 +135,15 @@ def test_zero_dimension_or_norm_exits_2(flag, value, tmp_path, capsys):
     assert cli([*sweep, "--out", str(tmp_path / "s.csv")]) == 2
     assert not (tmp_path / "s.csv").exists()
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("flag,value", [("--w", "1"), ("--eps", "0.001"), ("--work", "1")])
+def test_sweep_rejects_graph_family_parameters(flag, value, tmp_path, capsys):
+    # No sweep family reads --w or --eps; gen keeps them for c3 and line.
+    # Sweep flags are never abbreviated, so --w is not taken for --workers.
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli(["sweep", "--family", "chain", "--n", "5", "--workers", "1", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

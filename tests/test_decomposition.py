@@ -18,7 +18,7 @@ from sdglab.decomposition import (
 )
 from sdglab.disk import RangeAssignment, build_sdg
 from sdglab.graph import complete_graph, kruskal_msf
-from sdglab.hamiltonian import HamPath, approx_ham_path, exact_min_ham_path
+from sdglab.hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, ham_path
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
@@ -211,6 +211,32 @@ def test_trace_exact_mode_small():
     r = gen_random_ranges(m, "uniform", 203)
     trace = lightness_trace(m, r, ham_mode="exact")
     assert trace.w_msf <= trace.log_bound or trace.n <= 1
+
+
+def _first_path_instances():
+    yield gen_star_metric(9).metric, gen_star_metric(9).ranges
+    yield gen_chain_metric(12).metric, gen_chain_metric(12).ranges
+    for seed, (n, d, p) in enumerate([(4, 2, 2.0), (10, 1, 1.0), (14, 2, math.inf), (20, 3, 2.0)]):
+        m = gen_random_euclidean(n, d, p, 600 + seed)
+        for mode in ("uniform", "biased"):
+            yield m, gen_random_ranges(m, mode, 700 + seed)
+
+
+@pytest.mark.parametrize("ham_mode", ["exact", "approx", "auto"])
+def test_trace_first_path_is_the_solved_path(ham_mode):
+    for m, r in _first_path_instances():
+        if ham_mode == "exact" and m.n > 16:
+            continue
+        given_path = lightness_trace(m, r, ham_mode, first_path=ham_path(m, ham_mode))
+        assert given_path.to_dict() == lightness_trace(m, r, ham_mode).to_dict()
+
+
+def test_trace_first_path_of_wrong_length_is_rejected():
+    m = gen_random_euclidean(8, 2, 2.0, 5)
+    r = gen_random_ranges(m, "biased", 6)
+    short = ham_path(m.induce(range(7))[0], "exact")
+    with pytest.raises(ValueError, match="first path has 7 vertices for 8 points"):
+        lightness_trace(m, r, first_path=short)
 
 
 @given(metric_range_pairs(min_n=1, max_n=24))

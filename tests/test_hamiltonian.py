@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +9,19 @@ from hypothesis import strategies as st
 
 from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf
 from sdglab.hamiltonian import (
+    EXACT_LIMIT,
     approx_ham_path,
     exact_min_ham_path,
     ham_path,
     path_weight,
     shortcut_path,
 )
-from sdglab.instances import gen_chain_metric, gen_random_euclidean, gen_star_metric
+from sdglab.instances import (
+    gen_chain_metric,
+    gen_random_euclidean,
+    gen_random_matrix_metric,
+    gen_star_metric,
+)
 
 import support
 from strategies import metrics, seeds
@@ -65,6 +73,11 @@ def test_exact_on_line_graph():
     h = exact_min_ham_path(b.graph)
     assert sorted(h.order) == list(range(5))
     assert h.weight == path_weight(b.graph, h.order)
+    # bipartite with sides 2 and n-2: a path exists only for n = 4 and 5
+    assert sorted(exact_min_ham_path(gen_line_graph(4).graph).order) == [0, 1, 2, 3]
+    for n in range(6, 11):
+        with pytest.raises(ValueError, match="^graph has no Hamiltonian path$"):
+            exact_min_ham_path(gen_line_graph(n).graph)
 
 
 def test_approx_chain_preorder_is_the_path():
@@ -141,3 +154,63 @@ def test_ham_path_auto_dispatch():
     assert not ham_path(large, mode="auto").exact
     with pytest.raises(ValueError):
         ham_path(small, mode="nope")
+
+
+def _same_as_mask_loop(space):
+    """The layered DP returns the loop's HamPath, or raises its message."""
+    try:
+        expected = support.mask_loop_min_ham_path(space)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            exact_min_ham_path(space)
+        return None
+    h = exact_min_ham_path(space)
+    assert (h.order, h.weight, h.exact) == (expected.order, expected.weight, expected.exact)
+    return h
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_exact_matches_mask_loop_star_and_chain(n):
+    # unit radii, all distances integers: every length ties with many others
+    _same_as_mask_loop(gen_star_metric(n).metric)
+    _same_as_mask_loop(gen_chain_metric(n).metric)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_exact_matches_mask_loop_grid_snapped_line(p):
+    for n in range(2, 12):
+        for seed in range(3):
+            _same_as_mask_loop(gen_random_euclidean(n, 1, p, 97 * n + seed))
+
+
+def test_exact_matches_mask_loop_matrix():
+    for n in range(2, 12):
+        for seed in range(3):
+            _same_as_mask_loop(gen_random_matrix_metric(n, 31 * n + seed))
+
+
+def test_exact_matches_mask_loop_sparse_graphs():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(120):
+        n = int(rng.integers(2, 10))
+        edges = tuple(
+            (u, v, float(rng.integers(1, 4)))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.5
+        )
+        outcomes.add(_same_as_mask_loop(WeightedGraph(n=n, edges=edges)) is None)
+    assert outcomes == {True, False}  # both paths and raises were compared
+
+
+def test_exact_memory_stays_under_the_full_table():
+    m = gen_chain_metric(EXACT_LIMIT).metric
+    tracemalloc.start()
+    try:
+        h = exact_min_ham_path(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.order == tuple(range(EXACT_LIMIT))
+    assert peak < 32 * 2**20  # a full 2^18 x 18 float64 table alone is 36 MiB
