@@ -70,12 +70,12 @@ def exact_min_ham_path(space: Space) -> HamPath:
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
     size = 1 << n
-    popcount = np.zeros(1, dtype=np.int8)
+    popcount = np.zeros(1, dtype=np.int8)  # of every mask below 2^n
     for _ in range(n):
         popcount = np.concatenate([popcount, popcount + 1])
     rank = np.empty(size, dtype=np.int32)  # position of a mask within its layer
     parent = np.full((size, n), -1, dtype=np.int8)
-    layer = np.flatnonzero(popcount == 1)  # 1 << v, ascending: rank v
+    layer = np.flatnonzero(popcount == 1)  # the masks 1 << v; dp row v is {v}
     dp = np.full((n, n), np.inf)
     np.fill_diagonal(dp, 0.0)
     for k in range(2, n + 1):

@@ -170,7 +170,7 @@ def gen_line_graph(n: int, w: float | None = None, eps: float | None = None) -> 
 
     The graph is bipartite between the two endpoints and the n-2 middle
     points, so it has a Hamiltonian path only for n = 4 and 5; for n >= 6 the
-    exact path solver raises and no lightness certificate exists.
+    exact path solver raises and `sdglab decompose` exits 2.
     """
     if n < 4:
         raise ValueError(f"line family needs n >= 4, got {n}")

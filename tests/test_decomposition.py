@@ -214,8 +214,8 @@ def test_trace_exact_mode_small():
 
 
 def _first_path_instances():
-    yield gen_star_metric(9).metric, gen_star_metric(9).ranges
-    yield gen_chain_metric(12).metric, gen_chain_metric(12).ranges
+    for bundle in (gen_star_metric(9), gen_chain_metric(12)):
+        yield bundle.metric, bundle.ranges
     for seed, (n, d, p) in enumerate([(4, 2, 2.0), (10, 1, 1.0), (14, 2, math.inf), (20, 3, 2.0)]):
         m = gen_random_euclidean(n, d, p, 600 + seed)
         for mode in ("uniform", "biased"):
@@ -229,6 +229,15 @@ def test_trace_first_path_is_the_solved_path(ham_mode):
             continue
         given_path = lightness_trace(m, r, ham_mode, first_path=ham_path(m, ham_mode))
         assert given_path.to_dict() == lightness_trace(m, r, ham_mode).to_dict()
+
+
+def test_trace_first_round_uses_the_given_path():
+    m = gen_random_euclidean(12, 2, 1.0, 41)
+    r = gen_random_ranges(m, "biased", 42)
+    exact = ham_path(m, "exact")
+    assert exact.weight < ham_path(m, "approx").weight
+    trace = lightness_trace(m, r, "approx", first_path=exact)
+    assert trace.rounds[0].w_ham == exact.weight
 
 
 def test_trace_first_path_of_wrong_length_is_rejected():
