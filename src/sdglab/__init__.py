@@ -20,30 +20,16 @@ from .decomposition import (
     verify_certificate,
     weight_coefficient,
 )
-from .disk import (
-    RangeAssignment,
-    UdgContainmentReport,
-    build_sdg,
-    build_udg,
-    sdg_msf,
-    udg_msf_containment,
-)
+from .disk import RangeAssignment, build_sdg, sdg_msf
 from .graph import (
-    CyclePropertyViolation,
     Forest,
-    RootedTree,
-    TreeParameters,
     WeightedGraph,
-    brute_force_optimal_tree,
     complete_graph,
-    cycle_property_check,
     dense_msf,
     distance_matrix,
     edge_key,
-    forest_cycle,
     kruskal_msf,
     metric_mst,
-    tree_parameters,
 )
 from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, ham_path, shortcut_path
 from .instances import (

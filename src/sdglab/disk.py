@@ -13,8 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, Space, WeightedGraph, dense_msf, distance_matrix, metric_mst
-from .metric import Metric
+from .graph import Forest, Space, WeightedGraph, dense_msf, distance_matrix
 
 
 @dataclass(frozen=True)
@@ -73,58 +72,3 @@ def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     """MSF of the symmetric disk graph, by `dense_msf` on the masked distance matrix;
     equal to kruskal_msf(build_sdg(space, r))."""
     return dense_msf(sdg_matrix(distance_matrix(space), r))
-
-
-def _unit_ranges(n: int, c: float) -> RangeAssignment:
-    if not c > 0:
-        raise ValueError(f"disk radius must be positive, got {c}")
-    return RangeAssignment.constant(n, c)
-
-
-def build_udg(m: Metric, c: float) -> WeightedGraph:
-    """Unit disk graph: the symmetric disk graph under the constant assignment c."""
-    return build_sdg(m, _unit_ranges(m.n, c))
-
-
-@dataclass(frozen=True)
-class UdgContainmentReport:
-    ok: bool
-    connected: bool
-    contained: bool
-    equal: bool | None  # edge-set equality with MST(M); None when disconnected
-    coefficient: float | None
-    message: str
-
-
-def udg_msf_containment(m: Metric, c: float) -> UdgContainmentReport:
-    """Check MSF(UDG(M,c)) against MST(M) under the shared total edge order.
-
-    Containment must always hold; if the UDG is connected, the two edge sets
-    must coincide and the weight ratio is exactly 1.
-    """
-    msf_udg = sdg_msf(m, _unit_ranges(m.n, c))
-    mst = metric_mst(m)
-    contained = msf_udg.edge_pairs() <= mst.edge_pairs()
-    connected = msf_udg.connected
-    equal = None
-    if connected:
-        equal = msf_udg.edge_pairs() == mst.edge_pairs()
-    coefficient = None
-    if mst.weight > 0:
-        coefficient = msf_udg.weight / mst.weight
-    ok = contained and (equal is not False)
-    if ok:
-        message = "ok"
-    elif not contained:
-        stray = sorted(msf_udg.edge_pairs() - mst.edge_pairs())[0]
-        message = f"UDG forest edge {stray} is not an MST edge"
-    else:
-        message = "connected UDG forest differs from the MST"
-    return UdgContainmentReport(
-        ok=ok,
-        connected=connected,
-        contained=contained,
-        equal=equal,
-        coefficient=coefficient,
-        message=message,
-    )

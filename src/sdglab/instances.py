@@ -13,12 +13,11 @@ Named families:
     making the coefficient grow linearly with n.
 
 Random generators snap coordinates to a dyadic grid for the non-strictly-
-convex norms (p = 1, p = inf, and every 1-D case) and build matrix metrics by
-shortest-path closure over grid entries. On those grids all distance sums are
-exact in 64-bit floats, so the exact comparisons used throughout the package
-are safe. Euclidean p = 2 instances in d >= 2 use full-precision uniforms,
-where exact ties have probability zero. All generators are pure in
-(parameters, seed).
+convex norms (p = 1, p = inf, and every 1-D case) and draw matrix metrics from
+grid entries in [1, 2]. On those grids all distance sums are exact in 64-bit
+floats, so the exact comparisons used throughout the package are safe.
+Euclidean p = 2 instances in d >= 2 use full-precision uniforms, where exact
+ties have probability zero. All generators are pure in (parameters, seed).
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Forest, RootedTree, Space, WeightedGraph, metric_mst, tree_parameters
+from .graph import Space, WeightedGraph, metric_mst
 from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
@@ -115,19 +114,41 @@ def gen_chain_metric(n: int) -> InstanceBundle:
     if n < 3:
         raise ValueError(f"chain family needs n >= 3, got {n}")
     metric = Metric.from_matrix(_chain_matrix(n))
-    path = Forest.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-    star_edges = [(0, 1, 1.0)] + [(0, i, 2.0) for i in range(2, n)]
-    star = Forest.from_edges(n, star_edges)
-    sdg_params = tree_parameters(RootedTree(path, 0))
-    star_params = tree_parameters(RootedTree(star, 0))
+    # Parameters of the unit path and of the hub star {01} + {0i : i >= 2}, both
+    # rooted at 0: maximum degree, weighted radius and diameter (floats), their
+    # hop counts depth and hop_diameter, and the sums of root and pairwise
+    # distances, weighted and in hops.
+    sdg_params = {
+        "degree": 2,
+        "radius": float(n - 1),
+        "depth": n - 1,
+        "diameter": float(n - 1),
+        "hop_diameter": n - 1,
+        "sum_pairwise": float((n**3 - n) // 6),
+        "sum_single": float(n * (n - 1) // 2),
+        "sum_pairwise_hops": (n**3 - n) // 6,
+        "sum_single_hops": n * (n - 1) // 2,
+    }
+    star_params = {
+        "degree": n - 1,
+        "radius": 2.0,
+        "depth": 1,
+        # Two leaves at distance 2 from the hub exist only from n = 4 on.
+        "diameter": 3.0 if n == 3 else 4.0,
+        "hop_diameter": 2,
+        "sum_pairwise": float((n - 1) * (2 * n - 3)),
+        "sum_single": float(2 * n - 3),
+        "sum_pairwise_hops": (n - 1) ** 2,
+        "sum_single_hops": n - 1,
+    }
     optimal = {"degree": 2, "depth": 1, "hop_diameter": 2}
     if n >= 4:
         # A hub star at an interior point reaches two neighbors at distance 1.
         optimal["radius"] = 2.0
         optimal["sum_single"] = float(2 * n - 4)
     reference = {
-        "sdg_params": sdg_params.__dict__.copy(),
-        "star_params": star_params.__dict__.copy(),
+        "sdg_params": sdg_params,
+        "star_params": star_params,
         "optimal": optimal,
         "weight_coefficient": 1.0,
     }
@@ -238,8 +259,8 @@ def gen_random_euclidean(n: int, d: int, p: float, seed: int) -> Metric:
 
 
 def gen_random_matrix_metric(n: int, seed: int) -> Metric:
-    """Random matrix metric: grid entries in [1, 2] repaired by shortest-path
-    closure, which forces the triangle inequality exactly.
+    """Random matrix metric: symmetric grid entries in [1, 2]. These satisfy
+    the triangle inequality as drawn, since d(u,w) <= 2 <= d(u,v) + d(v,w).
 
     Any n >= 1 is accepted (n = 1 gives the 1x1 zero matrix); n = 0 raises
     ValueError. Draws for n >= 2 are unchanged by the one-point case.
@@ -251,12 +272,7 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
     cells = rng.integers(0, (1 << MATRIX_GRID_BITS) + 1, size=(n, n))
     d = 1.0 + cells.astype(float) / scale
     d = np.triu(d, 1)
-    d = d + d.T
-    # Floyd-Warshall closure; grid sums stay exact in 64-bit floats.
-    for k in range(n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-    np.fill_diagonal(d, 0.0)
-    return Metric.from_matrix(d)
+    return Metric.from_matrix(d + d.T)
 
 
 def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:

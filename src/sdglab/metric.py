@@ -94,10 +94,10 @@ def validate_metric(matrix) -> MetricViolation | None:
     return None
 
 
-def as_vertex_subset(indices: Iterable[int], n: int, allow_empty: bool = False) -> tuple[int, ...]:
+def as_vertex_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
     """Normalize an iterable of vertex indices to a strictly increasing tuple."""
     subset = tuple(sorted(int(v) for v in indices))
-    if not subset and not allow_empty:
+    if not subset:
         raise ValueError("vertex subset must be nonempty")
     for i, v in enumerate(subset):
         if v < 0 or v >= n:

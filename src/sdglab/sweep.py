@@ -3,7 +3,8 @@
 Sweeps are deterministic: per-instance seeds derive from the base seed through
 `instances.mix_seed`, workers evaluate pure functions, and records are sorted
 by instance id before emission, so the CSV bytes do not depend on the worker
-count. The SDGLAB_THREADS environment variable caps the worker pool.
+count. The SDGLAB_THREADS environment variable caps the worker pool, and so
+does the number of 8-spec chunks.
 
 The default experiment, the standard mixed-metric grid with four trials
 (1144 instances), is one command:
@@ -50,6 +51,7 @@ SWEEP_DIMS = (1, 2, 3, 5)
 SWEEP_PS = (1.0, 2.0, math.inf)
 SWEEP_NS = (5, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128)
 RANGE_MODES = ("uniform", "biased")
+CHUNKSIZE = 8  # specs per pool task
 
 # A grid kind: (family, id tag, d, p).
 Kind = tuple[str, str, int | None, float | None]
@@ -184,24 +186,30 @@ def standard_suite(base_seed: int, trials: int = 4) -> list[InstanceSpec]:
     return spec_grid(base_seed, trials, SWEEP_NS, kinds)
 
 
-def max_workers(requested: int | None = None) -> int:
+def max_workers(requested: int | None, tasks: int) -> int:
+    """Pool size for `tasks` specs: the requested count (default: the CPU
+    count), capped by SDGLAB_THREADS and by the number of CHUNKSIZE-spec
+    chunks, since the pool forks every worker up front and a worker without a
+    chunk would sit idle. Up to CHUNKSIZE specs therefore run serially."""
     cap = os.environ.get("SDGLAB_THREADS")
     workers = requested or os.cpu_count() or 1
     if cap:
         workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
+    return max(1, min(workers, math.ceil(tasks / CHUNKSIZE)))
 
 
 def run_sweep(
     specs: list[InstanceSpec], ham_mode: str = "approx", workers: int | None = None
 ) -> list[ExperimentRecord]:
     """Evaluate all specs (optionally across processes) and sort by id."""
-    nworkers = max_workers(workers)
-    if nworkers <= 1 or len(specs) < 2:
+    nworkers = max_workers(workers, len(specs))
+    if nworkers == 1:
         records = [evaluate_instance(s, ham_mode) for s in specs]
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            records = list(pool.map(evaluate_instance, specs, [ham_mode] * len(specs), chunksize=8))
+            records = list(
+                pool.map(evaluate_instance, specs, [ham_mode] * len(specs), chunksize=CHUNKSIZE)
+            )
     return sorted(records, key=lambda rec: rec.id)
 
 

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdglab.disk import (
-    RangeAssignment,
-    build_sdg,
-    build_udg,
-    udg_msf_containment,
-)
-from sdglab.graph import kruskal_msf
+from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
+from sdglab.graph import metric_mst
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
@@ -17,7 +12,6 @@ from sdglab.instances import (
     gen_random_euclidean,
     gen_star_metric,
 )
-from sdglab.metric import Metric
 
 from strategies import metric_range_pairs, metrics, seeds
 
@@ -62,20 +56,20 @@ def test_zero_ranges_give_edgeless_graph():
     assert sdg.edges == ()
 
 
-def test_udg_equals_constant_sdg():
-    m = gen_random_euclidean(10, 2, 2.0, 4)
-    assert build_udg(m, 0.4).edges == build_sdg(m, RangeAssignment.constant(10, 0.4)).edges
+def _udg(m, c):
+    """The unit disk graph: the disk graph under the constant assignment c."""
+    return build_sdg(m, RangeAssignment.constant(m.n, c))
 
 
 def test_udg_chain_path_and_complete():
     m = gen_chain_metric(5).metric
-    assert build_udg(m, 1.0).edge_pairs() == {(i, i + 1) for i in range(4)}
-    assert len(build_udg(m, 2.0).edges) == 10
+    assert _udg(m, 1.0).edge_pairs() == {(i, i + 1) for i in range(4)}
+    assert len(_udg(m, 2.0).edges) == 10
 
 
 def test_udg_threshold_scan():
     m = gen_random_euclidean(12, 2, 2.0, 9)
-    udg = build_udg(m, 0.3)
+    udg = _udg(m, 0.3)
     expected = {
         (u, v)
         for u in range(12)
@@ -83,12 +77,6 @@ def test_udg_threshold_scan():
         if m.distance(u, v) <= 0.3
     }
     assert udg.edge_pairs() == expected
-
-
-def test_udg_rejects_nonpositive_radius():
-    m = gen_chain_metric(4).metric
-    with pytest.raises(ValueError):
-        build_udg(m, 0.0)
 
 
 def test_range_assignment_validation():
@@ -116,31 +104,37 @@ def test_sdg_monotone_in_ranges(pair, seed):
     assert build_sdg(m, r).edge_pairs() <= build_sdg(m, bigger).edge_pairs()
 
 
+def _udg_msf_and_mst(m, c):
+    """MSF(UDG(M, c)) and MST(M), compared under the shared total edge order:
+    the forest is always contained in the tree, and equals it when connected."""
+    return sdg_msf(m, RangeAssignment.constant(m.n, c)), metric_mst(m)
+
+
 def test_udg_containment_chain_equality():
-    m = gen_chain_metric(6).metric
-    report = udg_msf_containment(m, 1.0)
-    assert report.ok and report.connected and report.equal
-    assert report.coefficient == 1.0
+    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).metric, 1.0)
+    assert msf.edge_pairs() <= mst.edge_pairs() and msf.connected
+    assert msf.edge_pairs() == mst.edge_pairs()
+    assert msf.weight / mst.weight == 1.0
 
 
 def test_udg_containment_vacuous_below_min_distance():
-    m = gen_chain_metric(6).metric
-    report = udg_msf_containment(m, 0.5)
-    assert report.ok and not report.connected
-    assert report.coefficient == 0.0
+    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).metric, 0.5)
+    assert msf.edge_pairs() <= mst.edge_pairs() and not msf.connected
+    assert msf.weight / mst.weight == 0.0
 
 
 @given(metrics(max_n=16), st.floats(0.01, 1.0), seeds)
 @settings(max_examples=30)
 def test_udg_containment_random(m, frac, seed):
     c = m.min_distance() + frac * (m.diameter() - m.min_distance())
-    report = udg_msf_containment(m, c)
-    assert report.ok
-    if report.connected:
-        assert report.equal and report.coefficient == 1.0
+    msf, mst = _udg_msf_and_mst(m, c)
+    assert msf.edge_pairs() <= mst.edge_pairs()
+    if msf.connected:
+        assert msf.edge_pairs() == mst.edge_pairs() and msf.weight / mst.weight == 1.0
 
 
 def test_large_ranges_match_complete_graph_msf():
     m = gen_random_euclidean(15, 2, 2.0, 31)
-    report = udg_msf_containment(m, m.diameter())
-    assert report.ok and report.connected and report.coefficient == 1.0
+    msf, mst = _udg_msf_and_mst(m, m.diameter())
+    assert msf.edge_pairs() <= mst.edge_pairs() and msf.connected
+    assert msf.weight / mst.weight == 1.0

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
 from sdglab.graph import (
     Forest,
-    RootedTree,
     WeightedGraph,
-    brute_force_optimal_tree,
     complete_graph,
-    cycle_property_check,
     dense_msf,
     distance_matrix,
     edge_key,
-    forest_cycle,
     kruskal_msf,
     metric_mst,
-    sum_pairwise,
-    tree_parameters,
+    tree_path,
 )
 from sdglab.instances import (
     gen_chain_metric,
@@ -120,12 +115,12 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
 
 
 def test_cycle_property_c3():
-    assert cycle_property_check(C3, kruskal_msf(C3)) is None
+    assert support.cycle_property_check(C3, kruskal_msf(C3)) is None
 
 
 def test_cycle_property_tree_vacuous():
     g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
-    assert cycle_property_check(g, kruskal_msf(g)) is None
+    assert support.cycle_property_check(g, kruskal_msf(g)) is None
 
 
 def test_cycle_property_random_graphs():
@@ -133,7 +128,7 @@ def test_cycle_property_random_graphs():
     for _ in range(60):
         n = int(rng.integers(4, 13))
         g = support.random_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
-        assert cycle_property_check(g, kruskal_msf(g)) is None
+        assert support.cycle_property_check(g, kruskal_msf(g)) is None
 
 
 def test_cycle_property_cross_checked_by_enumeration():
@@ -142,22 +137,22 @@ def test_cycle_property_cross_checked_by_enumeration():
         n = int(rng.integers(4, 10))
         g = support.random_graph(n, n + 2, rng)
         forest_pairs = kruskal_msf(g).edge_pairs()
-        weights = g.weight_map()
+        weights = {(u, v): w for u, v, w in g.edges}
         for cycle in support.all_cycles(g):
             top = max(((u, v, weights[(u, v)]) for u, v in cycle), key=edge_key)
             assert (top[0], top[1]) not in forest_pairs
 
 
 def test_forest_cycle_path_chord():
-    f = Forest.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    cycle = forest_cycle(f, (0, 2, 2.0))
-    assert {(u, v) for u, v, _ in cycle} == {(0, 1), (1, 2), (0, 2)}
+    f = kruskal_msf(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
+    path = tree_path(f.adjacency(), 0, 2)
+    assert {(u, v) for u, v, _ in path} == {(0, 1), (1, 2)}
 
 
 def test_forest_cycle_star_chord():
-    f = Forest.from_edges(5, [(0, i, 1.0) for i in range(1, 5)])
-    cycle = forest_cycle(f, (1, 2, 2.0))
-    assert {(u, v) for u, v, _ in cycle} == {(0, 1), (0, 2), (1, 2)}
+    f = kruskal_msf(WeightedGraph(n=5, edges=tuple((0, i, 1.0) for i in range(1, 5))))
+    path = tree_path(f.adjacency(), 1, 2)
+    assert {(u, v) for u, v, _ in path} == {(0, 1), (0, 2)}
 
 
 def test_forest_cycle_matches_dfs_oracle():
@@ -168,86 +163,37 @@ def test_forest_cycle_matches_dfs_oracle():
         u, v = sorted(rng.choice(10, size=2, replace=False))
         if (u, v) in f.edge_pairs():
             continue
-        cycle = {(a, b) for a, b, _ in forest_cycle(f, (int(u), int(v), 9.0))}
-        oracle = set(support.dfs_tree_path(10, f.edges, int(u), int(v))) | {(int(u), int(v))}
-        assert cycle == oracle
+        path = {(a, b) for a, b, _ in tree_path(f.adjacency(), int(u), int(v))}
+        assert path == set(support.dfs_tree_path(10, f.edges, int(u), int(v)))
 
 
 def test_forest_cycle_rejects_cross_component():
-    f = Forest.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(ValueError):
-        forest_cycle(f, (0, 2, 1.0))
+    f = kruskal_msf(WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))))
+    assert tree_path(f.adjacency(), 0, 2) is None
 
 
 def test_tree_parameters_chain_path():
-    path = Forest.from_edges(5, [(i, i + 1, 1.0) for i in range(4)])
-    params = tree_parameters(RootedTree(path, 0))
-    assert params.degree == 2
-    assert params.radius == 4.0
-    assert params.depth == 4
-    assert params.diameter == 4.0
-    assert params.hop_diameter == 4
-    assert params.sum_single == 10.0
-    assert params.sum_pairwise == 20.0  # (n^3 - n) / 6 for the unit path
-    assert params.sum_pairwise == (5**3 - 5) / 6
+    params = gen_chain_metric(5).reference["sdg_params"]
+    assert params["degree"] == 2
+    assert params["radius"] == 4.0
+    assert params["depth"] == 4
+    assert params["diameter"] == 4.0
+    assert params["hop_diameter"] == 4
+    assert params["sum_single"] == 10.0
+    assert params["sum_pairwise"] == 20.0  # (n^3 - n) / 6 for the unit path
+    assert params["sum_pairwise"] == (5**3 - 5) / 6
 
 
 def test_tree_parameters_chain_star():
-    star = Forest.from_edges(5, [(0, 1, 1.0)] + [(0, i, 2.0) for i in range(2, 5)])
-    params = tree_parameters(RootedTree(star, 0))
-    assert params.degree == 4
-    assert params.radius == 2.0
-    assert params.depth == 1
-    assert params.diameter == 4.0
-    assert params.hop_diameter == 2
-    assert params.sum_single == 7.0
-    assert params.sum_pairwise == support.pairwise_distance_sum(5, star.edges)
-
-
-def test_tree_parameters_single_vertex():
-    t = RootedTree(Forest.from_edges(1, []), 0)
-    params = tree_parameters(t)
-    assert params.degree == 0
-    assert params.radius == 0.0
-    assert params.depth == 0
-    assert params.diameter == 0.0
-    assert params.sum_pairwise == 0.0
-    assert params.sum_single == 0.0
-
-
-@given(seeds, st.integers(3, 30))
-@settings(max_examples=25)
-def test_sum_pairwise_matches_quadratic_scan(seed, n):
-    rng = np.random.default_rng(seed)
-    tree = kruskal_msf(support.random_connected_graph(n, 0, rng))
-    assert sum_pairwise(tree) == support.pairwise_distance_sum(n, tree.edges)
-
-
-def test_brute_force_min_degree_of_complete_metric():
-    m = gen_random_euclidean(5, 2, 2.0, 77)
-    best = brute_force_optimal_tree(complete_graph(m), "degree")
-    assert tree_parameters(best).degree == 2
-
-
-def test_brute_force_on_forced_path():
-    g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
-    for objective in ("degree", "radius", "diameter", "sum_pairwise", "sum_single"):
-        best = brute_force_optimal_tree(g, objective)
-        assert best.tree.edge_pairs() == {(0, 1), (1, 2), (2, 3)}
-
-
-def test_brute_force_chain_diameter_at_most_four():
-    g = complete_graph(gen_chain_metric(6).metric)
-    best = brute_force_optimal_tree(g, "diameter")
-    assert tree_parameters(best).diameter <= 4.0
-
-
-def test_brute_force_rejects_large_or_disconnected():
-    m = gen_random_euclidean(9, 1, 2.0, 0)
-    with pytest.raises(ValueError):
-        brute_force_optimal_tree(complete_graph(m), "degree")
-    with pytest.raises(ValueError):
-        brute_force_optimal_tree(WeightedGraph(n=4, edges=((0, 1, 1.0),)), "degree")
+    params = gen_chain_metric(5).reference["star_params"]
+    assert params["degree"] == 4
+    assert params["radius"] == 2.0
+    assert params["depth"] == 1
+    assert params["diameter"] == 4.0
+    assert params["hop_diameter"] == 2
+    assert params["sum_single"] == 7.0
+    star_edges = [(0, 1, 1.0)] + [(0, i, 2.0) for i in range(2, 5)]
+    assert params["sum_pairwise"] == support.pairwise_distance_sum(5, star_edges)
 
 
 @given(seeds, st.integers(2, 14), st.integers(0, 12))

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from sdglab.cli import cli
+from sdglab.disk import build_sdg
 from sdglab.instances import (
     InstanceFormatError,
     bundle_from_dict,
+    gen_chain_metric,
     gen_random_euclidean,
     gen_random_matrix_metric,
     gen_random_ranges,
     read_instance,
 )
+
+import support
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -84,3 +88,27 @@ def test_cli_rejects_non_finite_instances(data, tmp_path, capsys):
     for command in ("sdg", "msf"):
         assert cli([command, str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+
+
+def _typed(params: dict) -> dict:
+    return {key: (value, type(value)) for key, value in params.items()}
+
+
+def test_chain_reference_matches_bfs_oracle():
+    # n = 3 is the star's one diameter exception: a single leaf at distance 2.
+    for n in range(3, 41):
+        b = gen_chain_metric(n)
+        path = build_sdg(b.metric, b.ranges).edges
+        star = [(0, v, b.metric.distance(0, v)) for v in range(1, n)]
+        assert {(u, v) for u, v, _ in path} == {(i, i + 1) for i in range(n - 1)}
+        ref = b.reference
+        assert _typed(ref["sdg_params"]) == _typed(support.rooted_tree_parameters(n, path, 0))
+        assert _typed(ref["star_params"]) == _typed(support.rooted_tree_parameters(n, star, 0))
+
+
+def test_matrix_metric_is_closed_as_drawn():
+    # Entries in [1, 2] already satisfy d(u,w) <= 2 <= d(u,v) + d(v,w).
+    for n in (2, 3, 5, 16, 64):
+        for seed in range(200):
+            d = gen_random_matrix_metric(n, seed).matrix
+            assert np.array_equal(support.shortest_path_closure(d), d)
