@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from sdglab.decomposition import lightness_bound, weight_coefficient
+from sdglab.decomposition import Prepared, lightness_bound, weight_coefficient
 from sdglab.instances import gen_random_euclidean, gen_random_matrix_metric, gen_random_ranges, mix_seed
 from sdglab.sweep import emit_svg
 
@@ -37,7 +37,7 @@ def main() -> int:
             else:
                 m = gen_random_euclidean(n, 1 + index % 3, [1.0, 2.0, math.inf][index % 3], seed)
             r = gen_random_ranges(m, "uniform", mix_seed(seed, 1))
-            coef = weight_coefficient(m, r).coefficient
+            coef = weight_coefficient(Prepared(m, r)).coefficient
             if coef > best:
                 best, best_seed = coef, seed
         print(f"{n:>5} {best:>10.4f} {best_seed:>20} {lightness_bound(n):>12.4f}")

@@ -11,6 +11,7 @@ from .decomposition import (
     BoundViolationError,
     DecompositionCertificate,
     LightnessTrace,
+    Prepared,
     TraceRound,
     WeightCoefficientReport,
     decompose,
@@ -31,7 +32,7 @@ from .graph import (
     kruskal_msf,
     metric_mst,
 )
-from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, ham_path, shortcut_path
+from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, shortcut_path
 from .instances import (
     InstanceBundle,
     InstanceFormatError,

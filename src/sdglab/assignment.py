@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decomposition import lightness_bound
-from .disk import RangeAssignment, sdg_msf
-from .graph import metric_mst
-from .metric import Metric
+from .decomposition import Prepared, lightness_bound
+from .disk import RangeAssignment
 
 
 @dataclass(frozen=True)
@@ -28,23 +26,17 @@ class AssignmentReport:
     connected_input: bool  # whether SDG(M, r') was connected
 
 
-def bounded_assignment(m: Metric, r_prime: RangeAssignment) -> AssignmentReport:
-    """Heaviest-incident-edge assignment on the MSF of the capped disk graph."""
-    if len(r_prime) != m.n:
-        raise ValueError(f"bounding function has {len(r_prime)} radii for {m.n} points")
-    forest = sdg_msf(m, r_prime)
-    radii = [0.0] * m.n  # isolated vertices transmit nothing
-    for u, v, w in forest.edges:
-        radii[u] = max(radii[u], w)
-        radii[v] = max(radii[v], w)
-    out = RangeAssignment(radii=tuple(radii))
-    cost = math.fsum(radii)
-    feasible = all(out[v] <= r_prime[v] for v in range(m.n))
+def bounded_assignment(p: Prepared) -> AssignmentReport:
+    """Heaviest-incident-edge assignment on the MSF of the capped disk graph,
+    with p.r as the bounding function r'."""
+    forest = p.msf
+    out = RangeAssignment(radii=forest.heaviest_incident())  # isolated vertices get 0
+    feasible = all(out[v] <= p.r[v] for v in range(p.space.n))
     return AssignmentReport(
         ranges=out,
-        cost=cost,
+        cost=math.fsum(out.radii),
         w_forest=forest.weight,
-        lower_bound=metric_mst(m).weight,
+        lower_bound=p.mst.weight,
         feasible=feasible,
         connected_input=forest.connected,
     )

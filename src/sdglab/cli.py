@@ -17,14 +17,14 @@ from .assignment import bounded_assignment, cost_ratio_check
 from .decomposition import (
     BoundViolationError,
     DecompositionCertificate,
-    decompose,
+    Prepared,
     lightness_trace,
     verify_certificate,
     weight_coefficient,
 )
-from .disk import build_sdg, sdg_msf
+from .disk import build_sdg
 from .graph import kruskal_msf
-from .hamiltonian import HamPath, ham_path, path_weight
+from .hamiltonian import HAM_MODES, HamPath, path_weight
 from .instances import (
     FAMILIES,
     InstanceBundle,
@@ -106,8 +106,9 @@ def _cmd_sdg(args) -> int:
 
 def _cmd_msf(args) -> int:
     bundle = _read_two_points(args)
-    forest = sdg_msf(bundle.space, bundle.ranges)
-    report = weight_coefficient(bundle.space, bundle.ranges)
+    p = Prepared(bundle.space, bundle.ranges)
+    forest = p.msf
+    report = weight_coefficient(p)
     data = {
         "n": forest.n,
         "family": bundle.family,
@@ -126,12 +127,10 @@ def _cmd_msf(args) -> int:
 
 def _cmd_decompose(args) -> int:
     bundle = _read_two_points(args)
-    space = bundle.space
-    forest = sdg_msf(space, bundle.ranges)
     # The approximate path needs the triangle inequality; graphs are solved exactly.
-    h = ham_path(space, mode=args.ham if bundle.metric is not None else "exact")
-    cert = decompose(space, bundle.ranges, forest, h)
-    problems = verify_certificate(space, bundle.ranges, forest, h, cert)
+    p = Prepared(bundle.space, bundle.ranges, args.ham if bundle.metric is not None else "exact")
+    h, cert = p.path, p.certificate
+    problems = verify_certificate(p.space, p.r, p.msf, h, cert)
     _emit(
         {
             "ham_order": list(h.order),
@@ -149,8 +148,9 @@ def _cmd_trace(args) -> int:
     bundle = _read_two_points(args)
     if bundle.metric is None:
         raise InstanceFormatError("trace requires a metric instance")
-    trace = lightness_trace(bundle.metric, bundle.ranges, ham_mode=args.ham)
-    report = weight_coefficient(bundle.metric, bundle.ranges)
+    p = Prepared(bundle.metric, bundle.ranges, args.ham)
+    trace = lightness_trace(p)
+    report = weight_coefficient(p)
     data = trace.to_dict()
     data["coefficient"] = report.coefficient
     data["bound_2log"] = report.bound
@@ -162,7 +162,7 @@ def _cmd_assign(args) -> int:
     bundle = _read_two_points(args)
     if bundle.metric is None:
         raise InstanceFormatError("assign requires a metric instance")
-    report = bounded_assignment(bundle.metric, bundle.ranges)
+    report = bounded_assignment(Prepared(bundle.metric, bundle.ranges))
     data = {
         "ranges": list(report.ranges.radii),
         "cost": report.cost,
@@ -258,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("instance")
         cmd.add_argument("--out", default=None)
         if name == "trace":
-            cmd.add_argument("--ham", choices=["exact", "approx", "auto"], default="auto")
+            cmd.add_argument("--ham", choices=HAM_MODES, default="auto")
         cmd.set_defaults(func=func)
 
     dec = sub.add_parser("decompose", help="emit a verified lightness certificate")
     dec.add_argument("instance")
-    dec.add_argument("--ham", choices=["exact", "approx", "auto"], default="auto")
+    dec.add_argument("--ham", choices=HAM_MODES, default="auto")
     dec.add_argument("--out", default=None)
     dec.set_defaults(func=_cmd_decompose)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--ranges", choices=["uniform", "biased", "both"], default="both")
-    sweep.add_argument("--ham", choices=["exact", "approx", "auto"], default="approx")
+    sweep.add_argument("--ham", choices=HAM_MODES, default="approx")
     sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--svg", default=None)

@@ -19,11 +19,16 @@ vertices. The construction is an exchange argument:
 by a factor >= 1/5 per round, which telescopes to
 w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
 2 * log_{5/4} n for any metric.
+
+`Prepared` holds one instance (space, r, path mode) and computes its disk-graph
+MSF, MST, first path and first certificate once, on first use; the trace, the
+coefficient and the assignment read them from it, so all belong to one (space, r).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +45,7 @@ from .graph import (
     kruskal_msf,
     tree_path,
 )
-from .hamiltonian import EXACT_CUTOFF, HamPath, ham_path, shortcut_path
+from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
 from .metric import Metric
 
 LOG_BASE = 5.0 / 4.0
@@ -204,6 +209,43 @@ def decompose(space: Space, r: RangeAssignment, f: Forest, h: HamPath) -> Decomp
         tilde_e=tuple(tilde_e),
         isolated=isolated,
     )
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """One instance (space, r) and path mode; each derived object is computed once."""
+
+    space: Space
+    r: RangeAssignment
+    ham_mode: str = "auto"
+
+    def __post_init__(self):
+        if self.ham_mode not in HAM_MODES:
+            raise ValueError(f"unknown ham_mode {self.ham_mode!r}")
+        if len(self.r) != self.space.n:
+            raise ValueError(f"range assignment has {len(self.r)} radii for {self.space.n} points")
+
+    @cached_property
+    def msf(self) -> Forest:
+        return sdg_msf(self.space, self.r)
+
+    @cached_property
+    def mst(self) -> Forest:
+        """MSF of the space itself: the metric's MST, or the graph's MSF."""
+        return dense_msf(distance_matrix(self.space))
+
+    @cached_property
+    def path(self) -> HamPath:
+        """Hamiltonian path, exact or MST-doubling as `solves_exactly` decides."""
+        if solves_exactly(self.ham_mode, self.space.n):
+            return exact_min_ham_path(self.space)
+        if not isinstance(self.space, Metric):
+            raise ValueError("approximate paths need a metric; use mode='exact' on graphs")
+        return approx_ham_path(self.space, self.mst)
+
+    @cached_property
+    def certificate(self) -> DecompositionCertificate:
+        return decompose(self.space, self.r, self.msf, self.path)
 
 
 def verify_certificate(
@@ -418,46 +460,33 @@ class LightnessTrace:
         }
 
 
-def lightness_trace(
-    m: Metric, r: RangeAssignment, ham_mode: str = "auto", first_path: HamPath | None = None
-) -> LightnessTrace:
+def lightness_trace(p: Prepared) -> LightnessTrace:
     """Peel the disk-graph forest until at most 4 vertices survive.
 
     Each round removes a certificate's edge set and recomputes the MSF of the
     disk graph induced on the survivors; the path is shortcut (or re-solved
-    exactly, depending on ham_mode) for the next round. The first round uses
-    first_path when given, a caller's own ham_path(m, mode=ham_mode), instead
-    of solving it again. Raises BoundViolationError if any step of the
-    telescoped accounting fails.
+    exactly, as `solves_exactly` decides for p.ham_mode) for the next round.
+    The first round takes p's path and certificate. Raises BoundViolationError
+    if any step of the telescoped accounting fails.
     """
-    if ham_mode not in ("exact", "approx", "auto"):
-        raise ValueError(f"unknown ham_mode {ham_mode!r}")
-    if len(r) != m.n:
-        raise ValueError(f"range assignment has {len(r)} radii for {m.n} points")
-    if first_path is not None and first_path.n != m.n:
-        raise ValueError(f"first path has {first_path.n} vertices for {m.n} points")
-
-    forest = sdg_msf(m, r)
-    if first_path is None and m.n >= 2:
-        first_path = ham_path(m, mode=ham_mode)
+    forest = p.msf
     w_msf = forest.weight
-    labels = tuple(range(m.n))
-    cur_m, cur_r = m, r
+    labels = tuple(range(p.space.n))
+    cur_m, cur_r = p.space, p.r
     cur_h: HamPath | None = None
     rounds: list[TraceRound] = []
     removed_weights: list[float] = []
 
     while cur_m.n > 4:
         if cur_h is None:
-            new_h = first_path
-        elif ham_mode == "exact" or (ham_mode == "auto" and cur_m.n <= EXACT_CUTOFF):
-            new_h = ham_path(cur_m, mode=ham_mode)
+            cur_h, cert = p.path, p.certificate
         else:
-            new_h = cur_h  # already shortcut onto the current point set
-        if cur_h is not None and new_h.weight > cur_h.weight:
-            raise BoundViolationError("path weight increased between rounds")
-        cur_h = new_h
-        cert = decompose(cur_m, cur_r, forest, cur_h)
+            # A shortcut path is already on the current point set.
+            new_h = exact_min_ham_path(cur_m) if solves_exactly(p.ham_mode, cur_m.n) else cur_h
+            if new_h.weight > cur_h.weight:
+                raise BoundViolationError("path weight increased between rounds")
+            cur_h = new_h
+            cert = decompose(cur_m, cur_r, forest, cur_h)
         survivors = tuple(v for v in range(cur_m.n) if v not in set(cert.isolated))
         if len(survivors) > (4 * cur_m.n) // 5:
             raise BoundViolationError("round isolated fewer than a fifth of the vertices")
@@ -505,12 +534,9 @@ def lightness_trace(
     # Basis: at most 4 vertices (possibly zero when a round isolated everything).
     if cur_m is not None:
         basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in forest.edges)
-        if cur_m.n >= 2:
-            if cur_h is None:
-                cur_h = first_path
-            w_ham_last = cur_h.weight
-        else:
-            w_ham_last = 0.0
+        if cur_h is None and cur_m.n >= 2:
+            cur_h = p.path  # no round ran
+        w_ham_last = 0.0 if cur_h is None else cur_h.weight
         basis_labels = labels
     else:
         basis_edges, basis_labels, w_ham_last = (), (), 0.0
@@ -522,8 +548,8 @@ def lightness_trace(
     w_ham_first = rounds[0].w_ham if rounds else w_ham_last
 
     trace = LightnessTrace(
-        n=m.n,
-        ham_mode=ham_mode,
+        n=p.space.n,
+        ham_mode=p.ham_mode,
         rounds=tuple(rounds),
         basis_labels=basis_labels,
         basis_edges=basis_edges,
@@ -539,7 +565,7 @@ def lightness_trace(
         raise BoundViolationError("telescoped removal weights fall short of the forest weight")
     if telescoped > trace.coarse_bound:
         raise BoundViolationError("telescoped weights exceed rounds * w(H) + 3 * w(H_last)")
-    if m.n >= 2 and trace.coarse_bound > trace.log_bound:
+    if p.space.n >= 2 and trace.coarse_bound > trace.log_bound:
         raise BoundViolationError("coarse bound exceeds log_{5/4} n * w(H)")
     return trace
 
@@ -553,23 +579,21 @@ class WeightCoefficientReport:
     connected: bool
 
 
-def weight_coefficient(space: Space, r: RangeAssignment) -> WeightCoefficientReport:
+def weight_coefficient(p: Prepared) -> WeightCoefficientReport:
     """w(MSF(SDG(space,r))) / w(MSF(space)), asserted against 2 * log_{5/4} n.
 
     The bound needs the triangle inequality. On an edge-list graph the ratio
     can be arbitrarily large, so `bound` is reported as +inf and nothing is
     asserted.
     """
-    d = distance_matrix(space)
-    metric = isinstance(space, Metric)
-    msf = dense_msf(sdg_matrix(d, r))
-    mst = dense_msf(d)
+    metric = isinstance(p.space, Metric)
+    msf, mst = p.msf, p.mst
     if mst.weight <= 0:
         raise ValueError(
             "weight coefficient needs at least two points" if metric else "graph MSF weight must be positive"
         )
     coefficient = msf.weight / mst.weight
-    bound = lightness_bound(space.n) if metric else math.inf
+    bound = lightness_bound(p.space.n) if metric else math.inf
     if coefficient > bound:
         raise BoundViolationError(
             f"weight coefficient {coefficient} exceeds 2*log_(5/4) n = {bound}"

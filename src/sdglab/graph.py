@@ -163,6 +163,14 @@ class Forest:
             adj[v][u] = w
         return adj
 
+    def heaviest_incident(self) -> tuple[float, ...]:
+        """Weight of each vertex's heaviest incident edge; 0.0 for isolated vertices."""
+        out = [0.0] * self.n
+        for u, v, w in self.edges:
+            out[u] = max(out[u], w)
+            out[v] = max(out[v], w)
+        return tuple(out)
+
 
 def _component_ids(n: int, uf: UnionFind) -> tuple[int, ...]:
     smallest: dict[int, int] = {}

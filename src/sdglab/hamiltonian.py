@@ -23,13 +23,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Space, distance_matrix, metric_mst
+from .graph import Forest, Space, distance_matrix
 from .metric import Metric, as_vertex_subset
 
 # 2^18 * 18 states: a 4.5 MiB int8 parent table plus two float64 layers of
 # at most C(18, 9) * 18 values (6.7 MiB) each.
 EXACT_LIMIT = 18
 EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
+HAM_MODES = ("exact", "approx", "auto")
+
+
+def solves_exactly(mode: str, n: int) -> bool:
+    """Whether `mode` solves an n-vertex path exactly: "exact" always, "auto" up to EXACT_CUTOFF."""
+    return mode == "exact" or (mode == "auto" and n <= EXACT_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,11 @@ def exact_min_ham_path(space: Space) -> HamPath:
     return HamPath(order=order, weight=path_weight(space, order), exact=True)
 
 
-def approx_ham_path(m: Metric) -> HamPath:
-    """MST preorder with shortcutting; weight is at most twice the MST weight."""
+def approx_ham_path(m: Metric, mst: Forest) -> HamPath:
+    """Preorder of the spanning tree `mst` with shortcutting; the weight is at most
+    twice the tree's, so the metric's MST (`metric_mst(m)`) gives a 2-approximation."""
     if m.n < 2:
         raise ValueError("need at least two points")
-    mst = metric_mst(m)
     adj = mst.adjacency()
     order = []
     stack = [0]
@@ -144,18 +150,3 @@ def shortcut_path(m: Metric, h: HamPath, subset: Sequence[int]) -> HamPath:
         raise ValueError("subset contains vertices missing from the path")
     return HamPath(order=order, weight=path_weight(m, order), exact=False)
 
-
-def ham_path(space: Space, mode: str = "auto") -> HamPath:
-    """Dispatch between the exact and approximate providers.
-
-    mode "auto" runs the exact solver up to EXACT_CUTOFF vertices and the
-    MST-doubling approximation above it.
-    """
-    if mode not in ("exact", "approx", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n = space.n
-    if mode == "exact" or (mode == "auto" and n <= EXACT_CUTOFF):
-        return exact_min_ham_path(space)
-    if not isinstance(space, Metric):
-        raise ValueError("approximate paths need a metric; use mode='exact' on graphs")
-    return approx_ham_path(space)

@@ -292,12 +292,7 @@ def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:
     lo, hi = m.min_distance(), m.diameter()
     radii = rng.uniform(lo, hi, size=m.n)
     if mode == "biased":
-        mst = metric_mst(m)
-        floor = [0.0] * m.n
-        for u, v, w in mst.edges:
-            floor[u] = max(floor[u], w)
-            floor[v] = max(floor[v], w)
-        radii = np.maximum(radii, floor)
+        radii = np.maximum(radii, metric_mst(m).heaviest_incident())
     return RangeAssignment(radii=tuple(float(r) for r in radii))
 
 

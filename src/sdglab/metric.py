@@ -182,11 +182,6 @@ class Metric:
             return np.array_equal(self.points, other.points)
         return np.array_equal(self.matrix, other.matrix)
 
-    def distance(self, u: int, v: int) -> float:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u},{v}) out of range [0, {self.n})")
-        return float(self.matrix[u, v])
-
     def diameter(self) -> float:
         """Largest pairwise distance; requires at least two points."""
         if self.n < 2:
@@ -203,8 +198,8 @@ class Metric:
     def induce(self, subset: Sequence[int]) -> tuple["Metric", tuple[int, ...]]:
         """Sub-metric on `subset`, plus the new-index -> old-index relabeling.
 
-        Distances are unchanged: entry (i, j) of the result equals
-        distance(subset[i], subset[j]) in the parent.
+        Distances are unchanged: entry (i, j) of the result equals entry
+        (subset[i], subset[j]) of the parent's matrix.
         """
         sub = as_vertex_subset(subset, self.n)
         if self.kind == EUCLIDEAN_LP:

@@ -21,15 +21,12 @@ from pathlib import Path
 
 from .assignment import bounded_assignment
 from .decomposition import (
-    decompose,
+    Prepared,
     lightness_bound,
     lightness_trace,
     log_rounds_bound,
     verify_certificate,
 )
-from .disk import sdg_msf
-from .graph import metric_mst
-from .hamiltonian import ham_path
 from .instances import (
     InstanceBundle,
     gen_c3,
@@ -123,25 +120,22 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
     if bundle.metric is None:
         raise ValueError(f"sweeps evaluate metric instances only, got family {spec.family!r}")
     m, r, n = bundle.metric, bundle.ranges, bundle.n
-    msf = sdg_msf(m, r)
-    mst = metric_mst(m)
-    h = ham_path(m, mode=ham_mode)
-    cert = decompose(m, r, msf, h)
-    cert_ok = not verify_certificate(m, r, msf, h, cert)
-    trace = lightness_trace(m, r, ham_mode=ham_mode, first_path=h)
-    report = bounded_assignment(m, r)
+    p = Prepared(m, r, ham_mode)
+    cert_ok = not verify_certificate(m, r, p.msf, p.path, p.certificate)
+    trace = lightness_trace(p)
+    report = bounded_assignment(p)
     return ExperimentRecord(
         id=spec.id,
         seed=spec.seed,
         n=n,
         family=spec.family,
-        connected=msf.connected,
-        w_mst=mst.weight,
-        w_msf_sdg=msf.weight,
-        coefficient=msf.weight / mst.weight,
+        connected=p.msf.connected,
+        w_mst=p.mst.weight,
+        w_msf_sdg=p.msf.weight,
+        coefficient=p.msf.weight / p.mst.weight,
         bound_2log=lightness_bound(n),
         ham_mode=ham_mode,
-        w_ham=h.weight,
+        w_ham=p.path.weight,
         trace_rounds=trace.round_count,
         max_round_bound=log_rounds_bound(n),
         cert_ok=cert_ok,

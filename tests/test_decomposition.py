@@ -1,14 +1,12 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdglab.decomposition import (
-    BoundViolationError,
     DecompositionCertificate,
+    Prepared,
     decompose,
     lightness_bound,
     lightness_trace,
@@ -17,8 +15,8 @@ from sdglab.decomposition import (
     weight_coefficient,
 )
 from sdglab.disk import RangeAssignment, build_sdg
-from sdglab.graph import complete_graph, kruskal_msf
-from sdglab.hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, ham_path
+from sdglab.graph import complete_graph, kruskal_msf, metric_mst
+from sdglab.hamiltonian import EXACT_CUTOFF, HamPath, approx_ham_path, exact_min_ham_path
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
@@ -35,7 +33,7 @@ def _setup(bundle, exact=True):
     if bundle.metric is not None:
         space, r = bundle.metric, bundle.ranges
         forest = kruskal_msf(build_sdg(space, r))
-        h = exact_min_ham_path(space) if exact else approx_ham_path(space)
+        h = exact_min_ham_path(space) if exact else approx_ham_path(space, metric_mst(space))
     else:
         space, r = bundle.graph, bundle.ranges
         forest = kruskal_msf(build_sdg(space, r))
@@ -129,7 +127,7 @@ def test_decompose_rejects_wrong_forest():
     # On the unit-radius chain the two forests coincide and nothing is tested.
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     wrong = kruskal_msf(complete_graph(m))
     assert wrong != kruskal_msf(build_sdg(m, r))
     with pytest.raises(ValueError, match="not the MSF"):
@@ -147,7 +145,7 @@ def test_decompose_deterministic():
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
     forest = kruskal_msf(build_sdg(m, r))
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     assert decompose(m, r, forest, h) == decompose(m, r, forest, h)
 
 
@@ -156,7 +154,7 @@ def test_decompose_deterministic():
 def test_random_certificates_verify(pair):
     m, r = pair
     forest = kruskal_msf(build_sdg(m, r))
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     cert = decompose(m, r, forest, h)
     assert verify_certificate(m, r, forest, h, cert) == []
     assert cert.weights["tilde_e"] <= h.weight
@@ -165,7 +163,7 @@ def test_random_certificates_verify(pair):
 
 def test_trace_single_point():
     m = gen_random_euclidean(2, 1, 2.0, 3).induce([0])[0]
-    trace = lightness_trace(m, RangeAssignment.constant(1, 1.0))
+    trace = lightness_trace(Prepared(m, RangeAssignment.constant(1, 1.0)))
     assert trace.rounds == ()
     assert trace.w_msf == 0.0 and trace.telescoped == 0.0
 
@@ -173,7 +171,7 @@ def test_trace_single_point():
 def test_trace_basis_only_n4():
     m = gen_random_euclidean(4, 2, 2.0, 10)
     r = RangeAssignment.constant(4, m.diameter())
-    trace = lightness_trace(m, r)
+    trace = lightness_trace(Prepared(m, r))
     assert trace.round_count == 0
     assert trace.w_msf <= 3.0 * trace.w_ham_last
     assert 3.0 < math.log(4) / math.log(1.25)  # basis bound sits under the log bound
@@ -181,7 +179,7 @@ def test_trace_basis_only_n4():
 
 def test_trace_chain_single_round():
     b = gen_chain_metric(5)
-    trace = lightness_trace(b.metric, b.ranges)
+    trace = lightness_trace(Prepared(b.metric, b.ranges))
     assert trace.round_count == 1
     assert trace.basis_labels == ()
     assert trace.telescoped == trace.w_msf == 4.0
@@ -190,7 +188,7 @@ def test_trace_chain_single_round():
 def test_trace_hundred_points():
     m = gen_random_euclidean(100, 2, 2.0, 555)
     r = gen_random_ranges(m, "biased", 556)
-    trace = lightness_trace(m, r, ham_mode="approx")
+    trace = lightness_trace(Prepared(m, r, ham_mode="approx"))
     assert trace.round_count <= 21 == log_rounds_bound(100)
     assert trace.w_msf <= trace.telescoped <= trace.coarse_bound <= trace.log_bound
 
@@ -198,7 +196,7 @@ def test_trace_hundred_points():
 def test_trace_round_labels_shrink():
     m = gen_random_euclidean(60, 3, 1.0, 77)
     r = gen_random_ranges(m, "uniform", 78)
-    trace = lightness_trace(m, r, ham_mode="approx")
+    trace = lightness_trace(Prepared(m, r, ham_mode="approx"))
     sizes = [len(rd.labels) for rd in trace.rounds] + [len(trace.basis_labels)]
     for a, b in zip(sizes, sizes[1:]):
         assert b <= (4 * a) // 5
@@ -209,7 +207,7 @@ def test_trace_round_labels_shrink():
 def test_trace_exact_mode_small():
     m = gen_random_euclidean(12, 2, 2.0, 202)
     r = gen_random_ranges(m, "uniform", 203)
-    trace = lightness_trace(m, r, ham_mode="exact")
+    trace = lightness_trace(Prepared(m, r, ham_mode="exact"))
     assert trace.w_msf <= trace.log_bound or trace.n <= 1
 
 
@@ -224,35 +222,32 @@ def _first_path_instances():
 
 @pytest.mark.parametrize("ham_mode", ["exact", "approx", "auto"])
 def test_trace_first_path_is_the_solved_path(ham_mode):
+    # The first round reuses the prepared path and certificate, not a copy.
     for m, r in _first_path_instances():
-        if ham_mode == "exact" and m.n > 16:
+        if m.n <= 4 or (ham_mode == "exact" and m.n > 16):
             continue
-        given_path = lightness_trace(m, r, ham_mode, first_path=ham_path(m, ham_mode))
-        assert given_path.to_dict() == lightness_trace(m, r, ham_mode).to_dict()
+        p = Prepared(m, r, ham_mode)
+        trace = lightness_trace(p)
+        assert trace.rounds[0].certificate is p.certificate
+        assert trace.rounds[0].w_ham == p.path.weight == trace.w_ham_first
+        assert p.path.exact == (ham_mode == "exact" or (ham_mode == "auto" and m.n <= EXACT_CUTOFF))
 
 
-def test_trace_first_round_uses_the_given_path():
-    m = gen_random_euclidean(12, 2, 1.0, 41)
-    r = gen_random_ranges(m, "biased", 42)
-    exact = ham_path(m, "exact")
-    assert exact.weight < ham_path(m, "approx").weight
-    trace = lightness_trace(m, r, "approx", first_path=exact)
-    assert trace.rounds[0].w_ham == exact.weight
-
-
-def test_trace_first_path_of_wrong_length_is_rejected():
+def test_prepared_rejects_bad_mode_and_radii_count():
     m = gen_random_euclidean(8, 2, 2.0, 5)
-    r = gen_random_ranges(m, "biased", 6)
-    short = ham_path(m.induce(range(7))[0], "exact")
-    with pytest.raises(ValueError, match="first path has 7 vertices for 8 points"):
-        lightness_trace(m, r, first_path=short)
+    with pytest.raises(ValueError, match="unknown ham_mode 'fast'"):
+        Prepared(m, gen_random_ranges(m, "biased", 6), "fast")
+    with pytest.raises(ValueError, match="range assignment has 7 radii for 8 points"):
+        Prepared(m, RangeAssignment.constant(7, 1.0))
+    with pytest.raises(ValueError, match="approximate paths need a metric"):
+        Prepared(gen_c3(1000.0).graph, gen_c3(1000.0).ranges, "approx").path
 
 
 @given(metric_range_pairs(min_n=1, max_n=24))
 @settings(max_examples=25)
 def test_trace_invariants_random(pair):
     m, r = pair
-    trace = lightness_trace(m, r, ham_mode="approx" if m.n > 2 else "auto")
+    trace = lightness_trace(Prepared(m, r, ham_mode="approx" if m.n > 2 else "auto"))
     assert trace.round_count <= trace.max_round_bound
     assert trace.w_msf <= trace.telescoped
     if m.n >= 2:
@@ -262,13 +257,13 @@ def test_trace_invariants_random(pair):
 def test_weight_coefficient_full_range_is_one():
     m = gen_random_euclidean(13, 2, 2.0, 6)
     r = RangeAssignment.constant(13, m.diameter())
-    report = weight_coefficient(m, r)
+    report = weight_coefficient(Prepared(m, r))
     assert report.coefficient == 1.0 and report.connected
 
 
 def test_weight_coefficient_chain_is_one():
     b = gen_chain_metric(8)
-    report = weight_coefficient(b.metric, b.ranges)
+    report = weight_coefficient(Prepared(b.metric, b.ranges))
     assert report.coefficient == 1.0
     assert report.w_msf_sdg == report.w_mst_metric == 7.0
 
@@ -279,7 +274,7 @@ def test_weight_coefficient_bound_value():
 
 def test_graph_coefficient_line_family():
     b = gen_line_graph(5, 1000.0, 1e-4)
-    report = weight_coefficient(b.graph, b.ranges)
+    report = weight_coefficient(Prepared(b.graph, b.ranges))
     assert report.coefficient == b.reference["weight_coefficient"]
     assert math.isinf(report.bound)
     assert abs(report.coefficient - 3.0) / 3.0 < 0.01
@@ -288,7 +283,7 @@ def test_graph_coefficient_line_family():
 def test_graph_coefficient_c3_grows_with_w():
     for w in (10.0, 100.0, 1000.0):
         b = gen_c3(w)
-        report = weight_coefficient(b.graph, b.ranges)
+        report = weight_coefficient(Prepared(b.graph, b.ranges))
         assert report.coefficient == (w + 1.0) / 3.0
 
 
@@ -303,7 +298,7 @@ def test_metric_and_graph_mode_agree(pair):
 @settings(max_examples=30)
 def test_weight_coefficient_never_exceeds_bound(pair):
     m, r = pair
-    report = weight_coefficient(m, r)  # raises BoundViolationError on failure
+    report = weight_coefficient(Prepared(m, r))  # raises BoundViolationError on failure
     assert report.coefficient <= report.bound
 
 

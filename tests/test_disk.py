@@ -74,7 +74,7 @@ def test_udg_threshold_scan():
         (u, v)
         for u in range(12)
         for v in range(u + 1, 12)
-        if m.distance(u, v) <= 0.3
+        if m.matrix[u, v] <= 0.3
     }
     assert udg.edge_pairs() == expected
 
@@ -93,7 +93,7 @@ def test_sdg_weights_equal_distances():
     m = gen_random_euclidean(9, 3, 1.0, 2)
     r = RangeAssignment.constant(9, 0.8)
     for u, v, w in build_sdg(m, r).edges:
-        assert w == m.distance(u, v)
+        assert w == m.matrix[u, v]
 
 
 @given(metric_range_pairs(max_n=14), seeds)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf
+from sdglab.decomposition import Prepared
+from sdglab.disk import RangeAssignment
+from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf, metric_mst
 from sdglab.hamiltonian import (
     EXACT_LIMIT,
     approx_ham_path,
     exact_min_ham_path,
-    ham_path,
     path_weight,
     shortcut_path,
 )
@@ -24,7 +25,7 @@ from sdglab.instances import (
 )
 
 import support
-from strategies import metrics, seeds
+from strategies import metrics
 
 
 def test_exact_chain_is_the_path():
@@ -82,7 +83,7 @@ def test_exact_on_line_graph():
 
 def test_approx_chain_preorder_is_the_path():
     m = gen_chain_metric(5).metric
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     assert h.weight == 4.0
     assert not h.exact
     mst_w = kruskal_msf(complete_graph(m)).weight
@@ -91,27 +92,27 @@ def test_approx_chain_preorder_is_the_path():
 
 def test_approx_two_points_is_the_edge():
     m = gen_random_euclidean(2, 2, 2.0, 5)
-    h = approx_ham_path(m)
-    assert h.weight == m.distance(0, 1)
+    h = approx_ham_path(m, metric_mst(m))
+    assert h.weight == m.matrix[0, 1]
 
 
 def test_approx_bounded_on_random_l1():
     m = gen_random_euclidean(64, 2, 1.0, 123)
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     mst_w = kruskal_msf(complete_graph(m)).weight
     assert mst_w <= h.weight <= 2.0 * mst_w
 
 
 @given(metrics(min_n=2, max_n=16))
 def test_approx_at_most_twice_mst(m):
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     assert h.weight <= 2.0 * kruskal_msf(complete_graph(m)).weight
 
 
 @given(metrics(min_n=2, max_n=9))
 @settings(max_examples=20)
 def test_exact_never_beaten_by_approx(m):
-    assert exact_min_ham_path(m).weight <= approx_ham_path(m).weight
+    assert exact_min_ham_path(m).weight <= approx_ham_path(m, metric_mst(m)).weight
 
 
 def test_shortcut_full_set_identity():
@@ -131,7 +132,7 @@ def test_shortcut_chain_odd_vertices():
 
 @given(metrics(min_n=3, max_n=16), st.data())
 def test_shortcut_never_increases_weight(m, data):
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     subset = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=1, max_size=m.n)))
     s = shortcut_path(m, h, subset)
     assert s.weight <= h.weight
@@ -139,7 +140,7 @@ def test_shortcut_never_increases_weight(m, data):
 
 @given(metrics(min_n=4, max_n=14), st.data())
 def test_shortcut_composes_over_nested_subsets(m, data):
-    h = approx_ham_path(m)
+    h = approx_ham_path(m, metric_mst(m))
     outer = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=2, max_size=m.n)))
     inner = sorted(data.draw(st.sets(st.sampled_from(outer), min_size=1, max_size=len(outer))))
     twice = shortcut_path(m, shortcut_path(m, h, outer), inner)
@@ -149,11 +150,11 @@ def test_shortcut_composes_over_nested_subsets(m, data):
 
 def test_ham_path_auto_dispatch():
     small = gen_random_euclidean(10, 2, 2.0, 1)
-    assert ham_path(small, mode="auto").exact
+    assert Prepared(small, RangeAssignment.constant(10, 1.0), "auto").path.exact
     large = gen_random_euclidean(20, 2, 2.0, 1)
-    assert not ham_path(large, mode="auto").exact
-    with pytest.raises(ValueError):
-        ham_path(small, mode="nope")
+    assert not Prepared(large, RangeAssignment.constant(20, 1.0), "auto").path.exact
+    with pytest.raises(ValueError, match="unknown ham_mode 'nope'"):
+        Prepared(small, RangeAssignment.constant(10, 1.0), "nope")
 
 
 def _same_as_mask_loop(space):

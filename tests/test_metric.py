@@ -3,40 +3,34 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sdglab.instances import gen_chain_metric, gen_random_matrix_metric
 from sdglab import metric as metric_module
 from sdglab.metric import Metric, MetricError, validate_metric
 
-from strategies import metrics, seeds
+from strategies import metrics
 
 C3_MATRIX = [[0.0, 1.0, 2.0], [1.0, 0.0, 1000.0], [2.0, 1000.0, 0.0]]
 
 
 def test_distance_three_four_five():
     m = Metric.euclidean([[0.0, 0.0], [3.0, 4.0]], p=2.0)
-    assert m.distance(0, 1) == 5.0
-    assert m.distance(1, 0) == 5.0
+    assert m.matrix[0, 1] == 5.0
+    assert m.matrix[1, 0] == 5.0
 
 
 def test_distance_identity_is_zero():
     m = Metric.euclidean([[0.0], [0.7], [1.0]], p=1.0)
     for v in range(3):
-        assert m.distance(v, v) == 0.0
+        assert m.matrix[v, v] == 0.0
 
 
 def test_chain_distance_between_non_neighbors():
     m = gen_chain_metric(5).metric
-    assert m.distance(0, 2) == 2.0
-    assert m.distance(0, 1) == 1.0
-
-
-def test_distance_out_of_range():
-    m = Metric.euclidean([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        m.distance(0, 2)
+    assert m.matrix[0, 2] == 2.0
+    assert m.matrix[0, 1] == 1.0
 
 
 def test_diameter_chain():
@@ -57,7 +51,7 @@ def test_diameter_single_point_rejected():
 def test_diameter_matches_pair_scan():
     rng = np.random.default_rng(20)
     m = Metric.euclidean(rng.random((16, 2)), p=2.0)
-    brute = max(m.distance(u, v) for u in range(16) for v in range(u + 1, 16))
+    brute = max(m.matrix[u, v] for u in range(16) for v in range(u + 1, 16))
     assert m.diameter() == brute
 
 
@@ -74,7 +68,7 @@ def test_induce_chain_odd_vertices():
     assert relabel == (0, 2, 4)
     for i in range(3):
         for j in range(i + 1, 3):
-            assert sub.distance(i, j) == 2.0
+            assert sub.matrix[i, j] == 2.0
 
 
 def test_induce_matches_parent_lookup():
@@ -82,7 +76,7 @@ def test_induce_matches_parent_lookup():
     sub, relabel = m.induce([1, 3, 4, 7])
     for i, a in enumerate(relabel):
         for j, b in enumerate(relabel):
-            assert sub.distance(i, j) == m.distance(a, b)
+            assert sub.matrix[i, j] == m.matrix[a, b]
 
 
 def test_induce_empty_subset_rejected():

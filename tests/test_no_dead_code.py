@@ -1,9 +1,13 @@
-"""Every top-level function and class in `sdglab` must have a user.
+"""Every top-level function and class in `sdglab`, and every non-dunder method
+and property of a top-level class, must have a user.
 
 A name counts as used when it is referenced outside its own definition in the
 package, in `scripts/` or in `bench/` (whose tracer names its targets in
-strings). Re-exports in `__init__.py` and uses in `tests/` do not count: a
-helper that only tests call is test code, and belongs in `tests/support.py`.
+strings). A method or property counts only attribute references (`x.name`) and
+dotted names in strings (`metric.Metric.euclidean`), since a bare name is
+never a call of it. Re-exports in `__init__.py` and uses in `tests/` do not
+count: a helper that only tests call is test code, and belongs in
+`tests/support.py`.
 """
 import ast
 import re
@@ -15,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sdglab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+IDENTIFIER = re.compile(r"(\.?)([A-Za-z_]\w*)")
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -29,39 +33,61 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
-def _references(path: Path) -> list[tuple[str, int]]:
-    """(name, line) for every name, attribute and identifier inside a string."""
+def _references(path: Path) -> list[tuple[str, int, bool]]:
+    """(name, line, dotted) for every name, attribute and identifier inside a
+    string; dotted marks an attribute or a string identifier after a dot."""
     tree = ast.parse(path.read_text())
     docstrings = _docstrings(tree)
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
-                refs.extend((word, node.lineno) for word in IDENTIFIER.findall(node.value))
+                refs.extend((word, node.lineno, bool(dot)) for dot, word in IDENTIFIER.findall(node.value))
     return refs
 
 
-def _definitions() -> list:
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(members: bool) -> list:
+    """Top-level functions and classes, or (members=True) the non-dunder
+    methods and properties of top-level classes."""
     defs = []
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not members and isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 args = (path, node.name, node.lineno, node.end_lineno)
                 defs.append(pytest.param(*args, id=f"{path.stem}.{node.name}"))
+            elif members and isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("__"):
+                        args = (path, item.name, item.lineno, item.end_lineno)
+                        defs.append(pytest.param(*args, id=f"{path.stem}.{node.name}.{item.name}"))
     return defs
 
 
 REFERENCES = {path: _references(path) for path in USERS}
 
 
-@pytest.mark.parametrize("path, name, first, last", _definitions())
-def test_top_level_name_is_used(path, name, first, last):
+def _used(path: Path, name: str, first: int, last: int, dotted_only: bool) -> bool:
     for user, refs in REFERENCES.items():
-        for ref, line in refs:
-            if ref == name and (user != path or not first <= line <= last):
-                return
-    pytest.fail(f"{path.name}: {name} (lines {first}-{last}) is referenced nowhere outside itself")
+        for ref, line, dotted in refs:
+            if ref == name and (dotted or not dotted_only) and (user != path or not first <= line <= last):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("path, name, first, last", _definitions(members=False))
+def test_top_level_name_is_used(path, name, first, last):
+    if not _used(path, name, first, last, dotted_only=False):
+        pytest.fail(f"{path.name}: {name} (lines {first}-{last}) is referenced nowhere outside itself")
+
+
+@pytest.mark.parametrize("path, name, first, last", _definitions(members=True))
+def test_method_is_used(path, name, first, last):
+    if not _used(path, name, first, last, dotted_only=True):
+        pytest.fail(f"{path.name}: method {name} (lines {first}-{last}) is referenced nowhere outside itself")
