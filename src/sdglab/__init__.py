@@ -22,16 +22,7 @@ from .decomposition import (
     weight_coefficient,
 )
 from .disk import RangeAssignment, build_sdg, sdg_msf
-from .graph import (
-    Forest,
-    WeightedGraph,
-    complete_graph,
-    dense_msf,
-    distance_matrix,
-    edge_key,
-    kruskal_msf,
-    metric_mst,
-)
+from .graph import Forest, WeightedGraph, complete_graph, dense_msf, edge_key, kruskal_msf
 from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, shortcut_path
 from .instances import (
     InstanceBundle,

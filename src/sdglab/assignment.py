@@ -36,7 +36,7 @@ def bounded_assignment(p: Prepared) -> AssignmentReport:
         ranges=out,
         cost=math.fsum(out.radii),
         w_forest=forest.weight,
-        lower_bound=p.mst.weight,
+        lower_bound=p.space.mst.weight,
         feasible=feasible,
         connected_input=forest.connected,
     )

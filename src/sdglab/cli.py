@@ -19,12 +19,13 @@ from .decomposition import (
     DecompositionCertificate,
     Prepared,
     lightness_trace,
+    parse_vertices,
     verify_certificate,
     weight_coefficient,
 )
 from .disk import build_sdg
 from .graph import kruskal_msf
-from .hamiltonian import HAM_MODES, HamPath, path_weight
+from .hamiltonian import HAM_MODES, HamPath
 from .instances import (
     FAMILIES,
     InstanceBundle,
@@ -128,7 +129,7 @@ def _cmd_msf(args) -> int:
 def _cmd_decompose(args) -> int:
     bundle = _read_two_points(args)
     # The approximate path needs the triangle inequality; graphs are solved exactly.
-    p = Prepared(bundle.space, bundle.ranges, args.ham if bundle.metric is not None else "exact")
+    p = Prepared(bundle.space, bundle.ranges, args.ham if bundle.space.is_metric else "exact")
     h, cert = p.path, p.certificate
     problems = verify_certificate(p.space, p.r, p.msf, h, cert)
     _emit(
@@ -146,9 +147,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_trace(args) -> int:
     bundle = _read_two_points(args)
-    if bundle.metric is None:
+    if not bundle.space.is_metric:
         raise InstanceFormatError("trace requires a metric instance")
-    p = Prepared(bundle.metric, bundle.ranges, args.ham)
+    p = Prepared(bundle.space, bundle.ranges, args.ham)
     trace = lightness_trace(p)
     report = weight_coefficient(p)
     data = trace.to_dict()
@@ -160,9 +161,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_assign(args) -> int:
     bundle = _read_two_points(args)
-    if bundle.metric is None:
+    if not bundle.space.is_metric:
         raise InstanceFormatError("assign requires a metric instance")
-    report = bounded_assignment(Prepared(bundle.metric, bundle.ranges))
+    report = bounded_assignment(Prepared(bundle.space, bundle.ranges))
     data = {
         "ranges": list(report.ranges.radii),
         "cost": report.cost,
@@ -185,8 +186,13 @@ def _cmd_verify(args) -> int:
     bundle = read_instance(args.instance)
     space = bundle.space
     payload = json.loads(Path(args.certificate).read_text())
-    order = tuple(int(v) for v in payload["ham_order"])
-    h = HamPath(order=order, weight=path_weight(space, order), exact=False)
+    if not (isinstance(payload, dict) and {"ham_order", "ham_weight", "certificate"} <= set(payload)):
+        raise ValueError("certificate file must be a JSON object with ham_order, ham_weight and certificate")
+    if type(payload["ham_weight"]) not in (int, float):
+        raise ValueError(f"ham_weight must be a number, got {payload['ham_weight']!r}")
+    # The stored weight is checked against the path's edges by verify_certificate.
+    order = parse_vertices(payload["ham_order"], space.n, "ham_order")
+    h = HamPath(order=order, weight=float(payload["ham_weight"]), exact=False)
     cert = DecompositionCertificate.from_dict(payload["certificate"], space)
     forest = kruskal_msf(build_sdg(space, bundle.ranges))
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)

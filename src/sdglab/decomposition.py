@@ -21,8 +21,9 @@ w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
 2 * log_{5/4} n for any metric.
 
 `Prepared` holds one instance (space, r, path mode) and computes its disk-graph
-MSF, MST, first path and first certificate once, on first use; the trace, the
+MSF, first path and first certificate once, on first use; the trace, the
 coefficient and the assignment read them from it, so all belong to one (space, r).
+The MST depends on the space alone, so it is the space's own `mst`.
 """
 from __future__ import annotations
 
@@ -34,19 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
-from .graph import (
-    Edge,
-    Forest,
-    Space,
-    canonical_edge,
-    dense_msf,
-    distance_matrix,
-    edge_key,
-    kruskal_msf,
-    tree_path,
-)
+from .graph import Edge, Forest, Space, canonical_edge, dense_msf, edge_key, kruskal_msf, tree_path
 from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
-from .metric import Metric
 
 LOG_BASE = 5.0 / 4.0
 
@@ -85,6 +75,13 @@ def _ham_edges(d: np.ndarray, h: HamPath) -> list[Edge]:
             raise ValueError(f"path step ({a},{b}) is not an edge of the graph")
         edges.append(canonical_edge(a, b, d[a, b]))
     return edges
+
+
+def parse_vertices(values, n: int, what: str) -> tuple[int, ...]:
+    """Vertex ids read from a file: a JSON list of integers in [0, n)."""
+    if not (isinstance(values, list) and all(type(v) is int and 0 <= v < n for v in values)):
+        raise ValueError(f"{what} must be a list of vertices in [0, {n}), got {values!r}")
+    return tuple(values)
 
 
 def _min_endpoint(e: Edge, r: RangeAssignment) -> int:
@@ -127,15 +124,24 @@ class DecompositionCertificate:
 
     @staticmethod
     def from_dict(data: dict, space: Space) -> "DecompositionCertificate":
-        d = distance_matrix(space)
+        """Read `to_dict` output; a missing field, or a vertex outside
+        [0, space.n), raises ValueError."""
+        fields = ("n", "isolated", *DecompositionCertificate.EDGE_FIELDS)
+        if not (isinstance(data, dict) and set(fields) <= set(data) and type(data["n"]) is int):
+            raise ValueError(f"certificate must be a JSON object with fields {', '.join(fields)}")
+        d = space.matrix
 
-        def dec(pairs):
-            return tuple(canonical_edge(int(u), int(v), float(d[int(u), int(v)])) for u, v in pairs)
+        def dec(name):
+            pairs = data[name]
+            if not (isinstance(pairs, list) and all(isinstance(e, list) and len(e) == 2 for e in pairs)):
+                raise ValueError(f"certificate field {name} must be a list of [u, v] pairs")
+            parse_vertices([v for e in pairs for v in e], space.n, name)
+            return tuple(canonical_edge(u, v, float(d[u, v])) for u, v in pairs)
 
         return DecompositionCertificate(
-            n=int(data["n"]),
-            isolated=tuple(int(v) for v in data["isolated"]),
-            **{name: dec(data[name]) for name in DecompositionCertificate.EDGE_FIELDS},
+            n=data["n"],
+            isolated=parse_vertices(data["isolated"], space.n, "isolated"),
+            **{name: dec(name) for name in DecompositionCertificate.EDGE_FIELDS},
         )
 
 
@@ -147,7 +153,7 @@ def decompose(space: Space, r: RangeAssignment, f: Forest, h: HamPath) -> Decomp
     deterministic: ties resolve through the total edge order.
     """
     n = space.n
-    d = distance_matrix(space)
+    d = space.matrix
     ham_edges = _ham_edges(d, h)
     sdg = sdg_matrix(d, r)
     if dense_msf(sdg) != f:
@@ -230,18 +236,13 @@ class Prepared:
         return sdg_msf(self.space, self.r)
 
     @cached_property
-    def mst(self) -> Forest:
-        """MSF of the space itself: the metric's MST, or the graph's MSF."""
-        return dense_msf(distance_matrix(self.space))
-
-    @cached_property
     def path(self) -> HamPath:
         """Hamiltonian path, exact or MST-doubling as `solves_exactly` decides."""
         if solves_exactly(self.ham_mode, self.space.n):
             return exact_min_ham_path(self.space)
-        if not isinstance(self.space, Metric):
+        if not self.space.is_metric:
             raise ValueError("approximate paths need a metric; use mode='exact' on graphs")
-        return approx_ham_path(self.space, self.mst)
+        return approx_ham_path(self.space)
 
     @cached_property
     def certificate(self) -> DecompositionCertificate:
@@ -266,7 +267,7 @@ def verify_certificate(
     if cert.n != n:
         return [f"certificate is for n={cert.n}, space has n={n}"]
     try:
-        ham_edges = _ham_edges(distance_matrix(space), h)
+        ham_edges = _ham_edges(space.matrix, h)
     except ValueError as exc:
         return [str(exc)]
     sdg = build_sdg(space, r)
@@ -467,8 +468,11 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
     disk graph induced on the survivors; the path is shortcut (or re-solved
     exactly, as `solves_exactly` decides for p.ham_mode) for the next round.
     The first round takes p's path and certificate. Raises BoundViolationError
-    if any step of the telescoped accounting fails.
+    if any step of the telescoped accounting fails, and ValueError on a space
+    without the triangle inequality, which shortcutting needs.
     """
+    if not p.space.is_metric:
+        raise ValueError("lightness_trace needs the triangle inequality; the space is not a metric")
     forest = p.msf
     w_msf = forest.weight
     labels = tuple(range(p.space.n))
@@ -586,8 +590,8 @@ def weight_coefficient(p: Prepared) -> WeightCoefficientReport:
     can be arbitrarily large, so `bound` is reported as +inf and nothing is
     asserted.
     """
-    metric = isinstance(p.space, Metric)
-    msf, mst = p.msf, p.mst
+    metric = p.space.is_metric
+    msf, mst = p.msf, p.space.mst
     if mst.weight <= 0:
         raise ValueError(
             "weight coefficient needs at least two points" if metric else "graph MSF weight must be positive"

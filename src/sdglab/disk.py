@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, Space, WeightedGraph, dense_msf, distance_matrix
+from .graph import Forest, Space, WeightedGraph, dense_msf
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
     A graph's absent (+inf) edges stay absent, since radii are finite."""
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
-    d = distance_matrix(space)
+    d = space.matrix
     radii = np.asarray(r.radii, dtype=float)
     reach = np.minimum(radii[:, None], radii[None, :])
     iu, iv = np.triu_indices(space.n, 1)
@@ -71,4 +71,4 @@ def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
 def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     """MSF of the symmetric disk graph, by `dense_msf` on the masked distance matrix;
     equal to kruskal_msf(build_sdg(space, r))."""
-    return dense_msf(sdg_matrix(distance_matrix(space), r))
+    return dense_msf(sdg_matrix(space.matrix, r))

@@ -7,26 +7,29 @@ every "maximum weight edge" selection deterministic.
 
 Two algorithms compute that unique forest. `dense_msf` runs Prim on a dense
 weight matrix (+inf marks an absent edge); it is what the builders use for
-metrics and disk graphs (`metric_mst`, `disk.sdg_msf`), since it needs no edge
-list. `kruskal_msf` runs Kruskal on an edge-list `WeightedGraph`; it serves
+spaces and disk graphs (`mst`, `disk.sdg_msf`), since it needs no edge list.
+`kruskal_msf` runs Kruskal on an edge-list `WeightedGraph`; it serves
 `verify_certificate` and `sdglab verify`, which thus re-derive every forest
 with an algorithm independent of the builder's.
 
-A space is either a `Metric` or an edge-list `WeightedGraph` (the non-metric
-counterexample families). `distance_matrix` is the only place that tells the
-two apart: every disk-graph, forest and path computation reads the dense
-matrix it returns, where +inf marks an absent edge.
+A `Space` is either a `Metric` or an edge-list `WeightedGraph` (the non-metric
+counterexample families). Both carry the same three members, and every layer
+reads only these: `matrix`, the dense read-only weights with +inf marking an
+absent edge; `mst`, the space's own minimum spanning forest, computed once;
+and `is_metric`, which says whether the triangle inequality may be used.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .metric import Metric
+if TYPE_CHECKING:
+    from .metric import Metric
 
 Edge = tuple[int, int, float]  # (u, v, weight) with u < v
 
@@ -57,12 +60,26 @@ def _normalize_edges(n: int, edges: Iterable) -> tuple[Edge, ...]:
     return tuple(sorted(out, key=edge_key))
 
 
+class Space:
+    """The members that a `Metric` and a `WeightedGraph` share."""
+
+    n: int
+    matrix: np.ndarray  # n x n, symmetric, zero diagonal, +inf for an absent edge
+    is_metric: bool  # whether the weights satisfy the triangle inequality
+
+    @cached_property
+    def mst(self) -> Forest:
+        """Minimum spanning forest of the space, by `dense_msf` on `matrix`."""
+        return dense_msf(self.matrix)
+
+
 @dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Space):
     """Edge-list graph with real weights, stored in canonical sorted order."""
 
     n: int
     edges: tuple[Edge, ...]
+    is_metric = False
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
@@ -74,24 +91,16 @@ class WeightedGraph:
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric weight matrix with +inf in non-edge entries."""
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric weight matrix with +inf in non-edge entries; read-only."""
         d = np.full((self.n, self.n), np.inf)
         np.fill_diagonal(d, 0.0)
         for u, v, w in self.edges:
             d[u, v] = w
             d[v, u] = w
+        d.setflags(write=False)
         return d
-
-
-Space = Union[Metric, WeightedGraph]
-
-
-def distance_matrix(space: Space) -> np.ndarray:
-    """Pairwise weights of a space; +inf marks the absent edges of a graph."""
-    if isinstance(space, Metric):
-        return space.matrix
-    return space.adjacency_matrix()
 
 
 def complete_graph(m: Metric) -> WeightedGraph:
@@ -230,11 +239,6 @@ def dense_msf(d: np.ndarray) -> Forest:
         np.copyto(best_c, row_c, where=better)
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges), component=tuple(component))
-
-
-def metric_mst(m: Metric) -> Forest:
-    """Minimum spanning tree of a metric, by `dense_msf` on its distance matrix."""
-    return dense_msf(m.matrix)
 
 
 def tree_path(adj: Sequence[dict[int, float]], u: int, v: int) -> list[Edge] | None:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Forest, Space, distance_matrix
+from .graph import Space
 from .metric import Metric, as_vertex_subset
 
 # 2^18 * 18 states: a 4.5 MiB int8 parent table plus two float64 layers of
@@ -52,7 +52,7 @@ class HamPath:
 
 
 def path_weight(space: Space, order: Sequence[int]) -> float:
-    d = distance_matrix(space)
+    d = space.matrix
     terms = [float(d[a, b]) for a, b in zip(order, order[1:])]
     if any(math.isinf(t) for t in terms):
         raise ValueError("order traverses a non-edge of the graph")
@@ -71,7 +71,7 @@ def exact_min_ham_path(space: Space) -> HamPath:
 
     Raises ValueError when a non-complete graph has no Hamiltonian path.
     """
-    d = distance_matrix(space)
+    d = space.matrix
     n = d.shape[0]
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
@@ -115,12 +115,12 @@ def exact_min_ham_path(space: Space) -> HamPath:
     return HamPath(order=order, weight=path_weight(space, order), exact=True)
 
 
-def approx_ham_path(m: Metric, mst: Forest) -> HamPath:
-    """Preorder of the spanning tree `mst` with shortcutting; the weight is at most
-    twice the tree's, so the metric's MST (`metric_mst(m)`) gives a 2-approximation."""
+def approx_ham_path(m: Metric) -> HamPath:
+    """Preorder of the metric's MST `m.mst` with shortcutting. By the triangle
+    inequality the weight is at most twice the tree's, a 2-approximation."""
     if m.n < 2:
         raise ValueError("need at least two points")
-    adj = mst.adjacency()
+    adj = m.mst.adjacency()
     order = []
     stack = [0]
     seen = [False] * m.n

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Space, WeightedGraph, metric_mst
+from .graph import Space, WeightedGraph
 from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
@@ -44,24 +44,17 @@ class InstanceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A metric or weighted graph, its range assignment, and reference values."""
+    """A space (metric or weighted graph), its range assignment, and reference values."""
 
     family: str
+    space: Space
     ranges: RangeAssignment
-    metric: Metric | None = None
-    graph: WeightedGraph | None = None
     reference: dict | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if (self.metric is None) == (self.graph is None):
-            raise ValueError("an instance holds exactly one of metric or graph")
         if len(self.ranges) != self.n:
             raise ValueError(f"range assignment has {len(self.ranges)} radii for {self.n} vertices")
-
-    @property
-    def space(self) -> Space:
-        return self.metric if self.metric is not None else self.graph
 
     @property
     def n(self) -> int:
@@ -96,7 +89,7 @@ def gen_star_metric(n: int) -> InstanceBundle:
         "weight_coefficient": 1.0,
     }
     return InstanceBundle(
-        family="star", metric=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
+        family="star", space=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
     )
 
 
@@ -153,7 +146,7 @@ def gen_chain_metric(n: int) -> InstanceBundle:
         "weight_coefficient": 1.0,
     }
     return InstanceBundle(
-        family="chain", metric=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
+        family="chain", space=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
     )
 
 
@@ -175,7 +168,7 @@ def gen_c3(w: float = 1000.0) -> InstanceBundle:
     }
     return InstanceBundle(
         family="c3",
-        graph=graph,
+        space=graph,
         ranges=RangeAssignment(radii=(1.0, w, w)),
         reference=reference,
     )
@@ -218,7 +211,7 @@ def gen_line_graph(n: int, w: float | None = None, eps: float | None = None) -> 
         "coefficient_target": float(n - 2),
     }
     return InstanceBundle(
-        family="line", graph=graph, ranges=RangeAssignment(radii=radii), reference=reference
+        family="line", space=graph, ranges=RangeAssignment(radii=radii), reference=reference
     )
 
 
@@ -292,7 +285,7 @@ def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:
     lo, hi = m.min_distance(), m.diameter()
     radii = rng.uniform(lo, hi, size=m.n)
     if mode == "biased":
-        radii = np.maximum(radii, metric_mst(m).heaviest_incident())
+        radii = np.maximum(radii, m.mst.heaviest_incident())
     return RangeAssignment(radii=tuple(float(r) for r in radii))
 
 
@@ -305,8 +298,8 @@ _TOP_KEYS = {"metric", "graph", "ranges", "family", "seed", "reference"}
 
 def bundle_to_dict(bundle: InstanceBundle) -> dict:
     out: dict = {}
-    if bundle.metric is not None:
-        m = bundle.metric
+    if bundle.space.is_metric:
+        m = bundle.space
         if m.kind == EUCLIDEAN_LP:
             out["metric"] = {
                 "kind": EUCLIDEAN_LP,
@@ -320,8 +313,8 @@ def bundle_to_dict(bundle: InstanceBundle) -> dict:
             }
     else:
         out["graph"] = {
-            "n": bundle.graph.n,
-            "edges": [[u, v, w] for u, v, w in bundle.graph.edges],
+            "n": bundle.space.n,
+            "edges": [[u, v, w] for u, v, w in bundle.space.edges],
         }
     out["ranges"] = list(bundle.ranges.radii)
     out["family"] = bundle.family
@@ -332,7 +325,24 @@ def bundle_to_dict(bundle: InstanceBundle) -> dict:
     return out
 
 
+def _list(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise InstanceFormatError(f"{what} must be a JSON list, got {values!r}")
+    return values
+
+
+def _float(x, what: str) -> float:
+    if type(x) not in (int, float):  # JSON true, false and null are not numbers
+        raise InstanceFormatError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _floats(values, what: str) -> list[float]:
+    return [_float(x, what) for x in _list(values, what)]
+
+
 def bundle_from_dict(data: dict) -> InstanceBundle:
+    """Parse `bundle_to_dict` output; any schema mismatch raises InstanceFormatError."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance file must hold a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -342,36 +352,40 @@ def bundle_from_dict(data: dict) -> InstanceBundle:
         raise InstanceFormatError("instance needs exactly one of 'metric' or 'graph'")
     if "ranges" not in data:
         raise InstanceFormatError("instance is missing 'ranges'")
-    metric = graph = None
-    if "metric" in data:
-        spec = data["metric"]
+    key = "metric" if "metric" in data else "graph"
+    spec = data[key]
+    if not isinstance(spec, dict):
+        raise InstanceFormatError(f"{key!r} must be a JSON object, got {spec!r}")
+    if key == "metric":
         kind = spec.get("kind")
         if kind == EUCLIDEAN_LP:
             if set(spec) != {"kind", "p", "points"}:
                 raise InstanceFormatError("euclidean metric needs exactly kind, p, points")
-            p = math.inf if spec["p"] == "inf" else float(spec["p"])
-            metric = Metric.euclidean(np.asarray(spec["points"], dtype=float), p=p)
+            p = math.inf if spec["p"] == "inf" else _float(spec["p"], "'p'")
+            points = [_floats(row, "a point") for row in _list(spec["points"], "'points'")]
+            space = Metric.euclidean(np.asarray(points, dtype=float), p=p)
         elif kind == EXPLICIT_MATRIX:
             if set(spec) != {"kind", "matrix"}:
                 raise InstanceFormatError("matrix metric needs exactly kind, matrix")
-            metric = Metric.from_matrix(np.asarray(spec["matrix"], dtype=float))
+            rows = [_floats(row, "a matrix row") for row in _list(spec["matrix"], "'matrix'")]
+            space = Metric.from_matrix(np.asarray(rows, dtype=float))
         else:
             raise InstanceFormatError(f"unknown metric kind {kind!r}")
     else:
-        spec = data["graph"]
         if set(spec) != {"n", "edges"}:
             raise InstanceFormatError("graph needs exactly n, edges")
+        if type(spec["n"]) is not int:
+            raise InstanceFormatError(f"graph n must be an integer, got {spec['n']!r}")
         edges = []
-        for row in spec["edges"]:
-            if not (isinstance(row, list) and len(row) == 3):
+        for row in _list(spec["edges"], "'edges'"):
+            if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is int and type(row[1]) is int):
                 raise InstanceFormatError(f"graph edge row {row!r} is not [u, v, weight]")
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-        graph = WeightedGraph(n=int(spec["n"]), edges=tuple(edges))
+            edges.append((row[0], row[1], _float(row[2], "an edge weight")))
+        space = WeightedGraph(n=spec["n"], edges=tuple(edges))
     return InstanceBundle(
         family=str(data.get("family", "custom")),
-        metric=metric,
-        graph=graph,
-        ranges=RangeAssignment(radii=tuple(float(x) for x in data["ranges"])),
+        space=space,
+        ranges=RangeAssignment(radii=tuple(_floats(data["ranges"], "'ranges'"))),
         reference=data.get("reference"),
         seed=data.get("seed"),
     )

@@ -1,7 +1,8 @@
 """Finite metric spaces: explicit distance matrices and l_p point sets.
 
 A metric is immutable after construction and stores its full pairwise
-distance matrix, so lookups are O(1) and all operations are pure.
+distance matrix, so lookups are O(1) and all operations are pure. As a
+`graph.Space` it carries `matrix`, `mst` and `is_metric`.
 Explicit matrices are checked exhaustively against the metric axioms on
 construction; norms satisfy them by definition.
 """
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .graph import Space
 
 EUCLIDEAN_LP = "euclidean_lp"
 EXPLICIT_MATRIX = "matrix"
@@ -126,7 +129,7 @@ def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Metric:
+class Metric(Space):
     """An n-point metric with O(1) distance lookups.
 
     Use :meth:`euclidean` or :meth:`from_matrix` to construct one.
@@ -137,6 +140,7 @@ class Metric:
     p: float | None
     points: np.ndarray | None
     matrix: np.ndarray
+    is_metric = True
 
     @staticmethod
     def euclidean(points, p: float = 2.0) -> "Metric":
@@ -174,7 +178,7 @@ class Metric:
         return Metric(kind=EXPLICIT_MATRIX, n=d.shape[0], p=None, points=None, matrix=d)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Metric):
+        if not getattr(other, "is_metric", False):
             return NotImplemented
         if self.kind != other.kind or self.n != other.n or self.p != other.p:
             return False

@@ -111,15 +111,15 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
         raise ValueError(f"unknown family {spec.family!r}")
     mode = spec.range_mode or "uniform"
     ranges = gen_random_ranges(metric, mode, mix_seed(spec.seed, 1))
-    return InstanceBundle(family=spec.family, metric=metric, ranges=ranges, seed=spec.seed)
+    return InstanceBundle(family=spec.family, space=metric, ranges=ranges, seed=spec.seed)
 
 
 def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> ExperimentRecord:
     """Compute one record: weights, coefficient, certificate, trace, assignment."""
     bundle = build_instance(spec)
-    if bundle.metric is None:
+    if not bundle.space.is_metric:
         raise ValueError(f"sweeps evaluate metric instances only, got family {spec.family!r}")
-    m, r, n = bundle.metric, bundle.ranges, bundle.n
+    m, r, n = bundle.space, bundle.ranges, bundle.n
     p = Prepared(m, r, ham_mode)
     cert_ok = not verify_certificate(m, r, p.msf, p.path, p.certificate)
     trace = lightness_trace(p)
@@ -130,9 +130,9 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
         n=n,
         family=spec.family,
         connected=p.msf.connected,
-        w_mst=p.mst.weight,
+        w_mst=m.mst.weight,
         w_msf_sdg=p.msf.weight,
-        coefficient=p.msf.weight / p.mst.weight,
+        coefficient=p.msf.weight / m.mst.weight,
         bound_2log=lightness_bound(n),
         ham_mode=ham_mode,
         w_ham=p.path.weight,

@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from sdglab.graph import WeightedGraph, distance_matrix
+from sdglab.graph import WeightedGraph
 from sdglab.hamiltonian import EXACT_LIMIT, HamPath, _canonical, path_weight
 
 _PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
@@ -131,7 +131,7 @@ def mask_loop_min_ham_path(space) -> HamPath:
     The reference for `exact_min_ham_path`: the same states, sums, tie-breaks
     and error, visited mask by mask instead of layer by layer.
     """
-    d = distance_matrix(space)
+    d = space.matrix
     n = d.shape[0]
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")

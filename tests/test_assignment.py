@@ -26,7 +26,7 @@ def _check(m, r_prime):
     assert report.w_forest == p.msf.weight
     # The assignment keeps every T-edge and stays inside SDG(M, r'), so T is its MSF.
     assert sdg_msf(m, report.ranges) == p.msf
-    assert report.lower_bound == p.mst.weight
+    assert report.lower_bound == m.mst.weight
     assert report.connected_input == p.msf.connected
     return report
 
@@ -61,7 +61,7 @@ def test_biased_ranges_give_a_connected_assignment(kind, n):
 
 def test_isolated_vertices_get_zero_radius():
     # Radii below every distance leave SDG(M, r') without edges.
-    m = gen_chain_metric(5).metric
+    m = gen_chain_metric(5).space
     report = _check(m, RangeAssignment.constant(5, 0.5))
     assert report.ranges.radii == (0.0,) * 5 and report.cost == 0.0
     assert not report.connected_input
@@ -72,7 +72,7 @@ def test_isolated_vertices_get_zero_radius():
 def test_chain_assignment_by_hand():
     # Unit radii on the chain: T is the unit path, so every heaviest incident edge weighs 1.
     b = gen_chain_metric(6)
-    report = _check(b.metric, b.ranges)
+    report = _check(b.space, b.ranges)
     assert report.ranges.radii == (1.0,) * 6
     assert report.cost == 6.0 and report.w_forest == 5.0 == report.lower_bound
     assert cost_ratio_check(report, 6).ratio == 6.0 / 5.0

@@ -1,0 +1,101 @@
+"""Malformed instance and certificate files exit 2 with a JSON error.
+
+Exit 1 means a violated bound or a failed verification, so a file that does
+not match its schema must never reach it through a traceback, while a
+well-formed but wrong certificate must reach it.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from sdglab.cli import cli
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+CHAIN = str(DATA / "chain_n5.json")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"metric": {"kind": "matrix", "matrix": [[0, 1], [1, 0]]}, "ranges": 5}, "'ranges' must be a JSON list"),
+        ({"metric": [], "ranges": [1.0]}, "'metric' must be a JSON object"),
+        ({"graph": {"n": 2, "edges": 7}, "ranges": [1.0, 1.0]}, "'edges' must be a JSON list"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1, None]}, "'ranges' must be a number, got None"),
+        ({"graph": {"n": None, "edges": []}, "ranges": []}, "graph n must be an integer"),
+        ({"graph": {"n": 2, "edges": [[0, 1, None]]}, "ranges": [1.0, 1.0]}, "an edge weight must be a number"),
+        ({"metric": {"kind": "euclidean_lp", "p": None, "points": [[0.0]]}, "ranges": [1.0]}, "'p' must be a number"),
+        ({"metric": {"kind": "euclidean_lp", "p": 2, "points": [[0.0], {}]}, "ranges": [1.0, 1.0]}, "a point must"),
+    ],
+    ids=["ranges-int", "metric-list", "edges-int", "radius-null", "n-null", "weight-null", "p-null", "point-dict"],
+)
+def test_malformed_instance_exits_2(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli(["msf", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceFormatError" and message in err["error"]
+
+
+def _no_n(payload):
+    del payload["certificate"]["n"]
+
+
+def _ham_vertex_9(payload):
+    payload["ham_order"][0] = 9
+
+
+def _edge_0_99(payload):
+    payload["certificate"]["tilde_e"][0] = [0, 99]
+
+
+def _isolated_minus_1(payload):
+    payload["certificate"]["isolated"] = [-1]
+
+
+def _weight_null(payload):
+    payload["ham_weight"] = None
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda payload: {}, "certificate file must be a JSON object with ham_order, ham_weight and certificate"),
+        (lambda payload: [], "certificate file must be a JSON object with ham_order, ham_weight and certificate"),
+        (_weight_null, "ham_weight must be a number, got None"),
+        (_no_n, "certificate must be a JSON object with fields n, isolated"),
+        (_ham_vertex_9, "ham_order must be a list of vertices in [0, 5)"),
+        (_edge_0_99, "tilde_e must be a list of vertices in [0, 5)"),
+        (_isolated_minus_1, "isolated must be a list of vertices in [0, 5)"),
+    ],
+    ids=["empty-object", "list", "weight-null", "no-n", "ham-vertex-9", "edge-0-99", "isolated-minus-1"],
+)
+def test_malformed_certificate_exits_2(mutate, message, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert cli(["decompose", CHAIN, "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    changed = mutate(payload)
+    cert.write_text(json.dumps(payload if changed is None else changed))
+    assert cli(["verify", CHAIN, str(cert)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "fixture, field, value, violation",
+    [
+        ("line_n5_w1000", "ham_order", [0, 1, 2, 3, 4], "path step (1,2) is not an edge of the graph"),
+        ("chain_n5", "ham_weight", 3.5, "stored path weight does not match its edge weights"),
+    ],
+    ids=["path-off-the-graph", "wrong-weight"],
+)
+def test_wrong_but_well_formed_certificate_exits_1(fixture, field, value, violation, tmp_path):
+    instance = str(DATA / f"{fixture}.json")
+    cert = tmp_path / "cert.json"
+    assert cli(["decompose", instance, "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    payload[field] = value
+    cert.write_text(json.dumps(payload))
+    report = tmp_path / "verify.json"
+    assert cli(["verify", instance, str(cert), "--out", str(report)]) == 1
+    assert violation in json.loads(report.read_text())["violations"]

@@ -2,12 +2,11 @@
 
 Every `sdglab` module's binding of `dense_msf` and `decompose` is replaced by a
 counting wrapper (modules import by name, so patching the defining module
-alone would miss calls). A uniform-range evaluation then runs Prim on the full
-n x n matrix exactly three times: the disk-graph MSF, the metric MST and
-`decompose`'s MSF guard for the first certificate. It decomposes once per
+alone would miss calls). An evaluation then runs Prim on the full n x n matrix
+exactly three times: the disk-graph MSF, the metric MST and `decompose`'s MSF
+guard for the first certificate. Biased ranges add none: their generator
+reads the same `Metric.mst` that the evaluation does. It decomposes once per
 peeling round, the first round reusing the evaluation's own certificate.
-Biased ranges are left out: their generator adds one more MST, of the metric
-it draws.
 """
 import sys
 
@@ -17,7 +16,7 @@ from sdglab import decomposition, graph
 from sdglab.sweep import euclidean_kinds, evaluate_instance, spec_grid
 
 KINDS = euclidean_kinds((1, 2), (1.0, 2.0)) + [("matrix", "mat", None, None)]
-SPECS = [s for s in spec_grid(31, 1, (5, 9, 17, 30), KINDS, modes=("uniform",)) if s.n > 4]
+SPECS = [s for s in spec_grid(31, 1, (5, 9, 17, 30), KINDS, modes=("uniform", "biased")) if s.n > 4]
 
 
 @pytest.fixture

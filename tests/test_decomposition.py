@@ -15,7 +15,7 @@ from sdglab.decomposition import (
     weight_coefficient,
 )
 from sdglab.disk import RangeAssignment, build_sdg
-from sdglab.graph import complete_graph, kruskal_msf, metric_mst
+from sdglab.graph import complete_graph, kruskal_msf
 from sdglab.hamiltonian import EXACT_CUTOFF, HamPath, approx_ham_path, exact_min_ham_path
 from sdglab.instances import (
     gen_c3,
@@ -30,14 +30,10 @@ from strategies import metric_range_pairs
 
 
 def _setup(bundle, exact=True):
-    if bundle.metric is not None:
-        space, r = bundle.metric, bundle.ranges
-        forest = kruskal_msf(build_sdg(space, r))
-        h = exact_min_ham_path(space) if exact else approx_ham_path(space, metric_mst(space))
-    else:
-        space, r = bundle.graph, bundle.ranges
-        forest = kruskal_msf(build_sdg(space, r))
-        h = exact_min_ham_path(space)
+    """Space, radii, Kruskal forest and path; graphs always get the exact path."""
+    space, r = bundle.space, bundle.ranges
+    forest = kruskal_msf(build_sdg(space, r))
+    h = exact_min_ham_path(space) if exact or not space.is_metric else approx_ham_path(space)
     return space, r, forest, h
 
 
@@ -89,7 +85,7 @@ def _star4_with_full_range():
     leaf-to-leaf edge outside the MSF, so the cycle-exchange block is live."""
     b = gen_star_metric(4)
     r = RangeAssignment.constant(4, 2.0)
-    m = b.metric
+    m = b.space
     forest = kruskal_msf(build_sdg(m, r))
     h = exact_min_ham_path(m)
     return m, r, forest, h
@@ -127,7 +123,7 @@ def test_decompose_rejects_wrong_forest():
     # On the unit-radius chain the two forests coincide and nothing is tested.
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     wrong = kruskal_msf(complete_graph(m))
     assert wrong != kruskal_msf(build_sdg(m, r))
     with pytest.raises(ValueError, match="not the MSF"):
@@ -145,7 +141,7 @@ def test_decompose_deterministic():
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
     forest = kruskal_msf(build_sdg(m, r))
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     assert decompose(m, r, forest, h) == decompose(m, r, forest, h)
 
 
@@ -154,7 +150,7 @@ def test_decompose_deterministic():
 def test_random_certificates_verify(pair):
     m, r = pair
     forest = kruskal_msf(build_sdg(m, r))
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     cert = decompose(m, r, forest, h)
     assert verify_certificate(m, r, forest, h, cert) == []
     assert cert.weights["tilde_e"] <= h.weight
@@ -179,7 +175,7 @@ def test_trace_basis_only_n4():
 
 def test_trace_chain_single_round():
     b = gen_chain_metric(5)
-    trace = lightness_trace(Prepared(b.metric, b.ranges))
+    trace = lightness_trace(Prepared(b.space, b.ranges))
     assert trace.round_count == 1
     assert trace.basis_labels == ()
     assert trace.telescoped == trace.w_msf == 4.0
@@ -213,7 +209,7 @@ def test_trace_exact_mode_small():
 
 def _first_path_instances():
     for bundle in (gen_star_metric(9), gen_chain_metric(12)):
-        yield bundle.metric, bundle.ranges
+        yield bundle.space, bundle.ranges
     for seed, (n, d, p) in enumerate([(4, 2, 2.0), (10, 1, 1.0), (14, 2, math.inf), (20, 3, 2.0)]):
         m = gen_random_euclidean(n, d, p, 600 + seed)
         for mode in ("uniform", "biased"):
@@ -240,7 +236,15 @@ def test_prepared_rejects_bad_mode_and_radii_count():
     with pytest.raises(ValueError, match="range assignment has 7 radii for 8 points"):
         Prepared(m, RangeAssignment.constant(7, 1.0))
     with pytest.raises(ValueError, match="approximate paths need a metric"):
-        Prepared(gen_c3(1000.0).graph, gen_c3(1000.0).ranges, "approx").path
+        Prepared(gen_c3(1000.0).space, gen_c3(1000.0).ranges, "approx").path
+
+
+@pytest.mark.parametrize("bundle", [gen_c3(1000.0), gen_line_graph(5, 1000.0, 1e-4)], ids=["c3", "line"])
+def test_trace_rejects_a_graph_before_its_first_round(bundle):
+    p = Prepared(bundle.space, bundle.ranges, "exact")
+    with pytest.raises(ValueError, match="triangle inequality"):
+        lightness_trace(p)
+    assert "certificate" not in vars(p)  # no round was decomposed
 
 
 @given(metric_range_pairs(min_n=1, max_n=24))
@@ -263,7 +267,7 @@ def test_weight_coefficient_full_range_is_one():
 
 def test_weight_coefficient_chain_is_one():
     b = gen_chain_metric(8)
-    report = weight_coefficient(Prepared(b.metric, b.ranges))
+    report = weight_coefficient(Prepared(b.space, b.ranges))
     assert report.coefficient == 1.0
     assert report.w_msf_sdg == report.w_mst_metric == 7.0
 
@@ -274,7 +278,7 @@ def test_weight_coefficient_bound_value():
 
 def test_graph_coefficient_line_family():
     b = gen_line_graph(5, 1000.0, 1e-4)
-    report = weight_coefficient(Prepared(b.graph, b.ranges))
+    report = weight_coefficient(Prepared(b.space, b.ranges))
     assert report.coefficient == b.reference["weight_coefficient"]
     assert math.isinf(report.bound)
     assert abs(report.coefficient - 3.0) / 3.0 < 0.01
@@ -283,7 +287,7 @@ def test_graph_coefficient_line_family():
 def test_graph_coefficient_c3_grows_with_w():
     for w in (10.0, 100.0, 1000.0):
         b = gen_c3(w)
-        report = weight_coefficient(Prepared(b.graph, b.ranges))
+        report = weight_coefficient(Prepared(b.space, b.ranges))
         assert report.coefficient == (w + 1.0) / 3.0
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
-from sdglab.graph import metric_mst
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
@@ -18,41 +17,41 @@ from strategies import metric_range_pairs, metrics, seeds
 
 def test_star_sdg_is_hub_star():
     b = gen_star_metric(5)
-    sdg = build_sdg(b.metric, b.ranges)
+    sdg = build_sdg(b.space, b.ranges)
     assert sdg.edge_pairs() == {(0, i) for i in range(1, 5)}
     assert all(w == 1.0 for _, _, w in sdg.edges)
 
 
 def test_full_range_gives_complete_graph():
     b = gen_star_metric(6)
-    r = RangeAssignment.constant(6, b.metric.diameter())
-    sdg = build_sdg(b.metric, r)
+    r = RangeAssignment.constant(6, b.space.diameter())
+    sdg = build_sdg(b.space, r)
     assert len(sdg.edges) == 15
 
 
 def test_chain_sdg_is_unit_path():
     b = gen_chain_metric(5)
-    sdg = build_sdg(b.metric, b.ranges)
+    sdg = build_sdg(b.space, b.ranges)
     assert sdg.edge_pairs() == {(i, i + 1) for i in range(4)}
     assert all(w == 1.0 for _, _, w in sdg.edges)
 
 
 def test_c3_sdg_keeps_heavy_edge():
     b = gen_c3(1000.0)
-    sdg = build_sdg(b.graph, b.ranges)
+    sdg = build_sdg(b.space, b.ranges)
     assert sdg.edge_pairs() == {(0, 1), (1, 2)}
 
 
 def test_line_graph_sdg_routes_through_far_endpoint():
     b = gen_line_graph(5, 1000.0, 1e-4)
-    sdg = build_sdg(b.graph, b.ranges)
+    sdg = build_sdg(b.space, b.ranges)
     # all middle-to-right edges, plus the left endpoint's nearest neighbor
     assert sdg.edge_pairs() == {(1, 4), (2, 4), (3, 4), (0, 1)}
 
 
 def test_zero_ranges_give_edgeless_graph():
     b = gen_chain_metric(4)
-    sdg = build_sdg(b.metric, RangeAssignment.constant(4, 0.0))
+    sdg = build_sdg(b.space, RangeAssignment.constant(4, 0.0))
     assert sdg.edges == ()
 
 
@@ -62,7 +61,7 @@ def _udg(m, c):
 
 
 def test_udg_chain_path_and_complete():
-    m = gen_chain_metric(5).metric
+    m = gen_chain_metric(5).space
     assert _udg(m, 1.0).edge_pairs() == {(i, i + 1) for i in range(4)}
     assert len(_udg(m, 2.0).edges) == 10
 
@@ -84,7 +83,7 @@ def test_range_assignment_validation():
         RangeAssignment(radii=(-1.0,))
     with pytest.raises(ValueError):
         RangeAssignment(radii=(float("inf"),))
-    m = gen_chain_metric(4).metric
+    m = gen_chain_metric(4).space
     with pytest.raises(ValueError):
         build_sdg(m, RangeAssignment.constant(3, 1.0))
 
@@ -107,18 +106,18 @@ def test_sdg_monotone_in_ranges(pair, seed):
 def _udg_msf_and_mst(m, c):
     """MSF(UDG(M, c)) and MST(M), compared under the shared total edge order:
     the forest is always contained in the tree, and equals it when connected."""
-    return sdg_msf(m, RangeAssignment.constant(m.n, c)), metric_mst(m)
+    return sdg_msf(m, RangeAssignment.constant(m.n, c)), m.mst
 
 
 def test_udg_containment_chain_equality():
-    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).metric, 1.0)
+    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).space, 1.0)
     assert msf.edge_pairs() <= mst.edge_pairs() and msf.connected
     assert msf.edge_pairs() == mst.edge_pairs()
     assert msf.weight / mst.weight == 1.0
 
 
 def test_udg_containment_vacuous_below_min_distance():
-    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).metric, 0.5)
+    msf, mst = _udg_msf_and_mst(gen_chain_metric(6).space, 0.5)
     assert msf.edge_pairs() <= mst.edge_pairs() and not msf.connected
     assert msf.weight / mst.weight == 0.0
 

@@ -11,10 +11,8 @@ from sdglab.graph import (
     WeightedGraph,
     complete_graph,
     dense_msf,
-    distance_matrix,
     edge_key,
     kruskal_msf,
-    metric_mst,
     tree_path,
 )
 from sdglab.instances import (
@@ -68,7 +66,7 @@ def test_kruskal_deterministic_under_permutation():
 def _assert_prim_equals_kruskal(m, r):
     """Whole forests, component labels included, for the disk graph and the complete graph."""
     assert sdg_msf(m, r) == kruskal_msf(build_sdg(m, r))
-    assert metric_mst(m) == kruskal_msf(complete_graph(m))
+    assert m.mst == kruskal_msf(complete_graph(m))
 
 
 @given(metric_range_pairs(max_n=40))
@@ -79,7 +77,7 @@ def test_dense_msf_equals_kruskal_random(pair):
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
 def test_dense_msf_equals_kruskal_all_ties(n):
     for bundle in (gen_star_metric(n), gen_chain_metric(n)):
-        _assert_prim_equals_kruskal(bundle.metric, bundle.ranges)
+        _assert_prim_equals_kruskal(bundle.space, bundle.ranges)
 
 
 def test_dense_msf_equals_kruskal_disconnected():
@@ -97,7 +95,7 @@ def test_dense_msf_equals_kruskal_disconnected():
 def test_dense_msf_one_and_two_points():
     one = Metric.euclidean([[0.5]])
     _assert_prim_equals_kruskal(one, RangeAssignment((0.0,)))
-    assert metric_mst(one) == Forest(n=1, edges=(), component=(0,))
+    assert one.mst == Forest(n=1, edges=(), component=(0,))
     two = Metric.euclidean([[0.0], [0.25]])
     for radius in (0.0, 0.25):
         _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
@@ -111,7 +109,7 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
         n = int(rng.integers(1, 10))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
         g = WeightedGraph(n=n, edges=tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
-        assert dense_msf(g.adjacency_matrix()) == kruskal_msf(g)
+        assert dense_msf(g.matrix) == kruskal_msf(g)
 
 
 def test_cycle_property_c3():
@@ -216,16 +214,23 @@ def test_weighted_graph_validation():
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
 def test_weighted_graph_rejects_non_finite_weights(w):
-    # +inf marks an absent edge in distance_matrix; such an edge would vanish silently.
+    # +inf marks an absent edge in a graph's matrix; such an edge would vanish silently.
     with pytest.raises(ValueError, match="non-finite weight"):
         WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, w)))
 
 
-def test_distance_matrix_is_the_space_seam():
-    g = WeightedGraph(n=3, edges=((0, 1, 1.5), (1, 2, 2.0)))
-    d = distance_matrix(g)
-    assert d[0, 1] == d[1, 0] == 1.5 and d[1, 2] == 2.0
-    assert d[0, 2] == d[2, 0] == math.inf and np.all(np.diagonal(d) == 0.0)
+def test_spaces_share_matrix_mst_and_is_metric():
+    g = WeightedGraph(n=4, edges=((0, 1, 1.5), (1, 2, 2.0), (0, 2, 1.0)))
     m = Metric.euclidean([[0.0], [1.0], [3.0]])
-    assert distance_matrix(m) is m.matrix
-    assert distance_matrix(complete_graph(m)).tolist() == m.matrix.tolist()
+    for space, graph, is_metric in ((m, complete_graph(m), True), (g, g, False)):
+        assert space.matrix is space.matrix
+        with pytest.raises(ValueError, match="read-only"):
+            space.matrix[0, 1] = 0.5
+        assert space.mst is space.mst
+        assert space.mst == kruskal_msf(graph)
+        assert space.is_metric is is_metric
+    d = g.matrix
+    assert d[0, 1] == d[1, 0] == 1.5 and d[1, 2] == 2.0
+    assert d[0, 3] == d[3, 0] == math.inf and np.all(np.diagonal(d) == 0.0)
+    assert complete_graph(m).matrix.tolist() == m.matrix.tolist()
+    assert g.mst.num_components == 2

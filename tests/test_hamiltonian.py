@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdglab.decomposition import Prepared
 from sdglab.disk import RangeAssignment
-from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf, metric_mst
+from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf
 from sdglab.hamiltonian import (
     EXACT_LIMIT,
     approx_ham_path,
@@ -29,7 +29,7 @@ from strategies import metrics
 
 
 def test_exact_chain_is_the_path():
-    m = gen_chain_metric(4).metric
+    m = gen_chain_metric(4).space
     h = exact_min_ham_path(m)
     assert h.order == (0, 1, 2, 3)
     assert h.weight == 3.0
@@ -37,7 +37,7 @@ def test_exact_chain_is_the_path():
 
 
 def test_exact_star_matches_permutation_scan():
-    m = gen_star_metric(4).metric
+    m = gen_star_metric(4).space
     h = exact_min_ham_path(m)
     order, weight = support.permutation_min_path(m.matrix)
     assert h.weight == weight
@@ -71,19 +71,19 @@ def test_exact_on_line_graph():
     from sdglab.instances import gen_line_graph
 
     b = gen_line_graph(5, 1000.0, 1e-4)
-    h = exact_min_ham_path(b.graph)
+    h = exact_min_ham_path(b.space)
     assert sorted(h.order) == list(range(5))
-    assert h.weight == path_weight(b.graph, h.order)
+    assert h.weight == path_weight(b.space, h.order)
     # bipartite with sides 2 and n-2: a path exists only for n = 4 and 5
-    assert sorted(exact_min_ham_path(gen_line_graph(4).graph).order) == [0, 1, 2, 3]
+    assert sorted(exact_min_ham_path(gen_line_graph(4).space).order) == [0, 1, 2, 3]
     for n in range(6, 11):
         with pytest.raises(ValueError, match="^graph has no Hamiltonian path$"):
-            exact_min_ham_path(gen_line_graph(n).graph)
+            exact_min_ham_path(gen_line_graph(n).space)
 
 
 def test_approx_chain_preorder_is_the_path():
-    m = gen_chain_metric(5).metric
-    h = approx_ham_path(m, metric_mst(m))
+    m = gen_chain_metric(5).space
+    h = approx_ham_path(m)
     assert h.weight == 4.0
     assert not h.exact
     mst_w = kruskal_msf(complete_graph(m)).weight
@@ -92,27 +92,27 @@ def test_approx_chain_preorder_is_the_path():
 
 def test_approx_two_points_is_the_edge():
     m = gen_random_euclidean(2, 2, 2.0, 5)
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     assert h.weight == m.matrix[0, 1]
 
 
 def test_approx_bounded_on_random_l1():
     m = gen_random_euclidean(64, 2, 1.0, 123)
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     mst_w = kruskal_msf(complete_graph(m)).weight
     assert mst_w <= h.weight <= 2.0 * mst_w
 
 
 @given(metrics(min_n=2, max_n=16))
 def test_approx_at_most_twice_mst(m):
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     assert h.weight <= 2.0 * kruskal_msf(complete_graph(m)).weight
 
 
 @given(metrics(min_n=2, max_n=9))
 @settings(max_examples=20)
 def test_exact_never_beaten_by_approx(m):
-    assert exact_min_ham_path(m).weight <= approx_ham_path(m, metric_mst(m)).weight
+    assert exact_min_ham_path(m).weight <= approx_ham_path(m).weight
 
 
 def test_shortcut_full_set_identity():
@@ -123,7 +123,7 @@ def test_shortcut_full_set_identity():
 
 
 def test_shortcut_chain_odd_vertices():
-    m = gen_chain_metric(5).metric
+    m = gen_chain_metric(5).space
     h = exact_min_ham_path(m)
     s = shortcut_path(m, h, [0, 2, 4])
     assert s.order == (0, 2, 4)
@@ -132,7 +132,7 @@ def test_shortcut_chain_odd_vertices():
 
 @given(metrics(min_n=3, max_n=16), st.data())
 def test_shortcut_never_increases_weight(m, data):
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     subset = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=1, max_size=m.n)))
     s = shortcut_path(m, h, subset)
     assert s.weight <= h.weight
@@ -140,7 +140,7 @@ def test_shortcut_never_increases_weight(m, data):
 
 @given(metrics(min_n=4, max_n=14), st.data())
 def test_shortcut_composes_over_nested_subsets(m, data):
-    h = approx_ham_path(m, metric_mst(m))
+    h = approx_ham_path(m)
     outer = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=2, max_size=m.n)))
     inner = sorted(data.draw(st.sets(st.sampled_from(outer), min_size=1, max_size=len(outer))))
     twice = shortcut_path(m, shortcut_path(m, h, outer), inner)
@@ -173,8 +173,8 @@ def _same_as_mask_loop(space):
 @pytest.mark.parametrize("n", range(3, 12))
 def test_exact_matches_mask_loop_star_and_chain(n):
     # unit radii, all distances integers: every length ties with many others
-    _same_as_mask_loop(gen_star_metric(n).metric)
-    _same_as_mask_loop(gen_chain_metric(n).metric)
+    _same_as_mask_loop(gen_star_metric(n).space)
+    _same_as_mask_loop(gen_chain_metric(n).space)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -206,7 +206,7 @@ def test_exact_matches_mask_loop_sparse_graphs():
 
 
 def test_exact_memory_stays_under_the_full_table():
-    m = gen_chain_metric(EXACT_LIMIT).metric
+    m = gen_chain_metric(EXACT_LIMIT).space
     tracemalloc.start()
     try:
         h = exact_min_ham_path(m)

@@ -98,8 +98,8 @@ def test_chain_reference_matches_bfs_oracle():
     # n = 3 is the star's one diameter exception: a single leaf at distance 2.
     for n in range(3, 41):
         b = gen_chain_metric(n)
-        path = build_sdg(b.metric, b.ranges).edges
-        star = [(0, v, float(b.metric.matrix[0, v])) for v in range(1, n)]
+        path = build_sdg(b.space, b.ranges).edges
+        star = [(0, v, float(b.space.matrix[0, v])) for v in range(1, n)]
         assert {(u, v) for u, v, _ in path} == {(i, i + 1) for i in range(n - 1)}
         ref = b.reference
         assert _typed(ref["sdg_params"]) == _typed(support.rooted_tree_parameters(n, path, 0))

@@ -28,13 +28,13 @@ def test_distance_identity_is_zero():
 
 
 def test_chain_distance_between_non_neighbors():
-    m = gen_chain_metric(5).metric
+    m = gen_chain_metric(5).space
     assert m.matrix[0, 2] == 2.0
     assert m.matrix[0, 1] == 1.0
 
 
 def test_diameter_chain():
-    assert gen_chain_metric(5).metric.diameter() == 2.0
+    assert gen_chain_metric(5).space.diameter() == 2.0
 
 
 def test_diameter_single_pair():
@@ -63,7 +63,7 @@ def test_induce_full_set_is_identity():
 
 
 def test_induce_chain_odd_vertices():
-    m = gen_chain_metric(5).metric
+    m = gen_chain_metric(5).space
     sub, relabel = m.induce([0, 2, 4])
     assert relabel == (0, 2, 4)
     for i in range(3):
@@ -80,7 +80,7 @@ def test_induce_matches_parent_lookup():
 
 
 def test_induce_empty_subset_rejected():
-    m = gen_chain_metric(4).metric
+    m = gen_chain_metric(4).space
     with pytest.raises(ValueError):
         m.induce([])
 
@@ -135,7 +135,7 @@ def test_validate_triangle_check_memory_is_quadratic():
 
 
 def test_validate_chain_ok():
-    assert validate_metric(gen_chain_metric(6).metric.matrix) is None
+    assert validate_metric(gen_chain_metric(6).space.matrix) is None
 
 
 def test_validate_closure_repaired_matrix_ok():
