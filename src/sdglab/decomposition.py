@@ -1,6 +1,6 @@
 """Lightness certificates and the peeling bound for symmetric disk graphs.
 
-Given a space (a metric, or an edge-list graph for the non-metric
+Given a space (a metric, or a weighted graph for the non-metric
 counterexamples) with a range assignment, the MSF F of its symmetric disk
 graph, and a Hamiltonian path H, `decompose` constructs an edge set inside F
 of weight at most w(H) whose removal isolates at least a fifth of the
@@ -586,7 +586,7 @@ class WeightCoefficientReport:
 def weight_coefficient(p: Prepared) -> WeightCoefficientReport:
     """w(MSF(SDG(space,r))) / w(MSF(space)), asserted against 2 * log_{5/4} n.
 
-    The bound needs the triangle inequality. On an edge-list graph the ratio
+    The bound needs the triangle inequality. On a non-metric graph the ratio
     can be arbitrarily large, so `bound` is reported as +inf and nothing is
     asserted.
     """

@@ -43,20 +43,13 @@ class RangeAssignment:
 
 
 def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
-    """Symmetric disk graph of a space: edge (u,v) iff min(r(u), r(v)) >= d(u,v).
-    A graph's absent (+inf) edges stay absent, since radii are finite."""
+    """Symmetric disk graph of a space: edge (u,v) iff min(r(u), r(v)) >= d(u,v),
+    +inf elsewhere. The verifier's own threshold, apart from `sdg_matrix`."""
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
     d = space.matrix
     radii = np.asarray(r.radii, dtype=float)
-    reach = np.minimum(radii[:, None], radii[None, :])
-    iu, iv = np.triu_indices(space.n, 1)
-    keep = reach[iu, iv] >= d[iu, iv]
-    edges = [
-        (int(a), int(b), float(w))
-        for a, b, w in zip(iu[keep], iv[keep], d[iu, iv][keep])
-    ]
-    return WeightedGraph(n=space.n, edges=tuple(edges))
+    return WeightedGraph(np.where(np.minimum(radii[:, None], radii[None, :]) >= d, d, np.inf))
 
 
 def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:

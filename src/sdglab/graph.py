@@ -1,22 +1,22 @@
-"""Weighted graphs and deterministic minimum spanning forests.
+"""Spaces, weighted graphs and deterministic minimum spanning forests.
 
 Every edge comparison in this package uses the total order
 ``(weight, min endpoint, max endpoint)``. Ties in weight are therefore broken
 combinatorially, never by perturbing values, which makes the MSF unique and
 every "maximum weight edge" selection deterministic.
 
-Two algorithms compute that unique forest. `dense_msf` runs Prim on a dense
-weight matrix (+inf marks an absent edge); it is what the builders use for
-spaces and disk graphs (`mst`, `disk.sdg_msf`), since it needs no edge list.
-`kruskal_msf` runs Kruskal on an edge-list `WeightedGraph`; it serves
-`verify_certificate` and `sdglab verify`, which thus re-derive every forest
-with an algorithm independent of the builder's.
+A `Space` is a `Metric` or a `WeightedGraph` (the non-metric counterexamples
+and disk graphs). It stores one thing, its dense read-only weight `matrix`
+(zero diagonal, +inf marking an absent edge), and every layer reads only
+`n` (the matrix's size), `matrix`, `mst` (the space's own minimum spanning
+forest, computed once) and `is_metric` (whether the triangle inequality may
+be used). A graph's `edges` is a sorted view of its matrix; `from_edges`
+reads edge lists from outside the program.
 
-A `Space` is either a `Metric` or an edge-list `WeightedGraph` (the non-metric
-counterexample families). Both carry the same three members, and every layer
-reads only these: `matrix`, the dense read-only weights with +inf marking an
-absent edge; `mst`, the space's own minimum spanning forest, computed once;
-and `is_metric`, which says whether the triangle inequality may be used.
+Two algorithms compute the unique forest: `dense_msf` runs Prim on a matrix
+for the builders (`mst`, `disk.sdg_msf`), and `kruskal_msf` runs Kruskal on a
+graph's edge view for `verify_certificate` and `sdglab verify`, which thus
+re-derive every forest with an algorithm independent of the builder's.
 """
 from __future__ import annotations
 
@@ -44,28 +44,15 @@ def canonical_edge(u: int, v: int, w: float) -> Edge:
     return (u, v, float(w)) if u < v else (v, u, float(w))
 
 
-def _normalize_edges(n: int, edges: Iterable) -> tuple[Edge, ...]:
-    out = []
-    seen = set()
-    for u, v, w in edges:
-        e = canonical_edge(int(u), int(v), w)
-        if not (0 <= e[0] and e[1] < n):
-            raise ValueError(f"edge {e} out of range for n={n}")
-        if (e[0], e[1]) in seen:
-            raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-        if not math.isfinite(e[2]):
-            raise ValueError(f"edge ({e[0]},{e[1]}) has non-finite weight {e[2]}")
-        seen.add((e[0], e[1]))
-        out.append(e)
-    return tuple(sorted(out, key=edge_key))
-
-
 class Space:
     """The members that a `Metric` and a `WeightedGraph` share."""
 
-    n: int
     matrix: np.ndarray  # n x n, symmetric, zero diagonal, +inf for an absent edge
     is_metric: bool  # whether the weights satisfy the triangle inequality
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
     @cached_property
     def mst(self) -> Forest:
@@ -73,16 +60,42 @@ class Space:
         return dense_msf(self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph(Space):
-    """Edge-list graph with real weights, stored in canonical sorted order."""
+    """Weighted graph stored as its weight matrix; `edges` is a view of it."""
 
-    n: int
-    edges: tuple[Edge, ...]
+    matrix: np.ndarray
     is_metric = False
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
+        self.matrix.setflags(write=False)
+
+    @staticmethod
+    def from_edges(n: int, edges: Iterable) -> WeightedGraph:
+        """Graph on 0..n-1 from (u, v, w) triples; the first self-loop, out-of-range,
+        repeated or non-finite edge in input order raises ValueError."""
+        if n < 0:
+            raise ValueError(f"graph n must be >= 0, got {n}")
+        d = np.full((n, n), np.inf)
+        np.fill_diagonal(d, 0.0)
+        for u, v, w in edges:
+            u, v, w = e = canonical_edge(int(u), int(v), w)
+            if not (0 <= u and v < n):
+                raise ValueError(f"edge {e} out of range for n={n}")
+            if d[u, v] != np.inf:  # every stored weight is finite
+                raise ValueError(f"duplicate edge ({u},{v})")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
+            d[u, v] = d[v, u] = w
+        return WeightedGraph(d)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The finite upper-triangle entries as (u, v, w), sorted by `edge_key`."""
+        iu, iv = np.nonzero(np.triu(self.matrix < np.inf, 1))
+        w = self.matrix[iu, iv]
+        order = np.lexsort((iv, iu, w))
+        return tuple(zip(iu[order].tolist(), iv[order].tolist(), w[order].tolist()))
 
     @property
     def weight(self) -> float:
@@ -91,24 +104,10 @@ class WeightedGraph(Space):
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric weight matrix with +inf in non-edge entries; read-only."""
-        d = np.full((self.n, self.n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        for u, v, w in self.edges:
-            d[u, v] = w
-            d[v, u] = w
-        d.setflags(write=False)
-        return d
-
 
 def complete_graph(m: Metric) -> WeightedGraph:
     """The complete graph on a metric's points, weighted by its distances."""
-    iu, iv = np.triu_indices(m.n, 1)
-    w = m.matrix[iu, iv]
-    edges = [(int(a), int(b), float(c)) for a, b, c in zip(iu, iv, w)]
-    return WeightedGraph(n=m.n, edges=tuple(edges))
+    return WeightedGraph(m.matrix)
 
 
 class UnionFind:
@@ -191,10 +190,10 @@ def _component_ids(n: int, uf: UnionFind) -> tuple[int, ...]:
 
 
 def kruskal_msf(g: WeightedGraph) -> Forest:
-    """Minimum spanning forest under the total edge order; deterministic."""
+    """Minimum spanning forest by Kruskal over `g.edges`, already in edge order."""
     uf = UnionFind(g.n)
     kept = []
-    for e in g.edges:  # already sorted by edge_key
+    for e in g.edges:
         if uf.union(e[0], e[1]):
             kept.append(e)
     return Forest(n=g.n, edges=tuple(kept), component=_component_ids(g.n, uf))

@@ -159,7 +159,7 @@ def gen_c3(w: float = 1000.0) -> InstanceBundle:
     if not w > 0:
         raise ValueError(f"edge weight W must be positive, got {w}")
     w = float(w)
-    graph = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 2.0), (1, 2, w)))
+    graph = WeightedGraph.from_edges(3, ((0, 1, 1.0), (0, 2, 2.0), (1, 2, w)))
     reference = {
         "sdg_weight": w + 1.0,
         "mst_weight": 3.0,
@@ -197,7 +197,7 @@ def gen_line_graph(n: int, w: float | None = None, eps: float | None = None) -> 
     for i in range(1, n - 1):
         edges.append((0, i, coords[i] - coords[0]))
         edges.append((i, n - 1, coords[n - 1] - coords[i]))
-    graph = WeightedGraph(n=n, edges=tuple(edges))
+    graph = WeightedGraph.from_edges(n, edges)
     radii = (1.0,) + (w,) * (n - 1)
     mst_weight = math.fsum([coords[i] for i in range(1, n - 1)] + [coords[n - 1] - coords[n - 2]])
     sdg_weight = math.fsum([coords[n - 1] - coords[i] for i in range(1, n - 1)] + [coords[1]])
@@ -352,6 +352,10 @@ def bundle_from_dict(data: dict) -> InstanceBundle:
         raise InstanceFormatError("instance needs exactly one of 'metric' or 'graph'")
     if "ranges" not in data:
         raise InstanceFormatError("instance is missing 'ranges'")
+    if type(data.get("family", "")) is not str:
+        raise InstanceFormatError(f"'family' must be a string, got {data['family']!r}")
+    if type(data.get("seed", 0)) is not int:  # JSON true, false and null are not seeds
+        raise InstanceFormatError(f"'seed' must be an integer, got {data['seed']!r}")
     key = "metric" if "metric" in data else "graph"
     spec = data[key]
     if not isinstance(spec, dict):
@@ -376,14 +380,18 @@ def bundle_from_dict(data: dict) -> InstanceBundle:
             raise InstanceFormatError("graph needs exactly n, edges")
         if type(spec["n"]) is not int:
             raise InstanceFormatError(f"graph n must be an integer, got {spec['n']!r}")
+        if spec["n"] < 0:
+            raise InstanceFormatError(f"graph n must be >= 0, got {spec['n']}")
+        if spec["n"] != len(_list(data["ranges"], "'ranges'")):  # before allocating n x n
+            raise InstanceFormatError(f"graph n={spec['n']} does not match {len(data['ranges'])} ranges")
         edges = []
         for row in _list(spec["edges"], "'edges'"):
             if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is int and type(row[1]) is int):
                 raise InstanceFormatError(f"graph edge row {row!r} is not [u, v, weight]")
             edges.append((row[0], row[1], _float(row[2], "an edge weight")))
-        space = WeightedGraph(n=spec["n"], edges=tuple(edges))
+        space = WeightedGraph.from_edges(spec["n"], edges)
     return InstanceBundle(
-        family=str(data.get("family", "custom")),
+        family=data.get("family", "custom"),
         space=space,
         ranges=RangeAssignment(radii=tuple(_floats(data["ranges"], "'ranges'"))),
         reference=data.get("reference"),

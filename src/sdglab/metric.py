@@ -2,13 +2,14 @@
 
 A metric is immutable after construction and stores its full pairwise
 distance matrix, so lookups are O(1) and all operations are pure. As a
-`graph.Space` it carries `matrix`, `mst` and `is_metric`.
+`graph.Space` it carries `matrix`, `mst` and `is_metric`, and its size `n`
+is the matrix's.
 Explicit matrices are checked exhaustively against the metric axioms on
 construction; norms satisfy them by definition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,11 +137,15 @@ class Metric(Space):
     """
 
     kind: str
-    n: int
     p: float | None
     points: np.ndarray | None
     matrix: np.ndarray
     is_metric = True
+
+    def __post_init__(self):
+        for a in (self.matrix, self.points):
+            if a is not None:
+                a.setflags(write=False)
 
     @staticmethod
     def euclidean(points, p: float = 2.0) -> "Metric":
@@ -156,17 +161,14 @@ class Metric(Space):
             raise ValueError(f"point {u} has a non-finite coordinate")
         with np.errstate(over="ignore"):
             d = _pairwise_lp(pts, float(p))
-        n = pts.shape[0]
         if not np.isfinite(d).all():
             u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
             raise ValueError(f"distance between points {u} and {v} overflows")
-        zero = np.argwhere((d + np.eye(n)) == 0.0)
+        zero = np.argwhere((d + np.eye(len(d))) == 0.0)
         if zero.size:
             u, v = (int(x) for x in zero[0])
             raise ValueError(f"points {u} and {v} coincide; distances must be positive")
-        pts.setflags(write=False)
-        d.setflags(write=False)
-        return Metric(kind=EUCLIDEAN_LP, n=n, p=float(p), points=pts, matrix=d)
+        return Metric(kind=EUCLIDEAN_LP, p=float(p), points=pts, matrix=d)
 
     @staticmethod
     def from_matrix(matrix) -> "Metric":
@@ -174,8 +176,7 @@ class Metric(Space):
         violation = validate_metric(d)
         if violation is not None:
             raise MetricError(violation)
-        d.setflags(write=False)
-        return Metric(kind=EXPLICIT_MATRIX, n=d.shape[0], p=None, points=None, matrix=d)
+        return Metric(kind=EXPLICIT_MATRIX, p=None, points=None, matrix=d)
 
     def __eq__(self, other) -> bool:
         if not getattr(other, "is_metric", False):
@@ -203,12 +204,10 @@ class Metric(Space):
         """Sub-metric on `subset`, plus the new-index -> old-index relabeling.
 
         Distances are unchanged: entry (i, j) of the result equals entry
-        (subset[i], subset[j]) of the parent's matrix.
+        (subset[i], subset[j]) of the parent's matrix, for every kind. An l_p
+        sub-metric keeps the subset's points, kind and p.
         """
         sub = as_vertex_subset(subset, self.n)
-        if self.kind == EUCLIDEAN_LP:
-            return Metric.euclidean(self.points[list(sub)], self.p), sub
-        d = self.matrix[np.ix_(sub, sub)].copy()
-        d.setflags(write=False)
+        points = None if self.points is None else self.points[list(sub)]
         # A principal submatrix of a metric is a metric; skip revalidation.
-        return Metric(kind=EXPLICIT_MATRIX, n=len(sub), p=None, points=None, matrix=d), sub
+        return replace(self, points=points, matrix=self.matrix[np.ix_(sub, sub)]), sub

@@ -33,7 +33,7 @@ def random_connected_graph(n: int, extra: int, rng: np.random.Generator) -> Weig
     for u, v in edges:
         w = 0.5 + float(rng.integers(0, 2049)) / 1024.0
         out.append((u, v, w))
-    return WeightedGraph(n=n, edges=tuple(out))
+    return WeightedGraph.from_edges(n, out)
 
 
 def random_graph(n: int, m_edges: int, rng: np.random.Generator) -> WeightedGraph:
@@ -44,7 +44,7 @@ def random_graph(n: int, m_edges: int, rng: np.random.Generator) -> WeightedGrap
     for u, v in pool[: min(m_edges, len(pool))]:
         w = 0.5 + float(rng.integers(0, 2049)) / 1024.0
         out.append((u, v, w))
-    return WeightedGraph(n=n, edges=tuple(out))
+    return WeightedGraph.from_edges(n, out)
 
 
 def _covers_all(n: int, edges) -> bool:

@@ -26,8 +26,16 @@ CHAIN = str(DATA / "chain_n5.json")
         ({"graph": {"n": 2, "edges": [[0, 1, None]]}, "ranges": [1.0, 1.0]}, "an edge weight must be a number"),
         ({"metric": {"kind": "euclidean_lp", "p": None, "points": [[0.0]]}, "ranges": [1.0]}, "'p' must be a number"),
         ({"metric": {"kind": "euclidean_lp", "p": 2, "points": [[0.0], {}]}, "ranges": [1.0, 1.0]}, "a point must"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": "x"}, "'seed' must be an integer, got 'x'"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": True}, "'seed' must be an integer, got True"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "family": 7}, "'family' must be a string, got 7"),
+        ({"graph": {"n": -1, "edges": []}, "ranges": []}, "graph n must be >= 0, got -1"),
+        ({"graph": {"n": 3, "edges": []}, "ranges": [1.0, 1.0]}, "graph n=3 does not match 2 ranges"),
     ],
-    ids=["ranges-int", "metric-list", "edges-int", "radius-null", "n-null", "weight-null", "p-null", "point-dict"],
+    ids=[
+        "ranges-int", "metric-list", "edges-int", "radius-null", "n-null", "weight-null", "p-null", "point-dict",
+        "seed-str", "seed-bool", "family-int", "n-negative", "n-ranges-mismatch",
+    ],
 )
 def test_malformed_instance_exits_2(data, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from sdglab.metric import Metric
 import support
 from strategies import metric_range_pairs, seeds
 
-C3 = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 2.0), (1, 2, 1000.0)))
+C3 = WeightedGraph.from_edges(3, ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 1000.0)))
 
 
 def test_kruskal_c3_mst():
@@ -36,7 +37,7 @@ def test_kruskal_c3_mst():
 
 
 def test_kruskal_edgeless():
-    forest = kruskal_msf(WeightedGraph(n=4, edges=()))
+    forest = kruskal_msf(WeightedGraph.from_edges(4, ()))
     assert forest.edges == ()
     assert forest.num_components == 4
 
@@ -60,7 +61,7 @@ def test_kruskal_deterministic_under_permutation():
     g = support.random_connected_graph(9, 6, rng)
     perm = list(g.edges)
     rng.shuffle(perm)
-    assert kruskal_msf(WeightedGraph(n=9, edges=tuple(perm))).edges == kruskal_msf(g).edges
+    assert kruskal_msf(WeightedGraph.from_edges(9, tuple(perm))).edges == kruskal_msf(g).edges
 
 
 def _assert_prim_equals_kruskal(m, r):
@@ -108,7 +109,7 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
     for _ in range(200):
         n = int(rng.integers(1, 10))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
-        g = WeightedGraph(n=n, edges=tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
+        g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
         assert dense_msf(g.matrix) == kruskal_msf(g)
 
 
@@ -117,7 +118,7 @@ def test_cycle_property_c3():
 
 
 def test_cycle_property_tree_vacuous():
-    g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
+    g = WeightedGraph.from_edges(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
     assert support.cycle_property_check(g, kruskal_msf(g)) is None
 
 
@@ -142,13 +143,13 @@ def test_cycle_property_cross_checked_by_enumeration():
 
 
 def test_forest_cycle_path_chord():
-    f = kruskal_msf(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
+    f = kruskal_msf(WeightedGraph.from_edges(3, ((0, 1, 1.0), (1, 2, 1.0))))
     path = tree_path(f.adjacency(), 0, 2)
     assert {(u, v) for u, v, _ in path} == {(0, 1), (1, 2)}
 
 
 def test_forest_cycle_star_chord():
-    f = kruskal_msf(WeightedGraph(n=5, edges=tuple((0, i, 1.0) for i in range(1, 5))))
+    f = kruskal_msf(WeightedGraph.from_edges(5, tuple((0, i, 1.0) for i in range(1, 5))))
     path = tree_path(f.adjacency(), 1, 2)
     assert {(u, v) for u, v, _ in path} == {(0, 1), (0, 2)}
 
@@ -166,7 +167,7 @@ def test_forest_cycle_matches_dfs_oracle():
 
 
 def test_forest_cycle_rejects_cross_component():
-    f = kruskal_msf(WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))))
+    f = kruskal_msf(WeightedGraph.from_edges(4, ((0, 1, 1.0), (2, 3, 1.0))))
     assert tree_path(f.adjacency(), 0, 2) is None
 
 
@@ -204,23 +205,55 @@ def test_forest_invariant_edges_plus_components(seed, n, m_edges):
 
 
 def test_weighted_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(n=3, edges=((0, 0, 1.0),))
-    with pytest.raises(ValueError):
-        WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 2.0)))
-    with pytest.raises(ValueError):
-        WeightedGraph(n=2, edges=((0, 2, 1.0),))
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        WeightedGraph.from_edges(3, ((0, 0, 1.0),))
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
+        WeightedGraph.from_edges(3, ((0, 1, 1.0), (1, 0, 2.0)))
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        WeightedGraph.from_edges(2, ((0, 2, 1.0),))
+    with pytest.raises(ValueError, match="graph n must be >= 0, got -1"):
+        WeightedGraph.from_edges(-1, ())
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [((0, 1, math.inf), (0, 1, 1.0)), ((1, 2, math.nan), (0, 0, 1.0)), ((0, 1, -math.inf), (0, 5, 1.0))],
+    ids=["then-duplicate", "then-self-loop", "then-out-of-range"],
+)
+def test_from_edges_reports_the_first_bad_edge(edges):
+    with pytest.raises(ValueError, match="non-finite weight"):
+        WeightedGraph.from_edges(3, edges)
+
+
+@given(seeds, st.integers(0, 12), st.integers(0, 30))
+@settings(max_examples=60)
+def test_edge_view_is_sorted_canonical_input(seed, n, m_edges):
+    # Weights in {1, 2, 3}, so the endpoint tie-break of edge_key decides most of the order.
+    rng = np.random.default_rng(seed)
+    canonical = [(u, v, float(math.ceil(w))) for u, v, w in support.random_graph(n, m_edges, rng).edges]
+    shuffled = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in canonical]
+    rng.shuffle(shuffled)
+    edges = WeightedGraph.from_edges(n, shuffled).edges
+    assert edges == tuple(sorted(canonical, key=edge_key))
+    assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in edges)
+
+
+def test_weighted_graph_stores_only_its_matrix():
+    assert [f.name for f in dataclasses.fields(WeightedGraph)] == ["matrix"]
+    assert "n" not in {f.name for f in dataclasses.fields(Metric)}
+    g = WeightedGraph.from_edges(0, ())
+    assert g.n == 0 and g.edges == () and g.weight == 0.0
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
 def test_weighted_graph_rejects_non_finite_weights(w):
     # +inf marks an absent edge in a graph's matrix; such an edge would vanish silently.
     with pytest.raises(ValueError, match="non-finite weight"):
-        WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, w)))
+        WeightedGraph.from_edges(3, ((0, 1, 1.0), (1, 2, w)))
 
 
 def test_spaces_share_matrix_mst_and_is_metric():
-    g = WeightedGraph(n=4, edges=((0, 1, 1.5), (1, 2, 2.0), (0, 2, 1.0)))
+    g = WeightedGraph.from_edges(4, ((0, 1, 1.5), (1, 2, 2.0), (0, 2, 1.0)))
     m = Metric.euclidean([[0.0], [1.0], [3.0]])
     for space, graph, is_metric in ((m, complete_graph(m), True), (g, g, False)):
         assert space.matrix is space.matrix

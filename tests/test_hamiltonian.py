@@ -61,7 +61,7 @@ def test_exact_rejects_out_of_range():
 
 
 def test_exact_on_graph_without_ham_path():
-    claw = WeightedGraph(n=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
+    claw = WeightedGraph.from_edges(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
     with pytest.raises(ValueError):
         exact_min_ham_path(claw)
 
@@ -201,7 +201,7 @@ def test_exact_matches_mask_loop_sparse_graphs():
             for v in range(u + 1, n)
             if rng.random() < 0.5
         )
-        outcomes.add(_same_as_mask_loop(WeightedGraph(n=n, edges=edges)) is None)
+        outcomes.add(_same_as_mask_loop(WeightedGraph.from_edges(n, edges)) is None)
     assert outcomes == {True, False}  # both paths and raises were compared
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdglab.instances import gen_chain_metric, gen_random_matrix_metric
+from sdglab.instances import gen_chain_metric, gen_random_euclidean, gen_random_matrix_metric
 from sdglab import metric as metric_module
 from sdglab.metric import Metric, MetricError, validate_metric
+from sdglab.sweep import SWEEP_DIMS, SWEEP_PS
 
 from strategies import metrics
 
@@ -77,6 +78,18 @@ def test_induce_matches_parent_lookup():
     for i, a in enumerate(relabel):
         for j, b in enumerate(relabel):
             assert sub.matrix[i, j] == m.matrix[a, b]
+    # An l_p sub-metric is a slice of the parent's matrix, and bit for bit the
+    # metric that its points give when the distances are computed afresh.
+    rng = np.random.default_rng(7)
+    for d in SWEEP_DIMS:
+        for p in SWEEP_PS + (1.5,):
+            for seed in range(3):
+                m = gen_random_euclidean(12, d, p, seed)
+                sub, relabel = m.induce(rng.choice(12, size=int(rng.integers(1, 13)), replace=False))
+                assert np.array_equal(sub.matrix, m.matrix[np.ix_(relabel, relabel)])
+                fresh = Metric.euclidean(m.points[list(relabel)], p)
+                assert sub == fresh and np.array_equal(sub.matrix, fresh.matrix)
+                assert not sub.points.flags.writeable and not sub.matrix.flags.writeable
 
 
 def test_induce_empty_subset_rejected():
