@@ -24,7 +24,6 @@ from .decomposition import (
     weight_coefficient,
 )
 from .disk import build_sdg
-from .graph import kruskal_msf
 from .hamiltonian import HAM_MODES, HamPath
 from .instances import (
     FAMILIES,
@@ -194,7 +193,7 @@ def _cmd_verify(args) -> int:
     order = parse_vertices(payload["ham_order"], space.n, "ham_order")
     h = HamPath(order=order, weight=float(payload["ham_weight"]), exact=False)
     cert = DecompositionCertificate.from_dict(payload["certificate"], space)
-    forest = kruskal_msf(build_sdg(space, bundle.ranges))
+    forest = Prepared(space, bundle.ranges).msf
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)
     _emit({"ok": not problems, "violations": problems}, args.out)
     return 0 if not problems else 1

@@ -1,9 +1,9 @@
 """Lightness certificates and the peeling bound for symmetric disk graphs.
 
-Given a space (a metric, or a weighted graph for the non-metric
-counterexamples) with a range assignment, the MSF F of its symmetric disk
-graph, and a Hamiltonian path H, `decompose` constructs an edge set inside F
-of weight at most w(H) whose removal isolates at least a fifth of the
+Given a prepared instance (a space: a metric, or a weighted graph for the
+non-metric counterexamples; a range assignment; and the MSF F of its symmetric
+disk graph) and a Hamiltonian path H, `decompose` constructs an edge set inside
+F of weight at most w(H) whose removal isolates at least a fifth of the
 vertices. The construction is an exchange argument:
 
   * path edges present in the disk graph but outside F are swapped, in
@@ -14,9 +14,10 @@ vertices. The construction is an exchange argument:
     endpoint's radius, so every surviving forest edge at that endpoint is
     strictly lighter; one such forest edge is retired per missing path edge.
 
-`verify_certificate` re-derives every claimed property from scratch, and
-`lightness_trace` applies the certificate repeatedly, shrinking the point set
-by a factor >= 1/5 per round, which telescopes to
+`decompose` trusts F, which `Prepared` built; `verify_certificate` re-derives
+F and every claimed property from scratch. `lightness_trace` prepares the
+survivors of each round as a new instance and decomposes it, shrinking the
+point set by a factor >= 1/5 per round, which telescopes to
 w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
 2 * log_{5/4} n for any metric.
 
@@ -34,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
-from .graph import Edge, Forest, Space, canonical_edge, dense_msf, edge_key, kruskal_msf, tree_path
+from .disk import RangeAssignment, build_sdg, sdg_msf
+from .graph import Edge, Forest, Space, canonical_edge, edge_key, kruskal_msf, tree_path
 from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
 
 LOG_BASE = 5.0 / 4.0
@@ -145,25 +146,22 @@ class DecompositionCertificate:
         )
 
 
-def decompose(space: Space, r: RangeAssignment, f: Forest, h: HamPath) -> DecompositionCertificate:
-    """Build a lightness certificate for (space, r, f, h).
+def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
+    """Build a lightness certificate for p's instance and a Hamiltonian path h
+    of its space.
 
-    Requires f to be the MSF of the symmetric disk graph (recomputed and
-    checked) and h to be a Hamiltonian path of the space. The certificate is
-    deterministic: ties resolve through the total edge order.
+    The forest is p.msf, taken as given; `verify_certificate` checks it
+    independently. The certificate is deterministic: ties resolve through the
+    total edge order.
     """
-    n = space.n
-    d = space.matrix
-    ham_edges = _ham_edges(d, h)
-    sdg = sdg_matrix(d, r)
-    if dense_msf(sdg) != f:
-        raise ValueError("forest is not the MSF of the symmetric disk graph")
-
+    ham_edges = _ham_edges(p.space.matrix, h)
+    n, r, f = p.space.n, p.r, p.msf
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
 
-    e_prime = sorted((e for e in ham_edges if sdg[e[0], e[1]] != math.inf), key=edge_key)
-    e_dprime = sorted((e for e in ham_edges if sdg[e[0], e[1]] == math.inf), key=edge_key)
+    # A path edge is in the disk graph iff both radii reach across it.
+    e_prime = sorted((e for e in ham_edges if min(r[e[0]], r[e[1]]) >= e[2]), key=edge_key)
+    e_dprime = sorted((e for e in ham_edges if min(r[e[0]], r[e[1]]) < e[2]), key=edge_key)
     e1 = sorted((e for e in e_prime if (e[0], e[1]) in forest_pairs), key=edge_key)
     e2 = sorted((e for e in e_prime if (e[0], e[1]) not in forest_pairs), key=edge_key)
 
@@ -246,7 +244,7 @@ class Prepared:
 
     @cached_property
     def certificate(self) -> DecompositionCertificate:
-        return decompose(self.space, self.r, self.msf, self.path)
+        return decompose(self, self.path)
 
 
 def verify_certificate(
@@ -277,12 +275,11 @@ def verify_certificate(
     if ham_weight != h.weight:
         problems.append("stored path weight does not match its edge weights")
 
-    sdg_pairs = sdg.edge_pairs()
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
 
-    e_prime_ref = {(u, v) for u, v, _ in ham_edges if (u, v) in sdg_pairs}
-    e_dprime_ref = [e for e in ham_edges if (e[0], e[1]) not in sdg_pairs]
+    e_prime_ref = {(u, v) for u, v, _ in ham_edges if sdg.matrix[u, v] < math.inf}
+    e_dprime_ref = [e for e in ham_edges if sdg.matrix[e[0], e[1]] == math.inf]
     if _pairs(cert.e_prime) != e_prime_ref:
         problems.append("e_prime is not (path edges of the disk graph)")
     if _pairs(cert.e_dprime) != ham_pairs - e_prime_ref:
@@ -464,83 +461,73 @@ class LightnessTrace:
 def lightness_trace(p: Prepared) -> LightnessTrace:
     """Peel the disk-graph forest until at most 4 vertices survive.
 
-    Each round removes a certificate's edge set and recomputes the MSF of the
-    disk graph induced on the survivors; the path is shortcut (or re-solved
-    exactly, as `solves_exactly` decides for p.ham_mode) for the next round.
-    The first round takes p's path and certificate. Raises BoundViolationError
-    if any step of the telescoped accounting fails, and ValueError on a space
-    without the triangle inequality, which shortcutting needs.
+    Each round works on one `Prepared`: it removes a certificate's edge set,
+    prepares the survivors (whose MSF is the induced disk graph's) and
+    shortcuts the path onto them. The first round and every round that
+    `solves_exactly` re-solves for p.ham_mode take the round's own path and
+    certificate; the others decompose the shortcut path. Raises
+    BoundViolationError if any step of the telescoped accounting fails, and
+    ValueError on a space without the triangle inequality, which shortcutting
+    needs.
     """
     if not p.space.is_metric:
         raise ValueError("lightness_trace needs the triangle inequality; the space is not a metric")
-    forest = p.msf
-    w_msf = forest.weight
+    w_msf = p.msf.weight
     labels = tuple(range(p.space.n))
-    cur_m, cur_r = p.space, p.r
-    cur_h: HamPath | None = None
+    cur: Prepared | None = p
+    h: HamPath | None = None  # the current round's path, shortcut from the last round's
     rounds: list[TraceRound] = []
     removed_weights: list[float] = []
 
-    while cur_m.n > 4:
-        if cur_h is None:
-            cur_h, cert = p.path, p.certificate
-        else:
-            # A shortcut path is already on the current point set.
-            new_h = exact_min_ham_path(cur_m) if solves_exactly(p.ham_mode, cur_m.n) else cur_h
-            if new_h.weight > cur_h.weight:
+    while cur.space.n > 4:
+        n = cur.space.n
+        if h is None or solves_exactly(p.ham_mode, n):
+            if h is not None and cur.path.weight > h.weight:
                 raise BoundViolationError("path weight increased between rounds")
-            cur_h = new_h
-            cert = decompose(cur_m, cur_r, forest, cur_h)
-        survivors = tuple(v for v in range(cur_m.n) if v not in set(cert.isolated))
-        if len(survivors) > (4 * cur_m.n) // 5:
+            h, cert = cur.path, cur.certificate
+        else:
+            cert = decompose(cur, h)
+        isolated = set(cert.isolated)
+        survivors = tuple(v for v in range(n) if v not in isolated)
+        if len(survivors) > (4 * n) // 5:
             raise BoundViolationError("round isolated fewer than a fifth of the vertices")
 
         removed_pairs = _pairs(cert.tilde_e)
-        kept_edges = [e for e in forest.edges if (e[0], e[1]) not in removed_pairs]
-        w_kept = _fsum_edges(kept_edges)
+        w_kept = _fsum_edges([e for e in cur.msf.edges if (e[0], e[1]) not in removed_pairs])
         removed_weights.extend(w for _, _, w in cert.tilde_e)
 
+        nxt = None
         if survivors:
-            next_m, relabel = cur_m.induce(survivors)
-            next_r = cur_r.restrict(survivors)
-            next_forest = sdg_msf(next_m, next_r)
-            if w_kept > next_forest.weight:
+            nxt = Prepared(cur.space.induce(survivors)[0], cur.r.restrict(survivors), p.ham_mode)
+            if w_kept > nxt.msf.weight:
                 raise BoundViolationError("kept forest weight exceeds the induced MSF weight")
             position = {old: new for new, old in enumerate(survivors)}
-            sub = shortcut_path(cur_m, cur_h, survivors)
-            next_h = HamPath(
-                order=tuple(position[v] for v in sub.order),
-                weight=sub.weight,
-                exact=False,
-            )
-            w_next = next_forest.weight
-        else:
-            next_m, next_r, next_h, next_forest, w_next = None, None, None, None, 0.0
+            sub = shortcut_path(cur.space, h, survivors)
+            next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight, exact=False)
 
         rounds.append(
             TraceRound(
                 labels=labels,
                 certificate=cert,
-                w_ham=cur_h.weight,
+                w_ham=h.weight,
                 w_removed=_fsum_edges(cert.tilde_e),
                 w_kept=w_kept,
-                w_next_forest=w_next,
+                w_next_forest=0.0 if nxt is None else nxt.msf.weight,
             )
         )
-        if cur_h.weight > rounds[0].w_ham:
+        if h.weight > rounds[0].w_ham:
             raise BoundViolationError("path weight exceeded the first round's weight")
-        if next_m is None:
-            labels, cur_m, cur_r, cur_h = (), None, None, None
+        cur = nxt
+        if cur is None:
             break
-        labels = tuple(labels[v] for v in survivors)
-        cur_m, cur_r, cur_h, forest = next_m, next_r, next_h, next_forest
+        labels, h = tuple(labels[v] for v in survivors), next_h
 
     # Basis: at most 4 vertices (possibly zero when a round isolated everything).
-    if cur_m is not None:
-        basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in forest.edges)
-        if cur_h is None and cur_m.n >= 2:
-            cur_h = p.path  # no round ran
-        w_ham_last = 0.0 if cur_h is None else cur_h.weight
+    if cur is not None:
+        basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in cur.msf.edges)
+        if h is None and cur.space.n >= 2:
+            h = p.path  # no round ran
+        w_ham_last = 0.0 if h is None else h.weight
         basis_labels = labels
     else:
         basis_edges, basis_labels, w_ham_last = (), (), 0.0

@@ -15,8 +15,9 @@ reads edge lists from outside the program.
 
 Two algorithms compute the unique forest: `dense_msf` runs Prim on a matrix
 for the builders (`mst`, `disk.sdg_msf`), and `kruskal_msf` runs Kruskal on a
-graph's edge view for `verify_certificate` and `sdglab verify`, which thus
-re-derive every forest with an algorithm independent of the builder's.
+graph's edge view for `verify_certificate` alone, which thus re-derives every
+forest it is given (`sdglab verify` passes Prim's) with an algorithm
+independent of the builder's.
 """
 from __future__ import annotations
 
@@ -100,9 +101,6 @@ class WeightedGraph(Space):
     @property
     def weight(self) -> float:
         return math.fsum(w for _, _, w in self.edges)
-
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
 
 
 def complete_graph(m: Metric) -> WeightedGraph:

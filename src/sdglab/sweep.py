@@ -3,8 +3,8 @@
 Sweeps are deterministic: per-instance seeds derive from the base seed through
 `instances.mix_seed`, workers evaluate pure functions, and records are sorted
 by instance id before emission, so the CSV bytes do not depend on the worker
-count. The SDGLAB_THREADS environment variable caps the worker pool, and so
-does the number of 8-spec chunks.
+count. `run_sweep`'s `workers` (`sdglab sweep --workers`) sets the pool size,
+capped by the number of 8-spec chunks.
 
 The default experiment, the standard mixed-metric grid with four trials
 (1144 instances), is one command:
@@ -182,13 +182,10 @@ def standard_suite(base_seed: int, trials: int = 4) -> list[InstanceSpec]:
 
 def max_workers(requested: int | None, tasks: int) -> int:
     """Pool size for `tasks` specs: the requested count (default: the CPU
-    count), capped by SDGLAB_THREADS and by the number of CHUNKSIZE-spec
-    chunks, since the pool forks every worker up front and a worker without a
-    chunk would sit idle. Up to CHUNKSIZE specs therefore run serially."""
-    cap = os.environ.get("SDGLAB_THREADS")
+    count), capped by the number of CHUNKSIZE-spec chunks, since the pool
+    forks every worker up front and a worker without a chunk would sit idle.
+    Up to CHUNKSIZE specs therefore run serially."""
     workers = requested or os.cpu_count() or 1
-    if cap:
-        workers = min(workers, max(1, int(cap)))
     return max(1, min(workers, math.ceil(tasks / CHUNKSIZE)))
 
 

@@ -47,6 +47,11 @@ def random_graph(n: int, m_edges: int, rng: np.random.Generator) -> WeightedGrap
     return WeightedGraph.from_edges(n, out)
 
 
+def edge_pairs(g: WeightedGraph) -> frozenset[tuple[int, int]]:
+    """The (u, v) pairs of a graph's edges, u < v."""
+    return frozenset((u, v) for u, v, _ in g.edges)
+
+
 def _covers_all(n: int, edges) -> bool:
     adj = [[] for _ in range(n)]
     for u, v, _ in edges:

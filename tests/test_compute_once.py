@@ -1,19 +1,24 @@
 """One evaluation computes each derived object once.
 
-Every `sdglab` module's binding of `dense_msf` and `decompose` is replaced by a
-counting wrapper (modules import by name, so patching the defining module
-alone would miss calls). An evaluation then runs Prim on the full n x n matrix
-exactly three times: the disk-graph MSF, the metric MST and `decompose`'s MSF
-guard for the first certificate. Biased ranges add none: their generator
-reads the same `Metric.mst` that the evaluation does. It decomposes once per
-peeling round, the first round reusing the evaluation's own certificate.
+Every `sdglab` module's binding of `dense_msf`, `decompose` and
+`approx_ham_path` is replaced by a counting wrapper (modules import by name, so
+patching the defining module alone would miss calls). An evaluation then runs
+Prim on the full n x n matrix exactly twice: the disk-graph MSF and the metric
+MST. Biased ranges add none: their generator reads the same `Metric.mst` that
+the evaluation does. Every other Prim run is the MSF of one round's survivors,
+so there is one per round that leaves survivors. It decomposes once per
+peeling round, the first round reusing the evaluation's own certificate, and
+builds the MST-doubling path at most once, for the first round: later rounds
+shortcut it or solve exactly.
 """
 import sys
 
 import pytest
 
-from sdglab import decomposition, graph
-from sdglab.sweep import euclidean_kinds, evaluate_instance, spec_grid
+from sdglab import decomposition, graph, hamiltonian
+from sdglab.decomposition import Prepared, lightness_trace
+from sdglab.hamiltonian import solves_exactly
+from sdglab.sweep import build_instance, euclidean_kinds, evaluate_instance, spec_grid
 
 KINDS = euclidean_kinds((1, 2), (1.0, 2.0)) + [("matrix", "mat", None, None)]
 SPECS = [s for s in spec_grid(31, 1, (5, 9, 17, 30), KINDS, modes=("uniform", "biased")) if s.n > 4]
@@ -21,9 +26,9 @@ SPECS = [s for s in spec_grid(31, 1, (5, 9, 17, 30), KINDS, modes=("uniform", "b
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Per-name lists of the argument of each call: the matrix side for
-    dense_msf, the point count for decompose."""
-    seen = {"dense_msf": [], "decompose": []}
+    """Per-name lists of the size of each call: the matrix side for
+    dense_msf, the point count for decompose and approx_ham_path."""
+    seen = {"dense_msf": [], "decompose": [], "approx_ham_path": []}
 
     def counting(name, fn, size):
         def wrapper(*args, **kwargs):
@@ -34,7 +39,8 @@ def counts(monkeypatch):
 
     wrappers = {
         graph.dense_msf: counting("dense_msf", graph.dense_msf, lambda a: a[0].shape[0]),
-        decomposition.decompose: counting("decompose", decomposition.decompose, lambda a: a[0].n),
+        decomposition.decompose: counting("decompose", decomposition.decompose, lambda a: a[0].space.n),
+        hamiltonian.approx_ham_path: counting("approx_ham_path", hamiltonian.approx_ham_path, lambda a: a[0].n),
     }
     for name, module in list(sys.modules.items()):
         if name == "sdglab" or name.startswith("sdglab."):
@@ -48,7 +54,14 @@ def counts(monkeypatch):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
     record = evaluate_instance(spec, ham_mode)
-    assert record.trace_rounds >= 1
-    assert counts["dense_msf"].count(spec.n) == 3
-    assert len(counts["decompose"]) == record.trace_rounds
-    assert counts["decompose"].count(spec.n) == 1
+    seen = {name: list(calls) for name, calls in counts.items()}
+    bundle = build_instance(spec)
+    trace = lightness_trace(Prepared(bundle.space, bundle.ranges, ham_mode))
+    leaving_survivors = sum(len(rd.certificate.isolated) < len(rd.labels) for rd in trace.rounds)
+
+    assert record.trace_rounds == trace.round_count >= 1
+    assert seen["dense_msf"].count(spec.n) == 2
+    assert len(seen["dense_msf"]) == 2 + leaving_survivors
+    assert len(seen["decompose"]) == record.trace_rounds
+    assert seen["decompose"].count(spec.n) == 1
+    assert seen["approx_ham_path"] == ([] if solves_exactly(ham_mode, spec.n) else [spec.n])

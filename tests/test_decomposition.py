@@ -39,7 +39,7 @@ def _setup(bundle, exact=True):
 
 def test_chain_certificate_shape():
     space, r, forest, h = _setup(gen_chain_metric(5))
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     # disk graph, forest and path coincide on the unit path
     assert len(cert.e_prime) == 4 and cert.e_dprime == ()
     assert cert.e2 == () and cert.tilde_e2 == ()
@@ -52,7 +52,7 @@ def test_chain_certificate_shape():
 
 def test_star_certificate_verifies():
     space, r, forest, h = _setup(gen_star_metric(10))
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     assert verify_certificate(space, r, forest, h, cert) == []
     assert cert.weights["tilde_e"] <= h.weight
     assert len(cert.isolated) >= 2
@@ -61,7 +61,7 @@ def test_star_certificate_verifies():
 def test_c3_certificate_by_hand():
     space, r, forest, h = _setup(gen_c3(1000.0))
     assert h.weight == 3.0
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     # path = b-a-c: the light edge sits in both the disk graph and its MSF,
     # the heavy-breaking edge (a,c) is missing from the disk graph, and its
     # smaller-radius endpoint a is already isolated once (a,b) is removed.
@@ -75,7 +75,7 @@ def test_c3_certificate_by_hand():
 
 def test_line_graph_certificate_verifies():
     space, r, forest, h = _setup(gen_line_graph(5, 1000.0, 1e-4))
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     assert verify_certificate(space, r, forest, h, cert) == []
     assert len(cert.isolated) >= 1
 
@@ -93,7 +93,7 @@ def _star4_with_full_range():
 
 def test_cycle_exchange_on_complete_star():
     m, r, forest, h = _star4_with_full_range()
-    cert = decompose(m, r, forest, h)
+    cert = decompose(Prepared(m, r), h)
     assert len(cert.e2) == 1 and len(cert.tilde_e2) == 1
     assert cert.tilde_e2[0][2] <= cert.e2[0][2]
     assert verify_certificate(m, r, forest, h, cert) == []
@@ -101,7 +101,7 @@ def test_cycle_exchange_on_complete_star():
 
 def test_tamper_dropped_edge_is_reported():
     space, r, forest, h = _setup(gen_chain_metric(5))
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     bad = dataclasses.replace(cert, tilde_e=cert.tilde_e[1:])
     problems = verify_certificate(space, r, forest, h, bad)
     assert problems
@@ -110,39 +110,37 @@ def test_tamper_dropped_edge_is_reported():
 
 def test_tamper_swapped_exchange_edge_is_reported():
     m, r, forest, h = _star4_with_full_range()
-    cert = decompose(m, r, forest, h)
+    cert = decompose(Prepared(m, r), h)
     # replace the exchanged edge with the heavier cycle edge that lies on the path
     bad = dataclasses.replace(cert, tilde_e2=(cert.e2[0],))
     problems = verify_certificate(m, r, forest, h, bad)
     assert any("belongs to the path" in p for p in problems)
 
 
-def test_decompose_rejects_wrong_forest():
+def test_verifier_rejects_wrong_forest():
     # Uniform ranges leave this disk graph disconnected (an MSF of 22 edges),
-    # so the metric's MST (23 edges) is a forest that decompose must refuse.
+    # so the metric's MST (23 edges) is a forest that the verifier must refuse.
     # On the unit-radius chain the two forests coincide and nothing is tested.
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
-    h = approx_ham_path(m)
-    wrong = kruskal_msf(complete_graph(m))
-    assert wrong != kruskal_msf(build_sdg(m, r))
-    with pytest.raises(ValueError, match="not the MSF"):
-        decompose(m, r, wrong, h)
+    p = Prepared(m, r)
+    assert m.mst != p.msf
+    problems = verify_certificate(m, r, m.mst, p.path, p.certificate)
+    assert "forest is not the MSF of the symmetric disk graph" in problems
 
 
 def test_decompose_rejects_non_permutation():
     space, r, forest, h = _setup(gen_chain_metric(5))
     bad = HamPath(order=(0, 1, 2, 3, 3), weight=h.weight, exact=False)
     with pytest.raises(ValueError):
-        decompose(space, r, forest, bad)
+        decompose(Prepared(space, r), bad)
 
 
 def test_decompose_deterministic():
     m = gen_random_euclidean(24, 2, 2.0, 808)
     r = gen_random_ranges(m, "uniform", 809)
-    forest = kruskal_msf(build_sdg(m, r))
     h = approx_ham_path(m)
-    assert decompose(m, r, forest, h) == decompose(m, r, forest, h)
+    assert decompose(Prepared(m, r), h) == decompose(Prepared(m, r), h)
 
 
 @given(metric_range_pairs(min_n=5, max_n=32))
@@ -151,7 +149,7 @@ def test_random_certificates_verify(pair):
     m, r = pair
     forest = kruskal_msf(build_sdg(m, r))
     h = approx_ham_path(m)
-    cert = decompose(m, r, forest, h)
+    cert = decompose(Prepared(m, r), h)
     assert verify_certificate(m, r, forest, h, cert) == []
     assert cert.weights["tilde_e"] <= h.weight
     assert len(cert.isolated) >= math.ceil(m.n / 5)
@@ -309,10 +307,10 @@ def test_weight_coefficient_never_exceeds_bound(pair):
 def test_graph_path_step_outside_the_graph_is_reported():
     # The line graph joins only the endpoints to the middles, so 1-2 is no edge.
     space, r, forest, good = _setup(gen_line_graph(5, 1000.0, 1e-4))
-    cert = decompose(space, r, forest, good)
+    cert = decompose(Prepared(space, r), good)
     h = HamPath(order=(0, 1, 2, 3, 4), weight=0.0, exact=False)
     with pytest.raises(ValueError, match=r"path step \(1,2\) is not an edge of the graph"):
-        decompose(space, r, forest, h)
+        decompose(Prepared(space, r), h)
     assert verify_certificate(space, r, forest, h, cert) == [
         "path step (1,2) is not an edge of the graph"
     ]
@@ -323,5 +321,5 @@ def test_graph_path_step_outside_the_graph_is_reported():
 )
 def test_certificate_dict_round_trip(bundle):
     space, r, forest, h = _setup(bundle)
-    cert = decompose(space, r, forest, h)
+    cert = decompose(Prepared(space, r), h)
     assert DecompositionCertificate.from_dict(cert.to_dict(), space) == cert

@@ -12,13 +12,10 @@ def test_max_workers_capped_at_chunk_count(requested, tasks, expected):
     assert max_workers(requested, tasks) == expected
 
 
-def test_max_workers_defaults_to_cpu_count_and_respects_thread_cap(monkeypatch):
+def test_max_workers_defaults_to_cpu_count(monkeypatch):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
-    monkeypatch.delenv("SDGLAB_THREADS", raising=False)
     assert max_workers(None, 40) == 5
     assert max_workers(None, 1000) == 64
-    monkeypatch.setenv("SDGLAB_THREADS", "3")
-    assert max_workers(None, 1000) == 3
     assert max_workers(1000, 16) == 2
 
 
