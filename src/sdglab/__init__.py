@@ -22,7 +22,7 @@ from .decomposition import (
     weight_coefficient,
 )
 from .disk import RangeAssignment, build_sdg, sdg_msf
-from .graph import Forest, WeightedGraph, complete_graph, dense_msf, edge_key, kruskal_msf
+from .graph import Forest, WeightedGraph, complete_graph, dense_msf, edge_key, is_msf, kruskal_msf
 from .hamiltonian import HamPath, approx_ham_path, exact_min_ham_path, shortcut_path
 from .instances import (
     InstanceBundle,

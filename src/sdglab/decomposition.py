@@ -14,12 +14,12 @@ vertices. The construction is an exchange argument:
     endpoint's radius, so every surviving forest edge at that endpoint is
     strictly lighter; one such forest edge is retired per missing path edge.
 
-`decompose` trusts F, which `Prepared` built; `verify_certificate` re-derives
-F and every claimed property from scratch. `lightness_trace` prepares the
-survivors of each round as a new instance and decomposes it, shrinking the
-point set by a factor >= 1/5 per round, which telescopes to
-w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
-2 * log_{5/4} n for any metric.
+`decompose` trusts F, which `Prepared` built; `verify_certificate` checks F by
+the cycle property and re-derives every claimed property from scratch.
+`lightness_trace` prepares the survivors of each round as a new instance and
+decomposes it, shrinking the point set by a factor >= 1/5 per round, which
+telescopes to w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at
+most 2 * log_{5/4} n for any metric.
 
 `Prepared` holds one instance (space, r, path mode) and computes its disk-graph
 MSF, first path and first certificate once, on first use; the trace, the
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .disk import RangeAssignment, build_sdg, sdg_msf
-from .graph import Edge, Forest, Space, canonical_edge, edge_key, kruskal_msf, tree_path
+from .graph import Edge, Forest, Space, canonical_edge, edge_key, is_msf, tree_path
 from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
 
 LOG_BASE = 5.0 / 4.0
@@ -258,7 +258,9 @@ def verify_certificate(
 
     Returns the list of violated invariants (empty means the certificate is
     valid). The checks are independent of how the certificate was built; any
-    exchange satisfying the per-index inequalities is accepted.
+    exchange satisfying the per-index inequalities is accepted. The disk graph
+    comes from `build_sdg`, and f must be its MSF by `graph.is_msf`, a
+    cycle-property check in O(n^2) array work that builds no forest of its own.
     """
     problems: list[str] = []
     n = space.n
@@ -269,7 +271,7 @@ def verify_certificate(
     except ValueError as exc:
         return [str(exc)]
     sdg = build_sdg(space, r)
-    if kruskal_msf(sdg) != f:
+    if not is_msf(sdg.matrix, f):
         problems.append("forest is not the MSF of the symmetric disk graph")
     ham_weight = _fsum_edges(ham_edges)
     if ham_weight != h.weight:

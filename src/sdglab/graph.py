@@ -13,11 +13,13 @@ forest, computed once) and `is_metric` (whether the triangle inequality may
 be used). A graph's `edges` is a sorted view of its matrix; `from_edges`
 reads edge lists from outside the program.
 
-Two algorithms compute the unique forest: `dense_msf` runs Prim on a matrix
-for the builders (`mst`, `disk.sdg_msf`), and `kruskal_msf` runs Kruskal on a
-graph's edge view for `verify_certificate` alone, which thus re-derives every
-forest it is given (`sdglab verify` passes Prim's) with an algorithm
-independent of the builder's.
+`dense_msf` computes the unique forest by Prim on a matrix for the builders
+(`mst`, `disk.sdg_msf`). `is_msf` checks a given forest by the cycle property
+in O(n^2) array work, for `verify_certificate`, which thus checks every forest
+it is given (`sdglab verify` passes Prim's) without building one and without
+the builder's code. `kruskal_msf`, Kruskal on a graph's edge view, is called
+by no library code: it is the tests' oracle for both and a benchmark tracer
+target.
 """
 from __future__ import annotations
 
@@ -188,13 +190,88 @@ def _component_ids(n: int, uf: UnionFind) -> tuple[int, ...]:
 
 
 def kruskal_msf(g: WeightedGraph) -> Forest:
-    """Minimum spanning forest by Kruskal over `g.edges`, already in edge order."""
+    """Minimum spanning forest by Kruskal over `g.edges`, already in edge order.
+
+    No library code calls it: it is the oracle that tests hold `dense_msf` and
+    `is_msf` to, and a benchmark tracer target.
+    """
     uf = UnionFind(g.n)
     kept = []
     for e in g.edges:
         if uf.union(e[0], e[1]):
             kept.append(e)
     return Forest(n=g.n, edges=tuple(kept), component=_component_ids(g.n, uf))
+
+
+def is_msf(d: np.ndarray, f: Forest) -> bool:
+    """Whether f equals `kruskal_msf` of the graph with weight matrix d.
+
+    +inf marks an absent edge, and only the upper triangle is read, as
+    `WeightedGraph.edges` reads it. f must have d's n, canonical edges (u < v)
+    in strictly ascending `edge_key` order, each present with its matrix
+    weight, no cycle, and each component labelled by its minimum member.
+
+    Its edges are merged in that order. The edge that joins components A and
+    B is the heaviest, in the total order, on every forest path between them,
+    so its index is written into the A x B and B x A blocks of an int32
+    matrix. By the cycle property f is then the MSF iff every present edge
+    lies inside one component and is at least its path maximum in the order
+    (weight, min * n + max), with equality only for the tree edge itself.
+    That comparison runs over blocks of rows, so the index matrix is the only
+    n x n array the check adds.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    if f.n != n:
+        return False
+    keys = [edge_key(e) for e in f.edges]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    # Each component keeps its members as one list, and the larger list
+    # absorbs the smaller. Every component that ever forms is then one
+    # contiguous block of the final member order, so each merge writes two
+    # rectangles of the index matrix in that order.
+    comp = list(range(n))  # vertex -> the id of its component's list
+    members = [[v] for v in range(n)]
+    merges = []  # (first member of the larger list, its size, the other's size)
+    for u, v, w in f.edges:
+        if not (0 <= u < v < n and d[u, v] == w < math.inf):
+            return False
+        ra, rb = comp[u], comp[v]
+        if ra == rb:
+            return False
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        a, b = members[ra], members[rb]
+        merges.append((a[0], len(a), len(b)))
+        for x in b:
+            comp[x] = ra
+        a.extend(b)
+    lowest = {r: min(members[r]) for r in set(comp)}
+    if f.component != tuple(lowest[comp[v]] for v in range(n)):
+        return False
+    pos = np.empty(n, dtype=np.intp)
+    pos[[x for r in lowest for x in members[r]]] = np.arange(n)
+    path_max = np.full((n, n), -1, dtype=np.int32)  # -1: different components
+    for k, (first, size_a, size_b) in enumerate(merges):
+        lo = int(pos[first])
+        mid, hi = lo + size_a, lo + size_a + size_b
+        path_max[lo:mid, mid:hi] = k
+        path_max[mid:hi, lo:mid] = k
+    idx = np.arange(n, dtype=np.int32 if n * n < 2**31 else np.int64)
+    # Index -1 reads weight +inf, which only an absent edge reaches.
+    weight = np.array([w for _, _, w in f.edges] + [math.inf])
+    code = np.array([u * n + v for u, v, _ in f.edges] + [-1], dtype=idx.dtype)
+    # Entries (i, j) with j > i, one block of rows i at a time.
+    step = max(1, (1 << 18) // max(1, n))
+    for start in range(0, n, step):
+        g = d[start : start + step, start:]
+        i, j = idx[start : start + step, None], idx[start:]
+        k = path_max[pos[start : start + step, None], pos[start:]]
+        top_w, top_c = weight[k], code[k]
+        if not ((g > top_w) | (g == top_w) & (i * n + j >= top_c) | (i >= j)).all():
+            return False
+    return True
 
 
 def dense_msf(d: np.ndarray) -> Forest:

@@ -4,8 +4,9 @@ A metric is immutable after construction and stores its full pairwise
 distance matrix, so lookups are O(1) and all operations are pure. As a
 `graph.Space` it carries `matrix`, `mst` and `is_metric`, and its size `n`
 is the matrix's.
-Explicit matrices are checked exhaustively against the metric axioms on
-construction; norms satisfy them by definition.
+Explicit matrices are checked exactly against the metric axioms on
+construction (every triple that could violate one); norms satisfy them by
+definition.
 """
 from __future__ import annotations
 
@@ -47,15 +48,25 @@ def validate_metric(matrix) -> MetricViolation | None:
     """Check a square matrix against the metric axioms.
 
     Returns None if the matrix is a metric, otherwise the first violation:
-    asymmetric pair, nonzero diagonal, nonpositive off-diagonal entry, or the
-    lexicographically first triple (u, v, w) with d(u,w) > d(u,v) + d(v,w).
-    Comparisons are exact; no epsilon slack is applied.
+    asymmetric pair, nonzero diagonal, nonpositive or non-finite off-diagonal
+    entry, or the lexicographically first triple (u, v, w) with
+    d(u,w) > d(u,v) + d(v,w). Comparisons are exact; no epsilon slack is applied.
+
+    Only rows u that can hold a violation are scanned for triples. Let
+    nearest[x] = min_{y != x} d(x,y). Every middle point v outside {u, w} has
+    d(u,v) >= nearest[u] and d(v,w) >= nearest[w], and rounded addition is
+    monotone, so fl(d(u,v) + d(v,w)) >= fl(nearest[u] + nearest[w]): a pair
+    with d(u,w) <= fl(nearest[u] + nearest[w]) has no violating v (and v in
+    {u, w} adds a zero diagonal entry, which never violates). The scanned rows
+    keep their ascending order, so the reported triple is the one an exhaustive
+    scan reports. A matrix with entries in [a, 2a] scans no row at all.
     """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         return MetricViolation("shape", (), f"expected a square matrix, got shape {d.shape}")
     n = d.shape[0]
-    bad = np.argwhere(d != d.T)
+    # A NaN pair is symmetric; the non-finite check below reports it.
+    bad = np.argwhere((d != d.T) & ~(np.isnan(d) & np.isnan(d.T)))
     if bad.size:
         u, v = (int(x) for x in bad[0])
         return MetricViolation(
@@ -75,20 +86,27 @@ def validate_metric(matrix) -> MetricViolation | None:
     if not np.all(np.isfinite(d)):
         u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
         return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
-    # d[u,w] <= d[u,v] + d[v,w] for every triple, checked exhaustively over
-    # blocks of consecutive u, so memory stays O(n^2) and the first violating
-    # triple in lexicographic order is found in the first block that has one.
-    block = max(1, TRIANGLE_BLOCK_TRIPLES // max(1, n * n))
-    sums = np.empty((min(block, n), n, n))
+    if n < 3:
+        return None  # a violating triple needs three distinct points
+    np.fill_diagonal(off, np.inf)
+    nearest = off.min(axis=1)
+    rows = np.flatnonzero((d > np.add.outer(nearest, nearest)).any(axis=1))
+    # d[u,w] <= d[u,v] + d[v,w] for every triple of the rows left, checked over
+    # blocks of them in ascending order, so memory stays O(n^2) and the first
+    # violating triple in lexicographic order is found in the first block that
+    # has one.
+    block = max(1, TRIANGLE_BLOCK_TRIPLES // (n * n))
+    sums = np.empty((min(block, len(rows)), n, n))
     viol = np.empty(sums.shape, dtype=bool)
-    for start in range(0, n, block):
-        rows = d[start : start + block]
-        k = len(rows)
-        np.add(rows[:, :, None], d[None, :, :], out=sums[:k])
-        np.greater(rows[:, None, :], sums[:k], out=viol[:k])
+    for start in range(0, len(rows), block):
+        us = rows[start : start + block]
+        k = len(us)
+        du = d[us]
+        np.add(du[:, :, None], d[None, :, :], out=sums[:k])
+        np.greater(du[:, None, :], sums[:k], out=viol[:k])
         if viol[:k].any():
-            u, v, w = (int(x) for x in np.argwhere(viol[:k])[0])
-            u += start
+            i, v, w = (int(x) for x in np.argwhere(viol[:k])[0])
+            u = int(us[i])
             return MetricViolation(
                 "triangle",
                 (u, v, w),

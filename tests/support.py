@@ -13,8 +13,10 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from sdglab import metric
 from sdglab.graph import WeightedGraph
 from sdglab.hamiltonian import EXACT_LIMIT, HamPath, _canonical, path_weight
+from sdglab.metric import MetricViolation
 
 _PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
 
@@ -174,6 +176,34 @@ def mask_loop_min_ham_path(space) -> HamPath:
     order.reverse()
     order = _canonical(order)
     return HamPath(order=order, weight=path_weight(space, order), exact=True)
+
+
+def exhaustive_triangle_violation(d: np.ndarray) -> MetricViolation | None:
+    """The triangle scan over every row, in blocks of consecutive rows.
+
+    The reference for `validate_metric`'s scan, which skips the rows that its
+    nearest-neighbour bound clears: on a matrix that passes the other axioms
+    both must report the same first violating triple (u, v, w).
+    """
+    n = d.shape[0]
+    block = max(1, metric.TRIANGLE_BLOCK_TRIPLES // max(1, n * n))
+    sums = np.empty((min(block, n), n, n))
+    viol = np.empty(sums.shape, dtype=bool)
+    for start in range(0, n, block):
+        rows = d[start : start + block]
+        k = len(rows)
+        np.add(rows[:, :, None], d[None, :, :], out=sums[:k])
+        np.greater(rows[:, None, :], sums[:k], out=viol[:k])
+        if viol[:k].any():
+            u, v, w = (int(x) for x in np.argwhere(viol[:k])[0])
+            u += start
+            return MetricViolation(
+                "triangle",
+                (u, v, w),
+                f"triangle inequality fails for ({u},{v},{w}): "
+                f"d({u},{w})={d[u, w]} > d({u},{v})+d({v},{w})={d[u, v] + d[v, w]}",
+            )
+    return None
 
 
 def all_cycles(g: WeightedGraph) -> list[frozenset]:

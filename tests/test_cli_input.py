@@ -5,6 +5,7 @@ not match its schema must never reach it through a traceback, while a
 well-formed but wrong certificate must reach it.
 """
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,36 +14,43 @@ from sdglab.cli import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CHAIN = str(DATA / "chain_n5.json")
+FORMAT = "InstanceFormatError"
+# NaN != NaN, yet this pair is symmetric: the error must name the NaN.
+NAN_PAIR = {
+    "metric": {"kind": "matrix", "matrix": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]},
+    "ranges": [1, 1, 1],
+}
 
 
 @pytest.mark.parametrize(
-    "data, message",
+    "data, error_type, message",
     [
-        ({"metric": {"kind": "matrix", "matrix": [[0, 1], [1, 0]]}, "ranges": 5}, "'ranges' must be a JSON list"),
-        ({"metric": [], "ranges": [1.0]}, "'metric' must be a JSON object"),
-        ({"graph": {"n": 2, "edges": 7}, "ranges": [1.0, 1.0]}, "'edges' must be a JSON list"),
-        ({"graph": {"n": 2, "edges": []}, "ranges": [1, None]}, "'ranges' must be a number, got None"),
-        ({"graph": {"n": None, "edges": []}, "ranges": []}, "graph n must be an integer"),
-        ({"graph": {"n": 2, "edges": [[0, 1, None]]}, "ranges": [1.0, 1.0]}, "an edge weight must be a number"),
-        ({"metric": {"kind": "euclidean_lp", "p": None, "points": [[0.0]]}, "ranges": [1.0]}, "'p' must be a number"),
-        ({"metric": {"kind": "euclidean_lp", "p": 2, "points": [[0.0], {}]}, "ranges": [1.0, 1.0]}, "a point must"),
-        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": "x"}, "'seed' must be an integer, got 'x'"),
-        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": True}, "'seed' must be an integer, got True"),
-        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "family": 7}, "'family' must be a string, got 7"),
-        ({"graph": {"n": -1, "edges": []}, "ranges": []}, "graph n must be >= 0, got -1"),
-        ({"graph": {"n": 3, "edges": []}, "ranges": [1.0, 1.0]}, "graph n=3 does not match 2 ranges"),
+        ({"metric": {"kind": "matrix", "matrix": [[0, 1], [1, 0]]}, "ranges": 5}, FORMAT, "'ranges' must be a JSON list"),
+        ({"metric": [], "ranges": [1.0]}, FORMAT, "'metric' must be a JSON object"),
+        ({"graph": {"n": 2, "edges": 7}, "ranges": [1.0, 1.0]}, FORMAT, "'edges' must be a JSON list"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1, None]}, FORMAT, "'ranges' must be a number, got None"),
+        ({"graph": {"n": None, "edges": []}, "ranges": []}, FORMAT, "graph n must be an integer"),
+        ({"graph": {"n": 2, "edges": [[0, 1, None]]}, "ranges": [1.0, 1.0]}, FORMAT, "an edge weight must be a number"),
+        ({"metric": {"kind": "euclidean_lp", "p": None, "points": [[0.0]]}, "ranges": [1.0]}, FORMAT, "'p' must be a number"),
+        ({"metric": {"kind": "euclidean_lp", "p": 2, "points": [[0.0], {}]}, "ranges": [1.0, 1.0]}, FORMAT, "a point must"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": "x"}, FORMAT, "'seed' must be an integer, got 'x'"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "seed": True}, FORMAT, "'seed' must be an integer, got True"),
+        ({"graph": {"n": 2, "edges": []}, "ranges": [1.0, 1.0], "family": 7}, FORMAT, "'family' must be a string, got 7"),
+        ({"graph": {"n": -1, "edges": []}, "ranges": []}, FORMAT, "graph n must be >= 0, got -1"),
+        ({"graph": {"n": 3, "edges": []}, "ranges": [1.0, 1.0]}, FORMAT, "graph n=3 does not match 2 ranges"),
+        (NAN_PAIR, "MetricError", "non-finite distance d(0,1)=nan"),
     ],
     ids=[
         "ranges-int", "metric-list", "edges-int", "radius-null", "n-null", "weight-null", "p-null", "point-dict",
-        "seed-str", "seed-bool", "family-int", "n-negative", "n-ranges-mismatch",
+        "seed-str", "seed-bool", "family-int", "n-negative", "n-ranges-mismatch", "nan-symmetric",
     ],
 )
-def test_malformed_instance_exits_2(data, message, tmp_path, capsys):
+def test_malformed_instance_exits_2(data, error_type, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert cli(["msf", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["type"] == "InstanceFormatError" and message in err["error"]
+    assert err["type"] == error_type and message in err["error"]
 
 
 def _no_n(payload):

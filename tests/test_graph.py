@@ -13,6 +13,7 @@ from sdglab.graph import (
     complete_graph,
     dense_msf,
     edge_key,
+    is_msf,
     kruskal_msf,
     tree_path,
 )
@@ -111,6 +112,71 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
         g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
         assert dense_msf(g.matrix) == kruskal_msf(g)
+
+
+def _forest(n, edges, component):
+    """A Forest with any fields: object.__new__ skips `Forest.__post_init__`."""
+    f = object.__new__(Forest)
+    for name, value in (("n", n), ("edges", edges), ("component", component)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def test_is_msf_agrees_with_kruskal_on_tied_graphs_and_swaps():
+    # Weights from {1, 2, 3}, so the endpoint tie-break decides many path maxima.
+    rng = np.random.default_rng(37)
+    accepted = swaps = 0
+    for _ in range(250):
+        n = int(rng.integers(2, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
+        msf = kruskal_msf(g)
+        accepted += is_msf(g.matrix, msf)
+        tree = set(msf.edges)
+        for out in msf.edges:
+            for into in set(g.edges) - tree:
+                f = _forest(n, tuple(sorted(tree - {out} | {into}, key=edge_key)), msf.component)
+                assert is_msf(g.matrix, f) == (msf == f)
+                swaps += 1
+    assert accepted == 250 and swaps > 4000
+
+
+_TIED = WeightedGraph.from_edges(5, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 2.0)))  # vertex 4 alone
+_TIED_MSF = ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 2.0))
+
+
+@pytest.mark.parametrize(
+    "n, edges, component",
+    [
+        (5, _TIED_MSF[::-1], (0, 0, 0, 0, 4)),
+        (5, ((1, 0, 1.0),) + _TIED_MSF[1:], (0, 0, 0, 0, 4)),
+        (5, _TIED_MSF, (0, 0, 0, 0, 0)),
+        (5, _TIED_MSF, (1, 1, 1, 1, 4)),
+        (5, _TIED_MSF[:2] + ((2, 3, 2.5),), (0, 0, 0, 0, 4)),
+        (5, _TIED_MSF[:2] + ((0, 3, 2.0),), (0, 0, 0, 0, 4)),
+        (5, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 2.0)), (0, 0, 0, 0, 4)),
+        (5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)), (0, 0, 0, 0, 4)),
+        (5, _TIED_MSF[:2], (0, 0, 0, 3, 4)),
+        (5, _TIED_MSF[:1] + _TIED_MSF, (0, 0, 0, 0, 4)),
+        (6, _TIED_MSF, (0, 0, 0, 0, 4)),
+    ],
+    ids=[
+        "unsorted", "flipped", "label-merged", "label-not-min", "wrong-weight", "absent-edge",
+        "cycle", "tie-lost", "cross-edge-dropped", "repeated-edge", "wrong-n",
+    ],
+)
+def test_is_msf_rejects_what_kruskal_rejects(n, edges, component):
+    msf = kruskal_msf(_TIED)
+    assert msf == _forest(5, _TIED_MSF, (0, 0, 0, 0, 4)) and is_msf(_TIED.matrix, msf)
+    f = _forest(n, edges, component)
+    assert msf != f and not is_msf(_TIED.matrix, f)
+
+
+def test_is_msf_rejects_an_infinite_tree_edge():
+    # +inf marks an absent edge, so it equals the matrix entry of a missing pair.
+    g = WeightedGraph.from_edges(2, ())
+    f = _forest(2, ((0, 1, math.inf),), (0, 0))
+    assert kruskal_msf(g) != f and not is_msf(g.matrix, f)
 
 
 def test_cycle_property_c3():

@@ -11,6 +11,7 @@ from sdglab import metric as metric_module
 from sdglab.metric import Metric, MetricError, validate_metric
 from sdglab.sweep import SWEEP_DIMS, SWEEP_PS
 
+import support
 from strategies import metrics
 
 C3_MATRIX = [[0.0, 1.0, 2.0], [1.0, 0.0, 1000.0], [2.0, 1000.0, 0.0]]
@@ -134,6 +135,43 @@ def test_validate_reports_first_of_several_triangle_violations(rows_per_block, m
             f"triangle inequality fails for ({u},{v},{w}): "
             f"d({u},{w})={d[u, w]} > d({u},{v})+d({v},{w})={d[u, v] + d[v, w]}"
         )
+
+
+def _symmetric(n, entries, rng):
+    """Symmetric matrix with a zero diagonal and off-diagonal entries drawn from `entries`."""
+    d = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    d[iu] = rng.choice(entries, size=len(iu[0]))
+    return d + d.T
+
+
+def _late_violations(n, rng):
+    """A metric with entries in [1, 2] whose only violating rows are among the last three."""
+    d = np.array(gen_random_matrix_metric(n, int(rng.integers(1 << 30))).matrix)
+    for _ in range(int(rng.integers(1, 3))):
+        u, w = rng.choice(np.arange(n - 3, n), size=2, replace=False)
+        d[u, w] = d[w, u] = 4.0 + float(rng.integers(1, 9)) / 4.0  # above any two-step sum
+    return d
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, None])
+def test_validate_matches_exhaustive_triangle_scan(rows_per_block, monkeypatch):
+    if rows_per_block is not None:  # blocks of that many rows at n = 9
+        monkeypatch.setattr(metric_module, "TRIANGLE_BLOCK_TRIPLES", rows_per_block * 81)
+    rng = np.random.default_rng(43)
+    ints = [_symmetric(int(rng.integers(3, 10)), np.arange(1.0, hi + 1), rng) for hi in rng.choice([2, 3, 5, 9], 3000)]
+    near_ties = [_symmetric(int(rng.integers(3, 10)), [0.1, 0.2, 0.3, 0.1 + 0.2, 0.4, 0.5], rng) for _ in range(600)]
+    late = [_late_violations(int(rng.integers(9, 17)), rng) for _ in range(200)]
+    small = [np.zeros((0, 0)), np.zeros((1, 1)), np.array([[0.0, 3.0], [3.0, 0.0]])]
+    small += [np.array(m, dtype=float) for m in ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])]
+    violating = 0
+    for d in ints + near_ties + late + small:
+        expected = support.exhaustive_triangle_violation(d)
+        assert validate_metric(d) == expected
+        violating += expected is not None
+    assert violating > 1500 and all(support.exhaustive_triangle_violation(d) for d in late)
+    assert [validate_metric(d) for d in small[:4]] == [None] * 4
+    assert validate_metric(small[4]).indices == (0, 1, 2)
 
 
 def test_validate_triangle_check_memory_is_quadratic():

@@ -5,7 +5,7 @@ which runs `dense_msf` on `sdg_matrix`). Then every `sdglab` module's binding
 of those three functions is replaced by one that raises (modules import by
 name, so patching the defining module alone would miss calls), and
 `verify_certificate` must still accept the certificate: it builds the disk
-graph with `build_sdg` and its forest with `kruskal_msf`, so it shares no
+graph with `build_sdg` and checks the forest with `is_msf`, so it shares no
 shortcut with the builder that a bug could hide behind.
 """
 import sys
