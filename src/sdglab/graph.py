@@ -14,12 +14,13 @@ be used). A graph's `edges` is a sorted view of its matrix; `from_edges`
 reads edge lists from outside the program.
 
 `dense_msf` computes the unique forest by Prim on a matrix for the builders
-(`mst`, `disk.sdg_msf`). `is_msf` checks a given forest by the cycle property
-in O(n^2) array work, for `verify_certificate`, which thus checks every forest
-it is given (`sdglab verify` passes Prim's) without building one and without
-the builder's code. `kruskal_msf`, Kruskal on a graph's edge view, is called
-by no library code: it is the tests' oracle for both and a benchmark tracer
-target.
+(`mst`, `disk.sdg_msf`); edges sharing an endpoint compare as their other
+endpoints do, so it keeps a source per vertex, not a code. `is_msf` checks a
+given forest by the cycle property in O(n^2) array work, for
+`verify_certificate`, which thus checks every forest it is given (`sdglab
+verify` passes Prim's) without building one and without the builder's code.
+`kruskal_msf`, Kruskal on a graph's edge view, is called by no library code:
+it is the tests' oracle for both and a benchmark tracer target.
 """
 from __future__ import annotations
 
@@ -277,40 +278,39 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
 def dense_msf(d: np.ndarray) -> Forest:
     """Minimum spanning forest of a dense symmetric weight matrix, by Prim.
 
-    +inf marks an absent edge and the diagonal is ignored. Keys are compared
-    exactly in the total order (weight, min endpoint, max endpoint), with the
-    endpoint pair encoded as min * n + max, so the result equals `kruskal_msf`
-    of the same graph: the same sorted edges and the same component labels.
-    When no finite edge leaves the trees grown so far, Prim restarts at the
-    smallest vertex not yet reached, the minimum member of its component.
+    +inf marks an absent edge and the diagonal is ignored. Keys compare
+    exactly in the total order, so the result equals `kruskal_msf` of the
+    same graph, component labels included. Each vertex x keeps the source s
+    of its lightest known edge (s, x); on a weight tie a new source v wins
+    exactly when v < s, since (v, x) and (s, x) compare as v and s do. Codes
+    min * n + max are formed only for the tied candidates for the next vertex.
+    With no finite edge left, Prim restarts at the smallest vertex not reached.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    idx = np.arange(n)
-    code = np.minimum.outer(idx, idx) * n + np.maximum.outer(idx, idx)
     # Lightest known edge from the grown trees to each vertex, NaN once the
     # vertex joins (NaN compares false, so it is never updated again). The
-    # code stays -1 while no edge is known, so absent edges never tie-update.
+    # source stays -1 while no edge is known, so absent edges never tie-update.
     best_w = np.full(n, np.inf)
-    best_c = np.full(n, -1)
+    best_src = np.full(n, -1)
     component = [0] * n
     edges = []
-    root = 0
     for _ in range(n):
         w = np.fmin.reduce(best_w)
-        tied = np.flatnonzero(best_w == w)
-        v = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(best_c[tied])])
+        tied = (best_w == w).nonzero()[0]
         if w == np.inf:
-            root = v
+            v = root = int(tied[0])
         else:
-            c = int(best_c[v])
-            edges.append((c // n, c % n, float(w)))
+            src = best_src[tied]
+            i = np.argmin(np.minimum(src, tied) * n + np.maximum(src, tied)) if tied.size > 1 else 0
+            v, s = int(tied[i]), int(src[i])
+            edges.append((min(s, v), max(s, v), float(w)))
         component[v] = root
         best_w[v] = np.nan
-        row, row_c = d[v], code[v]
-        better = np.where(row == best_w, row_c < best_c, row < best_w)
+        row = d[v]
+        better = np.where(row == best_w, v < best_src, row < best_w)
         np.copyto(best_w, row, where=better)
-        np.copyto(best_c, row_c, where=better)
+        np.copyto(best_src, v, where=better)
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges), component=tuple(component))
 

@@ -6,7 +6,11 @@ distance matrix, so lookups are O(1) and all operations are pure. As a
 is the matrix's.
 Explicit matrices are checked exactly against the metric axioms on
 construction (every triple that could violate one); norms satisfy them by
-definition.
+definition. An l_p matrix adds one n x n plane of terms |a_k - b_k|^p per
+coordinate, in order k = 0..d-1 (the maximum for p = inf), then takes the root
+once. That is numpy's order for a reduction over d <= 7 trailing elements (it
+sums 8 or more pairwise). As fl(a - b) = -fl(b - a) and a - a = 0, every
+plane is exactly symmetric with a zero diagonal, so the sum needs no mirror.
 """
 from __future__ import annotations
 
@@ -76,8 +80,8 @@ def validate_metric(matrix) -> MetricViolation | None:
     if diag.size:
         u = int(diag[0][0])
         return MetricViolation("diagonal", (u,), f"nonzero diagonal entry d({u},{u})={d[u, u]}")
-    off = d + np.eye(n)  # mask the diagonal before the positivity scan
-    bad = np.argwhere(off <= 0.0)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    bad = np.argwhere((d <= 0.0) & off_diagonal)
     if bad.size:
         u, v = (int(x) for x in bad[0])
         return MetricViolation(
@@ -88,8 +92,7 @@ def validate_metric(matrix) -> MetricViolation | None:
         return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
     if n < 3:
         return None  # a violating triple needs three distinct points
-    np.fill_diagonal(off, np.inf)
-    nearest = off.min(axis=1)
+    nearest = d.min(axis=1, where=off_diagonal, initial=np.inf)
     rows = np.flatnonzero((d > np.add.outer(nearest, nearest)).any(axis=1))
     # d[u,w] <= d[u,v] + d[v,w] for every triple of the rows left, checked over
     # blocks of them in ascending order, so memory stays O(n^2) and the first
@@ -130,21 +133,18 @@ def as_vertex_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    if points.shape[1] == 1:
-        # 1-D distances are plain absolute differences for every p.
-        d = np.abs(diff[..., 0])
-    elif p == np.inf:
-        d = np.abs(diff).max(axis=-1)
-    elif p == 1.0:
-        d = np.abs(diff).sum(axis=-1)
-    elif p == 2.0:
-        d = np.sqrt((diff * diff).sum(axis=-1))
-    else:
-        d = (np.abs(diff) ** p).sum(axis=-1) ** (1.0 / p)
-    # Mirror the upper triangle so the matrix is exactly symmetric.
-    upper = np.triu(d, 1)
-    return upper + upper.T
+    if points.shape[1] == 1:  # 1-D distances are plain absolute differences for every p
+        return np.abs(np.subtract.outer(points[:, 0], points[:, 0]))
+    d = np.zeros((len(points), len(points)))
+    term = np.empty_like(d)
+    for x in points.T:
+        np.abs(np.subtract.outer(x, x, out=term), out=term)
+        if p == 2.0:
+            np.multiply(term, term, out=term)
+        elif p not in (1.0, np.inf):
+            np.power(term, p, out=term)
+        (np.maximum if p == np.inf else np.add)(d, term, out=d)
+    return d if p in (1.0, np.inf) else np.sqrt(d, out=d) if p == 2.0 else np.power(d, 1.0 / p, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +182,7 @@ class Metric(Space):
         if not np.isfinite(d).all():
             u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
             raise ValueError(f"distance between points {u} and {v} overflows")
-        zero = np.argwhere((d + np.eye(len(d))) == 0.0)
+        zero = np.argwhere((d == 0.0) & ~np.eye(len(d), dtype=bool))
         if zero.size:
             u, v = (int(x) for x in zero[0])
             raise ValueError(f"points {u} and {v} coincide; distances must be positive")
@@ -215,8 +215,7 @@ class Metric(Space):
         """Smallest positive pairwise distance; requires at least two points."""
         if self.n < 2:
             raise ValueError("min_distance needs at least two points")
-        iu = np.triu_indices(self.n, 1)
-        return float(self.matrix[iu].min())
+        return float(self.matrix.min(where=~np.eye(self.n, dtype=bool), initial=np.inf))
 
     def induce(self, subset: Sequence[int]) -> tuple["Metric", tuple[int, ...]]:
         """Sub-metric on `subset`, plus the new-index -> old-index relabeling.

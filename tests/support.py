@@ -206,6 +206,54 @@ def exhaustive_triangle_violation(d: np.ndarray) -> MetricViolation | None:
     return None
 
 
+def trailing_axis_lp(points: np.ndarray, p: float) -> np.ndarray:
+    """l_p distances reduced over the trailing axis of an n x n x d difference
+    array, then mirrored from the upper triangle.
+
+    The construction `metric._pairwise_lp` replaced; for d <= 7 numpy reduces
+    that axis left to right, so both must agree bit for bit there.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    if points.shape[1] == 1:
+        d = np.abs(diff[..., 0])
+    elif p == np.inf:
+        d = np.abs(diff).max(axis=-1)
+    elif p == 1.0:
+        d = np.abs(diff).sum(axis=-1)
+    elif p == 2.0:
+        d = np.sqrt((diff * diff).sum(axis=-1))
+    else:
+        d = (np.abs(diff) ** p).sum(axis=-1) ** (1.0 / p)
+    upper = np.triu(d, 1)
+    return upper + upper.T
+
+
+def in_order_lp(points: np.ndarray, p: float) -> np.ndarray:
+    """l_p distances with each pair's terms combined in a plain Python loop,
+    left to right in coordinate order, as `metric`'s docstring documents.
+
+    The terms and the root come from numpy's elementwise functions, because
+    numpy's float64 power may differ from Python's float ** in the last bit;
+    the loop pins only the order of the sum.
+    """
+    n = len(points)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            terms = np.abs(points[i] - points[j])
+            if p == 2.0:
+                terms = terms * terms
+            elif p not in (1.0, math.inf):
+                terms = terms**p
+            total = 0.0
+            for t in terms.tolist():
+                total = max(total, t) if p == math.inf else total + t
+            d[i, j] = total
+    if p == 2.0:
+        return np.sqrt(d)
+    return d if p in (1.0, math.inf) else d ** (1.0 / p)
+
+
 def all_cycles(g: WeightedGraph) -> list[frozenset]:
     """Every simple cycle of a small graph, as a frozenset of (u, v) pairs."""
     import networkx as nx

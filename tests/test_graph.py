@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ def test_dense_msf_one_and_two_points():
         _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
 
 
+def _with_absent_edges(d, rng, frac):
+    """A copy of weight matrix d with about frac of its pairs set to +inf."""
+    d = np.array(d, dtype=float)
+    n = len(d)
+    cut = np.triu(rng.random((n, n)) < frac, 1)
+    d[cut | cut.T] = np.inf
+    return WeightedGraph(d)
+
+
 def test_dense_msf_equals_kruskal_on_tied_graphs():
     # Weights from {1, 2, 3}: ties between edges from different tree vertices
     # to one outside vertex are common, so the endpoint tie-break decides.
@@ -112,6 +122,42 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
         g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
         assert dense_msf(g.matrix) == kruskal_msf(g)
+    # The same weights and the all-tie star and chain metrics with many absent
+    # edges: Prim restarts, and the weights its trees tie on recur after a
+    # restart, so the tie-break must not carry over.
+    rng = np.random.default_rng(31)
+    graphs = []
+    for _ in range(300):
+        n = int(rng.integers(2, 25))
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        kept = float(rng.uniform(0.5, 2.5)) / n  # mean degree about 0.5 to 2.5
+        graphs.append(_with_absent_edges(np.minimum(w, w.T), rng, 1 - kept))
+    for n in range(3, 13):
+        for bundle in (gen_star_metric(n), gen_chain_metric(n)):
+            for frac in (0.3, 0.6, 0.8):
+                graphs.append(_with_absent_edges(bundle.space.matrix, rng, frac))
+    spanning_restarts = 0
+    for g in graphs:
+        f = dense_msf(g.matrix)
+        assert f == kruskal_msf(g)
+        by_root = {}
+        for u, _, w in f.edges:
+            by_root.setdefault(f.component[u], set()).add(w)
+        trees = list(by_root.values())
+        spanning_restarts += any(a & b for i, a in enumerate(trees) for b in trees[i + 1 :])
+    assert spanning_restarts > 100
+
+
+def test_dense_msf_memory_is_linear():
+    d = gen_random_euclidean(1024, 2, 2.0, 7).matrix
+    tracemalloc.start()
+    try:
+        dense_msf(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
 
 
 def _forest(n, edges, component):

@@ -57,6 +57,54 @@ def test_diameter_matches_pair_scan():
     assert m.diameter() == brute
 
 
+def test_min_distance_matches_pair_scan():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 16):
+        m = Metric.euclidean(rng.random((n, 3)), p=1.0)
+        assert m.min_distance() == min(m.matrix[u, v] for u in range(n) for v in range(u + 1, n))
+
+
+LP_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+def _lp_points(rng, n, dim):
+    """Full-precision points and points snapped to a 2^-4 grid, which tie often."""
+    pts = rng.random((n, dim)) * 10
+    return pts, np.round(pts * 16) / 16
+
+
+@pytest.mark.parametrize("p", LP_PS)
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_pairwise_lp_equals_the_trailing_axis_reduction(dim, p):
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 3, 64):
+        for pts in _lp_points(rng, n, dim):
+            got = metric_module._pairwise_lp(pts, p)
+            assert np.array_equal(got.view(np.int64), support.trailing_axis_lp(pts, p).view(np.int64))
+
+
+@pytest.mark.parametrize("p", LP_PS)
+@pytest.mark.parametrize("dim", [8, 12])
+def test_pairwise_lp_sums_in_coordinate_order(dim, p):
+    rng = np.random.default_rng(dim)
+    for pts in _lp_points(rng, 24, dim):
+        got = metric_module._pairwise_lp(pts, p)
+        assert np.array_equal(got.view(np.int64), support.in_order_lp(pts, p).view(np.int64))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_euclidean_memory_is_two_matrices(p):
+    n = 1024
+    pts = np.random.default_rng(5).random((n, 5))
+    tracemalloc.start()
+    try:
+        Metric.euclidean(pts, p=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8  # one n x n x d float64 array would take 5 n^2
+
+
 def test_induce_full_set_is_identity():
     m = gen_random_matrix_metric(6, 99)
     sub, relabel = m.induce(range(6))
@@ -209,8 +257,20 @@ def test_from_matrix_rejects_non_metric():
 
 
 def test_euclidean_rejects_duplicate_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points 0 and 1 coincide"):
         Metric.euclidean([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        Metric.euclidean([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+
+
+def test_validate_reports_the_first_nonpositive_off_diagonal_entry():
+    d = np.full((4, 4), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[1, 3] = d[3, 1] = 0.0
+    d[2, 3] = d[3, 2] = -1.0
+    bad = validate_metric(d)
+    assert (bad.kind, bad.indices) == ("positivity", (1, 3))
+    assert bad.message == "off-diagonal distance d(1,3)=0.0 is not positive"
 
 
 @given(metrics(max_n=12))
