@@ -13,12 +13,16 @@ forest, computed once) and `is_metric` (whether the triangle inequality may
 be used). A graph's `edges` is a sorted view of its matrix; `from_edges`
 reads edge lists from outside the program.
 
-`dense_msf` computes the unique forest by Prim on a matrix for the builders
-(`mst`, `disk.sdg_msf`); edges sharing an endpoint compare as their other
-endpoints do, so it keeps a source per vertex, not a code. `is_msf` checks a
-given forest by the cycle property in O(n^2) array work, for
-`verify_certificate`, which thus checks every forest it is given (`sdglab
-verify` passes Prim's) without building one and without the builder's code.
+`dense_msf` computes the unique forest on a matrix for the builders (`mst`,
+`disk.sdg_msf`): one pass gives every vertex its lightest edge, which joins
+the vertices into fragments, and Prim then grows its trees a fragment at a
+time. Edges sharing an endpoint compare as their other endpoints do, so it
+keeps no code matrix: a vertex's least edge is looked up when it is chosen,
+and kept as a code only while it ties with others at the least weight.
+`is_msf` checks a given forest by the cycle property in O(n^2) array work,
+for `verify_certificate`, which thus checks every forest it is given
+(`sdglab verify` passes the builder's) without building one and without the
+builder's code.
 `kruskal_msf`, Kruskal on a graph's edge view, is called by no library code:
 it is the tests' oracle for both and a benchmark tracer target.
 """
@@ -276,41 +280,142 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
 
 
 def dense_msf(d: np.ndarray) -> Forest:
-    """Minimum spanning forest of a dense symmetric weight matrix, by Prim.
+    """Minimum spanning forest of a dense symmetric weight matrix.
 
-    +inf marks an absent edge and the diagonal is ignored. Keys compare
-    exactly in the total order, so the result equals `kruskal_msf` of the
-    same graph, component labels included. Each vertex x keeps the source s
-    of its lightest known edge (s, x); on a weight tie a new source v wins
-    exactly when v < s, since (v, x) and (s, x) compare as v and s do. Codes
-    min * n + max are formed only for the tied candidates for the next vertex.
-    With no finite edge left, Prim restarts at the smallest vertex not reached.
+    +inf marks an absent edge and the diagonal is ignored. Every edge is
+    compared in the total order, so each one chosen is in the unique MSF by
+    the cut property, and the result equals `kruskal_msf` of the same graph,
+    component labels included. Two steps, each O(n^2) array work in all:
+
+    (1) Fragments. Each vertex's lightest edge is the first minimum of its row:
+    edges (v, x) of equal weight compare as their other endpoints x do. It is
+    the lightest edge across the cut ({v}, rest), so it is an MSF edge. Since
+    no two edges tie in the total order, the only cycles of these hooks are
+    mutual pairs, which keep the larger index's hook and are rooted at the
+    smaller; pointer jumping then labels every vertex with its fragment's
+    root.
+
+    (2) Prim over fragments. A tree grows a whole fragment at a time, with
+    one `np.minimum` per member row, and each outside vertex keeps only
+    best_w, its lightest edge weight from the tree (NaN once it has joined,
+    so it is never lowered again). The lightest edge across the cut
+    (tree, rest) has the least weight w, and its endpoints are found only
+    when it is chosen. If one vertex x has best_w == w, the edge is (s, x)
+    with s the smallest tree vertex at weight w from x, since edges sharing
+    x compare as their other endpoints. If several vertices tie, the edge is
+    the least over the tied y of code[y], the code min * n + max of y's
+    least edge at weight w. Each y keeps code[y] from its last tie, when the
+    first seen[y] joined vertices had been read at weight seen_w[y]; best_w
+    only falls, so code[y] still counts if best_w[y] == seen_w[y], and only
+    the vertices joined since are read (the whole row, the first time y
+    ties). No pair (y, joined vertex) is read twice, and no row is scanned
+    twice, so all ties together cost O(n^2). With no finite edge left, Prim
+    restarts at the smallest vertex not reached, which is the minimum member
+    of its component.
+
+    Memory is O(n) arrays plus one block: about 2^16 entries for the row
+    pass and a first tie's row scan, 2^14 for the other tie reads.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    # Lightest known edge from the grown trees to each vertex, NaN once the
-    # vertex joins (NaN compares false, so it is never updated again). The
-    # source stays -1 while no edge is known, so absent edges never tie-update.
+    idx = np.arange(n)
+    hook, light = np.empty(n, dtype=idx.dtype), np.empty(n)
+    step = max(1, (1 << 16) // max(1, n))
+    gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
+    for start in range(0, n, step):
+        block = d[start : start + step].copy()
+        rows = np.arange(block.shape[0])
+        block[rows, rows + start] = np.inf
+        first = block.argmin(axis=1)
+        light[start : start + rows.size] = block[rows, first]
+        hook[start : start + rows.size] = first
+    hook = np.where(light < np.inf, hook, idx)  # an isolated vertex is its own root
+    mutual = (hook[hook] == idx) & (idx < hook)
+    hook[mutual] = idx[mutual]  # a mutual pair is rooted at its smaller vertex
+    hooked = (hook != idx).nonzero()[0]
+    edges = list(
+        zip(
+            np.minimum(hooked, hook[hooked]).tolist(),
+            np.maximum(hooked, hook[hooked]).tolist(),
+            light[hooked].tolist(),
+        )
+    )
+    root = hook
+    while True:
+        jumped = root[root]
+        if (jumped == root).all():
+            break
+        root = jumped
+    order = np.argsort(root, kind="stable")
+    fragment_start = np.searchsorted(root[order], idx).tolist()
+    fragment_size = np.bincount(root, minlength=n).tolist()
+    order, root = order.tolist(), root.tolist()
+
     best_w = np.full(n, np.inf)
-    best_src = np.full(n, -1)
+    joined_order = np.empty(n, dtype=idx.dtype)
+    # code[y]: y's least edge, as min * n + max, to the first seen[y] joined vertices at weight seen_w[y].
+    none = n * n
+    code, seen, seen_w = np.full(n, none, dtype=idx.dtype), np.zeros(n, dtype=idx.dtype), np.full(n, np.inf)
     component = [0] * n
-    edges = []
-    for _ in range(n):
+    joined = size = 0
+    while joined < n:
         w = np.fmin.reduce(best_w)
         tied = (best_w == w).nonzero()[0]
+        x = int(tied[0])
         if w == np.inf:
-            v = root = int(tied[0])
+            label = x
+        elif tied.size == 1:
+            s = int(((d[x] == w) & np.isnan(best_w)).argmax())
+            edges.append((min(s, x), max(s, x), float(w)))
         else:
-            src = best_src[tied]
-            i = np.argmin(np.minimum(src, tied) * n + np.maximum(src, tied)) if tied.size > 1 else 0
-            v, s = int(tied[i]), int(src[i])
-            edges.append((min(s, v), max(s, v), float(w)))
-        component[v] = root
-        best_w[v] = np.nan
-        row = d[v]
-        better = np.where(row == best_w, v < best_src, row < best_w)
-        np.copyto(best_w, row, where=better)
-        np.copyto(best_src, v, where=better)
+            # Read the vertices joined since each tied vertex was last tied: the
+            # whole row of one never tied before, the fragment joined last in one
+            # block when it is small, the rest in chunks.
+            code[tied[seen_w[tied] != w]] = none
+            before = seen[tied]
+            span = joined - before
+            if size * tied.size <= gather:
+                last = joined_order[joined - size : joined]
+                hit = d[last[:, None], tied] == w
+                if hit.any():
+                    a, b = hit.nonzero()
+                    y = tied[b]
+                    np.minimum.at(code, y, np.minimum(last[a], y) * n + np.maximum(last[a], y))
+                span -= size
+            never = before == 0
+            span[never] = 0
+            fresh = tied[never]
+            for start in range(0, fresh.size, step):
+                t = fresh[start : start + step]
+                src = ((d[t] == w) & np.isnan(best_w)).argmax(axis=1)
+                code[t] = np.minimum(src, t) * n + np.maximum(src, t)
+            if span.any():
+                rest = span.nonzero()[0]
+                total = span[rest].cumsum()
+                bounds = np.unique(np.r_[0, total.searchsorted(np.arange(gather, total[-1], gather)), rest.size])
+                for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                    part = rest[begin:end]
+                    t, k = tied[part], span[part]
+                    first = k.cumsum() - k
+                    cols = joined_order[np.arange(first[-1] + k[-1]) - (first - seen[t]).repeat(k)]
+                    src = np.minimum.reduceat(np.where(d[t.repeat(k), cols] == w, cols, n), first)
+                    found = np.where(src < n, np.minimum(src, t) * n + np.maximum(src, t), none)
+                    code[t] = np.minimum(code[t], found)
+            seen[tied], seen_w[tied] = joined, w
+            c = code[tied]
+            i = int(c.argmin())
+            x = int(tied[i])
+            s = int(c[i]) // n + int(c[i]) % n - x
+            edges.append((min(s, x), max(s, x), float(w)))
+        r = root[x]
+        members = order[fragment_start[r] : fragment_start[r] + fragment_size[r]]
+        best_w[members] = np.nan
+        joined_order[joined : joined + len(members)] = members
+        for m in members:
+            component[m] = label
+            np.minimum(best_w, d[m], out=best_w)
+        size = len(members)
+        joined += size
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges), component=tuple(component))
 

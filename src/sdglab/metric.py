@@ -167,6 +167,14 @@ class Metric(Space):
 
     @staticmethod
     def euclidean(points, p: float = 2.0) -> "Metric":
+        """The l_p metric on the rows of an (n, d) coordinate array.
+
+        For p in {1, 2, inf} the distances take only subtraction, absolute
+        value, squaring, addition or maximum, and a square root for p = 2,
+        all correctly rounded, so they are the same on every machine. Other
+        p take numpy's `power`, whose result may differ in the last bit
+        between machines, since numpy picks its elementwise kernel by CPU.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected an (n, d) coordinate array, got shape {pts.shape}")

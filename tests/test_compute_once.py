@@ -3,14 +3,14 @@
 Every `sdglab` module's binding of `dense_msf`, `kruskal_msf`, `decompose` and
 `approx_ham_path` is replaced by a counting wrapper (modules import by name, so
 patching the defining module alone would miss calls). An evaluation then runs
-Prim on the full n x n matrix exactly twice: the disk-graph MSF and the metric
-MST. Biased ranges add none: their generator reads the same `Metric.mst` that
-the evaluation does. Every other Prim run is the MSF of one round's survivors,
-so there is one per round that leaves survivors. It decomposes once per peeling
-round, the first round reusing the evaluation's own certificate, and builds the
-MST-doubling path at most once, for the first round: later rounds shortcut it
-or solve exactly. It never runs Kruskal: the verifier checks the disk-graph MSF
-by the cycle property (`graph.is_msf`).
+`dense_msf` on the full n x n matrix exactly twice: the disk-graph MSF and the
+metric MST. Biased ranges add none: their generator reads the same `Metric.mst`
+that the evaluation does. Every other `dense_msf` call is the MSF of one
+round's survivors, so there is one per round that leaves survivors. It
+decomposes once per peeling round, the first round reusing the evaluation's
+own certificate, and builds the MST-doubling path at most once, for the first
+round: later rounds shortcut it or solve exactly. It never runs Kruskal: the
+verifier checks the disk-graph MSF by the cycle property (`graph.is_msf`).
 """
 import sys
 

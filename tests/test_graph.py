@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
+from sdglab.disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
 from sdglab.graph import (
     Forest,
     WeightedGraph,
@@ -102,6 +102,8 @@ def test_dense_msf_one_and_two_points():
     two = Metric.euclidean([[0.0], [0.25]])
     for radius in (0.0, 0.25):
         _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
+    assert dense_msf(np.zeros((0, 0))) == Forest(n=0, edges=(), component=())
+    assert dense_msf(np.array([[0.0, 3.0], [3.0, 0.0]])).edges == ((0, 1, 3.0),)
 
 
 def _with_absent_edges(d, rng, frac):
@@ -133,7 +135,7 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
         np.fill_diagonal(w, 0.0)
         kept = float(rng.uniform(0.5, 2.5)) / n  # mean degree about 0.5 to 2.5
         graphs.append(_with_absent_edges(np.minimum(w, w.T), rng, 1 - kept))
-    for n in range(3, 13):
+    for n in (*range(3, 13), 16, 24, 32, 48, 64):
         for bundle in (gen_star_metric(n), gen_chain_metric(n)):
             for frac in (0.3, 0.6, 0.8):
                 graphs.append(_with_absent_edges(bundle.space.matrix, rng, frac))
@@ -149,15 +151,147 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
     assert spanning_restarts > 100
 
 
+def _assert_dense_equals_kruskal(d):
+    g = WeightedGraph(np.array(d, dtype=float))
+    assert dense_msf(g.matrix) == kruskal_msf(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+def test_dense_msf_on_nearest_neighbour_chains(n):
+    # Gaps shrink strictly from left to right, so each point's nearest neighbour
+    # is the next point: the lightest edges chain 0 -> 1 -> ... -> n-1, end in
+    # the mutual pair (n-2, n-1) and take about log2 n pointer-jumping rounds.
+    # The gaps are dyadic, so every distance is exact.
+    gaps = 1.0 + np.arange(n - 1, 0, -1) / 1024
+    m = Metric.euclidean(np.concatenate(([0.0], np.cumsum(gaps)))[:, None], p=1.0)
+    r = RangeAssignment.constant(n, 2.5)  # the disk graph keeps pairs 1 or 2 apart
+    assert sdg_msf(m, r) == kruskal_msf(build_sdg(m, r))
+    if n <= 256:
+        assert m.mst == kruskal_msf(complete_graph(m))
+
+
+def test_dense_msf_mutual_nearest_pairs_under_ties():
+    # Every lightest edge is the first minimum of its row, so a vertex whose
+    # lightest weight ties hooks to its smallest such neighbour. Here 1 and 2
+    # hook to each other only through that rule, and 3 hooks to 0, not 2.
+    d = np.full((4, 4), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[1, 2] = d[2, 1] = d[0, 3] = d[3, 0] = d[2, 3] = d[3, 2] = 1.0
+    _assert_dense_equals_kruskal(d)
+    # All weights equal: vertex 0 hooks to 1 and every other vertex to 0.
+    for n in range(2, 9):
+        d = np.ones((n, n))
+        np.fill_diagonal(d, 0.0)
+        _assert_dense_equals_kruskal(d)
+    # Weights from {1, 2}, mostly 1, with absent edges: many mutual pairs, each
+    # decided by the endpoint tie-break.
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(2, 16))
+        w = np.where(rng.random((n, n)) < 0.8, 1.0, 2.0)
+        np.fill_diagonal(w, 0.0)
+        _assert_dense_equals_kruskal(_with_absent_edges(np.minimum(w, w.T), rng, rng.uniform(0, 0.7)).matrix)
+
+
+def test_dense_msf_isolated_vertices_and_empty_graphs():
+    for n in range(0, 6):
+        d = np.full((n, n), np.inf)
+        np.fill_diagonal(d, 0.0)
+        f = dense_msf(d)
+        assert f == kruskal_msf(WeightedGraph(d))
+        assert f.edges == () and f.component == tuple(range(n))
+    # All-+inf rows between connected parts: restarts at the isolated vertices.
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+        w = np.minimum(w, w.T)
+        lonely = rng.random(n) < 0.3
+        w[lonely, :] = w[:, lonely] = np.inf
+        np.fill_diagonal(w, 0.0)
+        _assert_dense_equals_kruskal(_with_absent_edges(w, rng, rng.uniform(0, 0.8)).matrix)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_dense_msf_on_coarse_grids(p):
+    # Integer coordinates make many pairs tie, so several outside vertices often
+    # reach the tree's lightest weight at once, from several tree vertices.
+    rng = np.random.default_rng(47)
+    for n in (5, 16, 40, 64):
+        for dim in (1, 2):
+            cells = rng.choice(3 * n if dim == 1 else 16, size=(n * 3, dim))
+            pts = np.unique(cells, axis=0)[:n]
+            m = Metric.euclidean(rng.permutation(pts).astype(float), p=p)
+            r = gen_random_ranges(m, "uniform", n)
+            _assert_prim_equals_kruskal(m, r)
+
+
+def _hub_with_pairs(n, metric):
+    """A weight-1 path 0..h with n // 4 pairs (a, a + 1) of weight 1 hung off h,
+    each a at weight 2 from h: every a ties at once, as Prim's next vertex,
+    from the same source. With metric, the shortest-path metric of that graph;
+    otherwise +inf elsewhere."""
+    q = n // 4
+    h = n - 2 * q - 1
+    path, a = np.arange(h + 1), np.arange(h + 1, n, 2)
+    d = np.full((n, n), np.inf)
+    if metric:
+        d[: h + 1, : h + 1] = np.abs(path[:, None] - path)
+        d[np.ix_(path, a)] = (h - path)[:, None] + 2
+        d[np.ix_(path, a + 1)] = (h - path)[:, None] + 3
+        d[np.ix_(a, a)], d[np.ix_(a, a + 1)], d[np.ix_(a + 1, a + 1)] = 4.0, 5.0, 6.0
+    else:
+        d[path[:-1], path[1:]] = 1.0
+        d[h, a] = 2.0
+    d[a, a + 1] = 1.0
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", [5, 9, 64, 301, 1024])
+def test_dense_msf_on_many_fragments_tied_to_one_vertex(n):
+    # Every pair is its own fragment and all of them tie at weight 2, so each
+    # choice weighs n // 4 candidates, whose sources were read at earlier ties.
+    perm = np.random.default_rng(n).permutation(n)
+    for metric in (False, True) if n <= 301 else (False,):
+        d = _hub_with_pairs(n, metric)
+        for m in (d, d[np.ix_(perm, perm)]):
+            _assert_dense_equals_kruskal(m)
+
+
+@pytest.mark.parametrize(
+    "y, partner, kept, dropped",
+    [(6, 2, (3, 6, 2.0), (5, 6, 2.0)), (2, 6, (2, 3, 2.0), (2, 5, 2.0))],
+)
+def test_dense_msf_rereads_a_vertex_that_ties_again(y, partner, kept, dropped):
+    # Fragments {0,5} {1,partner} {3,4} {y,8} {7,9}. Prim takes (0,4) from the
+    # tie {4, y, 9} at weight 2, then (partner,3) at 1.5; when y and 9 tie
+    # again, y's least edge is the one to 3, a vertex joined between its two
+    # ties and before the fragment joined last, not (5, y) as at its first
+    # tie. The second case puts y below its new source.
+    d = np.full((10, 10), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in ((0, 5, 1), (1, partner, 1), (3, 4, 1), (y, 8, 1), (7, 9, 1), (partner, 3, 1.5),
+                    (0, 4, 2), (3, y, 2), (5, y, 2), (5, 9, 2)):
+        d[u, v] = d[v, u] = w
+    f = dense_msf(d)
+    assert f == kruskal_msf(WeightedGraph(d))
+    assert kept in f.edges and dropped not in f.edges
+
+
 def test_dense_msf_memory_is_linear():
-    d = gen_random_euclidean(1024, 2, 2.0, 7).matrix
-    tracemalloc.start()
-    try:
-        dense_msf(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
+    m = gen_random_euclidean(1024, 2, 2.0, 7)
+    disk = sdg_matrix(m.matrix, gen_random_ranges(m, "uniform", 8))
+    assert np.isinf(disk).any()
+    for d in (m.matrix, disk, _hub_with_pairs(1024, True), _hub_with_pairs(1024, False)):
+        tracemalloc.start()
+        try:
+            dense_msf(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
 
 
 def _forest(n, edges, component):

@@ -105,6 +105,23 @@ def test_euclidean_memory_is_two_matrices(p):
     assert peak < 3 * n * n * 8  # one n x n x d float64 array would take 5 n^2
 
 
+def test_euclidean_builds_without_numpy_power(monkeypatch):
+    # The standard sweep's p in {1, 2, inf} never reach numpy's power kernel,
+    # whose last bit may vary between machines, so the golden rows cannot.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.power called")
+
+    monkeypatch.setattr(np, "power", refuse)
+    rng = np.random.default_rng(53)
+    for dim in (1, 2, 3):
+        pts = rng.random((12, dim))
+        for p in (1.0, 2.0, math.inf):
+            Metric.euclidean(pts, p=p)
+        if dim > 1:  # the patch reaches the l_p build: other p do call it
+            with pytest.raises(AssertionError, match="np.power called"):
+                Metric.euclidean(pts, p=3.0)
+
+
 def test_induce_full_set_is_identity():
     m = gen_random_matrix_metric(6, 99)
     sub, relabel = m.induce(range(6))
