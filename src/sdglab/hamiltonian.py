@@ -3,11 +3,12 @@
 Three providers:
   * exact Held-Karp dynamic programming over (visited set, last vertex)
     states, usable up to n = 18 and on non-complete graphs (absent edges are
-    +inf). It runs one popcount layer of visited sets at a time: every state
-    (T, v) has the single predecessor set T minus v, so each state is written
-    once, from one vectorised argmin over the last-but-one vertex u (ties go
-    to the smallest u). Only two layers of float64 values are held, C(n, k)*n
-    each, beside the full 2^n*n int8 parent table that rebuilds the path;
+    +inf). It runs one popcount layer of visited sets at a time, stored as
+    dp[u, rank of T]: every state (T, v) has the single predecessor set T
+    minus v, so each state is written once, from a column minimum over the
+    last-but-one vertex u. The parent is the first u attaining it (ties go to
+    the smallest u). Only two layers of float64 values are held, n*C(n, k)
+    each, beside the full n*2^n int8 parent table that rebuilds the path;
   * an MST-doubling 2-approximation for metrics: depth-first preorder of the
     minimum spanning tree with triangle-inequality shortcutting;
   * subsequence shortcutting of an existing path onto a vertex subset.
@@ -26,8 +27,9 @@ import numpy as np
 from .graph import Space
 from .metric import Metric, as_vertex_subset
 
-# 2^18 * 18 states: a 4.5 MiB int8 parent table plus two float64 layers of
-# at most C(18, 9) * 18 values (6.7 MiB) each.
+# 18 * 2^18 states: a 4.5 MiB int8 parent table, two float64 layers of at
+# most 18 * C(18, 9) values (6.7 MiB) each, and one endpoint's candidates,
+# 18 * C(17, 8) float64 values (3.3 MiB); the traced peak is 27 MiB.
 EXACT_LIMIT = 18
 EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
 HAM_MODES = ("exact", "approx", "auto")
@@ -80,34 +82,37 @@ def exact_min_ham_path(space: Space) -> HamPath:
     for _ in range(n):
         popcount = np.concatenate([popcount, popcount + 1])
     rank = np.empty(size, dtype=np.int32)  # position of a mask within its layer
-    parent = np.full((size, n), -1, dtype=np.int8)
-    layer = np.flatnonzero(popcount == 1)  # the masks 1 << v; dp row v is {v}
-    dp = np.full((n, n), np.inf)
+    parent = np.full((n, size), -1, dtype=np.int8)  # parent[v, T]: u before v
+    first = (n - np.arange(n, dtype=np.uint8))[:, None]  # row u scores n - u
+    layer = np.flatnonzero(popcount == 1)  # the masks 1 << v; dp column v is {v}
+    dp = np.full((n, n), np.inf)  # dp[u, rank of T]: lightest path over T ending at u
     np.fill_diagonal(dp, 0.0)
     for k in range(2, n + 1):
         nxt_layer = np.flatnonzero(popcount == k)
         rank[nxt_layer] = np.arange(nxt_layer.size)
-        nxt = np.full((nxt_layer.size, n), np.inf)
+        nxt = np.full((n, nxt_layer.size), np.inf)
         for v in range(n):
-            lacks = ((layer >> v) & 1) == 0
-            cand = dp[lacks]
-            cand += d[:, v]
-            arg = cand.argmin(axis=1)
-            best = cand[np.arange(arg.size), arg]
-            reached = best < np.inf
-            targets = layer[lacks][reached] | (1 << v)
-            nxt[rank[targets], v] = best[reached]
-            parent[targets, v] = arg[reached]
+            lacks = np.flatnonzero(((layer >> v) & 1) == 0)
+            cand = dp.take(lacks, axis=1)
+            cand += d[:, v, None]
+            best = cand.min(axis=0)
+            # the first u attaining the minimum scores highest; unreached
+            # states (best = inf) get u = 0 but are never walked back through
+            tie = (cand == best).view(np.uint8)
+            tie *= first
+            targets = layer[lacks] | (1 << v)
+            nxt[v, rank[targets]] = best
+            parent[v, targets] = n - tie.max(axis=0)
         layer, dp = nxt_layer, nxt
     full = size - 1
-    last = int(dp[0].argmin())
-    if not np.isfinite(dp[0, last]):
+    last = int(dp[:, 0].argmin())
+    if not np.isfinite(dp[last, 0]):
         raise ValueError("graph has no Hamiltonian path")
     order = []
     mask = full
     while last >= 0:
         order.append(last)
-        prev = int(parent[mask, last])
+        prev = int(parent[last, mask])
         mask ^= 1 << last
         last = prev
     order.reverse()

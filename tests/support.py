@@ -178,6 +178,59 @@ def mask_loop_min_ham_path(space) -> HamPath:
     return HamPath(order=order, weight=path_weight(space, order), exact=True)
 
 
+def layered_argmin_min_ham_path(space) -> HamPath:
+    """The subset DP one popcount layer at a time, mask-major, by row argmin.
+
+    The reference for `exact_min_ham_path` at the sizes the mask loop is too
+    slow for (n above ~13): the same states, sums, tie-breaks and error. A
+    layer is stored as dp[rank of T, u]; each new endpoint v gathers the rows
+    of the sets lacking v and takes the argmin over u, so ties go to the
+    smallest u.
+    """
+    d = space.matrix
+    n = d.shape[0]
+    if not 2 <= n <= EXACT_LIMIT:
+        raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
+    size = 1 << n
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    rank = np.empty(size, dtype=np.int32)
+    parent = np.full((size, n), -1, dtype=np.int8)
+    layer = np.flatnonzero(popcount == 1)
+    dp = np.full((n, n), np.inf)
+    np.fill_diagonal(dp, 0.0)
+    for k in range(2, n + 1):
+        nxt_layer = np.flatnonzero(popcount == k)
+        rank[nxt_layer] = np.arange(nxt_layer.size)
+        nxt = np.full((nxt_layer.size, n), np.inf)
+        for v in range(n):
+            lacks = ((layer >> v) & 1) == 0
+            cand = dp[lacks]
+            cand += d[:, v]
+            arg = cand.argmin(axis=1)
+            best = cand[np.arange(arg.size), arg]
+            reached = best < np.inf
+            targets = layer[lacks][reached] | (1 << v)
+            nxt[rank[targets], v] = best[reached]
+            parent[targets, v] = arg[reached]
+        layer, dp = nxt_layer, nxt
+    full = size - 1
+    last = int(dp[0].argmin())
+    if not np.isfinite(dp[0, last]):
+        raise ValueError("graph has no Hamiltonian path")
+    order = []
+    mask = full
+    while last >= 0:
+        order.append(last)
+        prev = int(parent[mask, last])
+        mask ^= 1 << last
+        last = prev
+    order.reverse()
+    order = _canonical(order)
+    return HamPath(order=order, weight=path_weight(space, order), exact=True)
+
+
 def exhaustive_triangle_violation(d: np.ndarray) -> MetricViolation | None:
     """The triangle scan over every row, in blocks of consecutive rows.
 

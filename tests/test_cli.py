@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from sdglab.cli import cli
+from sdglab.hamiltonian import EXACT_LIMIT, exact_min_ham_path
+from sdglab.instances import read_instance
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = ("chain_n5", "star_n5", "c3_w1000", "line_n5_w1000")
@@ -101,6 +103,29 @@ def test_decompose_verify_round_trip_and_tamper(fixture, tmp_path):
     assert cli(["verify", _fixture(fixture), str(tampered), "--out", str(report)]) == 1
     result = json.loads(report.read_text())
     assert result["ok"] is False and result["violations"]
+
+
+def test_decompose_exact_at_the_limit_round_trips(tmp_path):
+    instance, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    gen = ["gen", "--family", "euclidean", "--n", str(EXACT_LIMIT), "--seed", "7", "--ranges", "biased"]
+    assert cli([*gen, "--out", str(instance)]) == 0
+    assert cli(["decompose", str(instance), "--ham", "exact", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    h = exact_min_ham_path(read_instance(str(instance)).space)
+    assert (tuple(payload["ham_order"]), payload["ham_weight"]) == (h.order, h.weight)
+    assert payload["verified"] is True
+    report = tmp_path / "verify.json"
+    assert cli(["verify", str(instance), str(cert), "--out", str(report)]) == 0
+    assert json.loads(report.read_text()) == {"ok": True, "violations": []}
+
+
+def test_decompose_exact_above_the_limit_exits_2(tmp_path, capsys):
+    instance, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    assert cli(["gen", "--family", "euclidean", "--n", "19", "--seed", "7", "--out", str(instance)]) == 0
+    assert cli(["decompose", str(instance), "--ham", "exact", "--out", str(cert)]) == 2
+    assert not cert.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "exact solver supports 2 <= n <= 18, got n=19", "type": "ValueError"}
 
 
 @pytest.mark.parametrize("family", sorted(GEN_ARGS))

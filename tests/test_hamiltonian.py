@@ -157,10 +157,10 @@ def test_ham_path_auto_dispatch():
         Prepared(small, RangeAssignment.constant(10, 1.0), "nope")
 
 
-def _same_as_mask_loop(space):
-    """The layered DP returns the loop's HamPath, or raises its message."""
+def _same_as_mask_loop(space, reference=support.mask_loop_min_ham_path):
+    """exact_min_ham_path returns the reference's HamPath, or raises its message."""
     try:
-        expected = support.mask_loop_min_ham_path(space)
+        expected = reference(space)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             exact_min_ham_path(space)
@@ -168,6 +168,10 @@ def _same_as_mask_loop(space):
     h = exact_min_ham_path(space)
     assert (h.order, h.weight, h.exact) == (expected.order, expected.weight, expected.exact)
     return h
+
+
+def _same_as_layered_argmin(space):
+    return _same_as_mask_loop(space, support.layered_argmin_min_ham_path)
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -203,6 +207,50 @@ def test_exact_matches_mask_loop_sparse_graphs():
         )
         outcomes.add(_same_as_mask_loop(WeightedGraph.from_edges(n, edges)) is None)
     assert outcomes == {True, False}  # both paths and raises were compared
+
+
+@pytest.mark.parametrize("n", range(12, EXACT_LIMIT + 2))
+def test_exact_matches_layered_argmin_star_and_chain(n):
+    # the mask loop is too slow here; n = EXACT_LIMIT + 1 compares the error
+    _same_as_layered_argmin(gen_star_metric(n).space)
+    _same_as_layered_argmin(gen_chain_metric(n).space)
+
+
+@pytest.mark.parametrize("n", range(12, EXACT_LIMIT + 1))
+def test_exact_matches_layered_argmin_123_weights(n):
+    # complete graphs with weights in {1, 2, 3}: at n = 14, 57147 states tie and
+    # 6812 of them first at u >= 8
+    rng = np.random.default_rng(n)
+    w = rng.integers(1, 4, size=(n, n))
+    edges = tuple((u, v, float(w[u, v])) for u in range(n) for v in range(u + 1, n))
+    _same_as_layered_argmin(WeightedGraph.from_edges(n, edges))
+
+
+@pytest.mark.parametrize("n", range(12, EXACT_LIMIT + 1))
+def test_exact_matches_layered_argmin_sparse_graphs(n):
+    # sparse {1, 2, 3}-weight graphs leave most states unreachable
+    rng = np.random.default_rng(100 + n)
+    perm = rng.permutation(n)
+    spine = {tuple(sorted(map(int, e))) for e in zip(perm, perm[1:])}
+    extra = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15}
+    with_path = WeightedGraph.from_edges(n, ((u, v, float(rng.integers(1, 4))) for u, v in sorted(spine | extra)))
+    # three leaves on vertex 3: no path can visit them all
+    leaves = {(u, v) for u, v in extra if u > 3} | {(0, 3), (1, 3), (2, 3)}
+    without = WeightedGraph.from_edges(n, ((u, v, float(rng.integers(1, 4))) for u, v in sorted(leaves)))
+    assert _same_as_layered_argmin(with_path) is not None
+    assert _same_as_layered_argmin(without) is None
+
+
+def test_exact_memory_at_the_auto_cutoff():
+    m = gen_chain_metric(16).space
+    tracemalloc.start()
+    try:
+        h = exact_min_ham_path(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.order == tuple(range(16))
+    assert peak < 7 * 2**20  # the int8 parent table is 1 MiB, each float64 layer at most 1.5 MiB
 
 
 def test_exact_memory_stays_under_the_full_table():
