@@ -31,6 +31,7 @@ from .instances import (
     InstanceFormatError,
     bundle_to_dict,
     read_instance,
+    read_json,
     write_instance,
 )
 from .metric import MetricError
@@ -184,7 +185,7 @@ def _cmd_assign(args) -> int:
 def _cmd_verify(args) -> int:
     bundle = read_instance(args.instance)
     space = bundle.space
-    payload = json.loads(Path(args.certificate).read_text())
+    payload = read_json(args.certificate)
     if not (isinstance(payload, dict) and {"ham_order", "ham_weight", "certificate"} <= set(payload)):
         raise ValueError("certificate file must be a JSON object with ham_order, ham_weight and certificate")
     if type(payload["ham_weight"]) not in (int, float):
@@ -304,7 +305,7 @@ def cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, MetricError, ValueError, FileNotFoundError) as exc:
+    except (InstanceFormatError, MetricError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
     except BoundViolationError as exc:

@@ -4,8 +4,7 @@ Named families:
   * star:  one hub at distance 1 from everyone, all other distances 2;
     with unit radii the disk graph is the hub star of degree n-1.
   * chain: consecutive points at distance 1, all other pairs at distance 2;
-    with unit radii the disk graph is the unit path, while the hub star
-    rooted at the first point has constant radius and depth.
+    with unit radii the disk graph is the unit path, itself an MST.
   * c3:    a weighted triangle breaking the triangle inequality; its disk
     graph keeps the heavy edge, so the weight coefficient grows with W.
   * line:  collinear points where only the outer vertices see all middles;
@@ -73,81 +72,28 @@ def mix_seed(base: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
+def _unit_radii(family: str, d: np.ndarray) -> InstanceBundle:
+    """The matrix metric d, zeroed on the diagonal, with unit radii; for star
+    and chain the disk graph is an MST, so the weight coefficient is 1."""
+    np.fill_diagonal(d, 0.0)
+    ranges = RangeAssignment.constant(len(d), 1.0)
+    return InstanceBundle(family, Metric.from_matrix(d), ranges, reference={"weight_coefficient": 1.0})
+
+
 def gen_star_metric(n: int) -> InstanceBundle:
     """Hub star metric with unit radii; n >= 3."""
     if n < 3:
         raise ValueError(f"star family needs n >= 3, got {n}")
     d = np.full((n, n), 2.0)
-    d[0, :] = 1.0
-    d[:, 0] = 1.0
-    np.fill_diagonal(d, 0.0)
-    metric = Metric.from_matrix(d)
-    reference = {
-        "sdg_degree": n - 1,
-        "optimal": {"degree": 2, "radius": 1.0},
-        "degree_coefficient": (n - 1) / 2,
-        "weight_coefficient": 1.0,
-    }
-    return InstanceBundle(
-        family="star", space=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
-    )
-
-
-def _chain_matrix(n: int) -> np.ndarray:
-    d = np.full((n, n), 2.0)
-    for i in range(n - 1):
-        d[i, i + 1] = 1.0
-        d[i + 1, i] = 1.0
-    np.fill_diagonal(d, 0.0)
-    return d
+    d[0, :] = d[:, 0] = 1.0
+    return _unit_radii("star", d)
 
 
 def gen_chain_metric(n: int) -> InstanceBundle:
     """Chain metric with unit radii; the disk graph is the unit path."""
     if n < 3:
         raise ValueError(f"chain family needs n >= 3, got {n}")
-    metric = Metric.from_matrix(_chain_matrix(n))
-    # Parameters of the unit path and of the hub star {01} + {0i : i >= 2}, both
-    # rooted at 0: maximum degree, weighted radius and diameter (floats), their
-    # hop counts depth and hop_diameter, and the sums of root and pairwise
-    # distances, weighted and in hops.
-    sdg_params = {
-        "degree": 2,
-        "radius": float(n - 1),
-        "depth": n - 1,
-        "diameter": float(n - 1),
-        "hop_diameter": n - 1,
-        "sum_pairwise": float((n**3 - n) // 6),
-        "sum_single": float(n * (n - 1) // 2),
-        "sum_pairwise_hops": (n**3 - n) // 6,
-        "sum_single_hops": n * (n - 1) // 2,
-    }
-    star_params = {
-        "degree": n - 1,
-        "radius": 2.0,
-        "depth": 1,
-        # Two leaves at distance 2 from the hub exist only from n = 4 on.
-        "diameter": 3.0 if n == 3 else 4.0,
-        "hop_diameter": 2,
-        "sum_pairwise": float((n - 1) * (2 * n - 3)),
-        "sum_single": float(2 * n - 3),
-        "sum_pairwise_hops": (n - 1) ** 2,
-        "sum_single_hops": n - 1,
-    }
-    optimal = {"degree": 2, "depth": 1, "hop_diameter": 2}
-    if n >= 4:
-        # A hub star at an interior point reaches two neighbors at distance 1.
-        optimal["radius"] = 2.0
-        optimal["sum_single"] = float(2 * n - 4)
-    reference = {
-        "sdg_params": sdg_params,
-        "star_params": star_params,
-        "optimal": optimal,
-        "weight_coefficient": 1.0,
-    }
-    return InstanceBundle(
-        family="chain", space=metric, ranges=RangeAssignment.constant(n, 1.0), reference=reference
-    )
+    return _unit_radii("chain", 2.0 - np.eye(n, k=1) - np.eye(n, k=-1))
 
 
 def gen_c3(w: float = 1000.0) -> InstanceBundle:
@@ -403,9 +349,13 @@ def write_instance(bundle: InstanceBundle, path) -> None:
     Path(path).write_text(json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n")
 
 
-def read_instance(path) -> InstanceBundle:
+def read_json(path):
+    """Parse a JSON file; malformed or too deeply nested text raises InstanceFormatError."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"malformed JSON in {path}: {exc}") from exc
-    return bundle_from_dict(data)
+
+
+def read_instance(path) -> InstanceBundle:
+    return bundle_from_dict(read_json(path))

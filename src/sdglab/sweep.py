@@ -10,13 +10,21 @@ The default experiment, the standard mixed-metric grid with four trials
 (1144 instances), is one command:
 
     sdglab sweep --family standard --seed 20260810 --trials 4 --out sweep.csv
+
+The worst coefficient's growth with n is one uniform-range sweep per metric
+family; each prints the maximum per n beside its bound, and --svg charts both:
+
+    sdglab sweep --family euclidean --dim 1,2,3 --p 1,2,inf --ranges uniform \
+        --n 8,16,32,64,128,256 --trials 20 --svg growth-lp.svg
+    sdglab sweep --family matrix --ranges uniform \
+        --n 8,16,32,64,128,256 --trials 60 --svg growth-matrix.svg
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .assignment import bounded_assignment
@@ -37,11 +45,6 @@ from .instances import (
     gen_random_ranges,
     gen_star_metric,
     mix_seed,
-)
-
-CSV_HEADER = (
-    "id,seed,n,family,connected,w_mst,w_msf_sdg,coefficient,bound_2log,"
-    "ham_mode,w_ham,trace_rounds,max_round_bound,cert_ok,assign_cost,assign_lower_bound"
 )
 
 SWEEP_DIMS = (1, 2, 3, 5)
@@ -71,6 +74,8 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One sweep CSV row: the fields, in this order, are its columns."""
+
     id: str
     seed: int
     n: int
@@ -217,32 +222,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
+
+
 def record_to_row(rec: ExperimentRecord) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            rec.id,
-            rec.seed,
-            rec.n,
-            rec.family,
-            rec.connected,
-            rec.w_mst,
-            rec.w_msf_sdg,
-            rec.coefficient,
-            rec.bound_2log,
-            rec.ham_mode,
-            rec.w_ham,
-            rec.trace_rounds,
-            rec.max_round_bound,
-            rec.cert_ok,
-            rec.assign_cost,
-            rec.assign_lower_bound,
-        )
-    )
+    return ",".join(_fmt(getattr(rec, name)) for name in _COLUMNS)
 
 
 def emit_csv(records: list[ExperimentRecord], path) -> None:
-    lines = [CSV_HEADER] + [record_to_row(r) for r in records]
+    lines = [",".join(_COLUMNS)] + [record_to_row(r) for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -362,64 +362,6 @@ def cycle_property_check(g: WeightedGraph, f) -> str | None:
     return None
 
 
-def _tree_adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
-
-
-def _tree_distances(adj, src: int) -> tuple[dict[int, float], dict[int, int]]:
-    """Weighted and hop distances from src along a tree, by BFS."""
-    dist, hops = {src: 0.0}, {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, w in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + w
-                hops[y] = hops[x] + 1
-                queue.append(y)
-    return dist, hops
-
-
-def pairwise_distance_sum(n: int, edges) -> float:
-    """Quadratic oracle for the sum of all pairwise tree distances."""
-    adj = _tree_adjacency(n, edges)
-    total = []
-    for src in range(n):
-        dist, _ = _tree_distances(adj, src)
-        total.extend(d for v, d in dist.items() if v > src)
-    return math.fsum(total)
-
-
-def rooted_tree_parameters(n: int, edges, root: int) -> dict:
-    """Parameters of a tree rooted at `root`, by BFS from every vertex.
-
-    Maximum degree; radius and depth, the largest weighted and hop distance
-    from the root; diameter and hop_diameter, the largest over all pairs; and
-    the sums of root distances and of pairwise distances, weighted (floats)
-    and in hops (ints).
-    """
-    adj = _tree_adjacency(n, edges)
-    dists = [_tree_distances(adj, src) for src in range(n)]
-    root_dist, root_hops = dists[root]
-    return {
-        "degree": max(len(a) for a in adj),
-        "radius": max(root_dist.values()),
-        "depth": max(root_hops.values()),
-        "diameter": max(max(dist.values()) for dist, _ in dists),
-        "hop_diameter": max(max(hops.values()) for _, hops in dists),
-        "sum_pairwise": pairwise_distance_sum(n, edges),
-        "sum_single": math.fsum(root_dist.values()),
-        "sum_pairwise_hops": sum(
-            h for src, (_, hops) in enumerate(dists) for v, h in hops.items() if v > src
-        ),
-        "sum_single_hops": sum(root_hops.values()),
-    }
-
-
 def shortest_path_closure(matrix: np.ndarray) -> np.ndarray:
     """Floyd-Warshall closure of a nonnegative symmetric weight matrix."""
     d = np.array(matrix, dtype=float)

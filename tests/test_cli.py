@@ -2,6 +2,8 @@
 
 Every SHA-256 below was measured on the commit that introduced this file, so a
 refactor of the builders or the driver that changes one output byte fails here.
+The `gen` digests of chain and star were re-measured once, when their
+`reference` payload shrank to the weight coefficient alone.
 """
 import hashlib
 import json
@@ -33,8 +35,8 @@ FIXTURE_SHA256 = {
 }
 
 GEN_ARGS = {
-    "star": (["--n", "7"], "819a6c888c16658cc1ae356c73538f83bb576d1e0e786b5bbc0dc9367833c5ed"),
-    "chain": (["--n", "6"], "9800dbb61638f4c065ca1197eefd6a1b4245545b259af045f6d5de822f948639"),
+    "star": (["--n", "7"], "f49de60af2e6ff6c9b74f9bfab7f7cb84ed9d34f77d7ef2c10b325cd81953855"),
+    "chain": (["--n", "6"], "6fd98233eee8de7533e5b935a836abb6c202d781947e8a5eddc31eab1c9c64b7"),
     "c3": (["--w", "50"], "e287914c4154862936e135bd2e403077ec4536abb07f21e9a3632b5a9170ebf6"),
     "line": (["--n", "6"], "5f56d2d542845371fe3c338b90e13dde345bb0658de40d2b4a5211fb9f0f5c37"),
     "euclidean": (

@@ -115,3 +115,27 @@ def test_wrong_but_well_formed_certificate_exits_1(fixture, field, value, violat
     report = tmp_path / "verify.json"
     assert cli(["verify", instance, str(cert), "--out", str(report)]) == 1
     assert violation in json.loads(report.read_text())["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (["msf", "{dir}"], "IsADirectoryError"),
+        (["msf", CHAIN, "--out", "{dir}"], "IsADirectoryError"),
+        (["verify", CHAIN, "{dir}"], "IsADirectoryError"),
+        (["sweep", "--family", "star", "--n", "5", "--workers", "1", "--out", "{dir}"], "IsADirectoryError"),
+        (["msf", "{deep}"], FORMAT),
+        (["verify", CHAIN, "{deep}"], FORMAT),
+    ],
+    ids=["read-dir", "write-dir", "certificate-dir", "sweep-csv-dir", "deep-instance", "deep-certificate"],
+)
+def test_io_failure_exits_2(argv, error_type, tmp_path, capsys):
+    # A directory cannot be read or written as a file, and 200 000 nested
+    # lists exceed the JSON decoder's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli([arg.format(dir=tmp_path, deep=deep) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == error_type
+    if error_type == FORMAT:
+        assert err["error"].startswith(f"malformed JSON in {deep}: maximum recursion depth exceeded")

@@ -417,30 +417,6 @@ def test_forest_cycle_rejects_cross_component():
     assert tree_path(f.adjacency(), 0, 2) is None
 
 
-def test_tree_parameters_chain_path():
-    params = gen_chain_metric(5).reference["sdg_params"]
-    assert params["degree"] == 2
-    assert params["radius"] == 4.0
-    assert params["depth"] == 4
-    assert params["diameter"] == 4.0
-    assert params["hop_diameter"] == 4
-    assert params["sum_single"] == 10.0
-    assert params["sum_pairwise"] == 20.0  # (n^3 - n) / 6 for the unit path
-    assert params["sum_pairwise"] == (5**3 - 5) / 6
-
-
-def test_tree_parameters_chain_star():
-    params = gen_chain_metric(5).reference["star_params"]
-    assert params["degree"] == 4
-    assert params["radius"] == 2.0
-    assert params["depth"] == 1
-    assert params["diameter"] == 4.0
-    assert params["hop_diameter"] == 2
-    assert params["sum_single"] == 7.0
-    star_edges = [(0, 1, 1.0)] + [(0, i, 2.0) for i in range(2, 5)]
-    assert params["sum_pairwise"] == support.pairwise_distance_sum(5, star_edges)
-
-
 @given(seeds, st.integers(2, 14), st.integers(0, 12))
 @settings(max_examples=30)
 def test_forest_invariant_edges_plus_components(seed, n, m_edges):

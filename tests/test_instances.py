@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sdglab.cli import cli
+from sdglab.decomposition import Prepared, weight_coefficient
 from sdglab.disk import build_sdg
 from sdglab.instances import (
     InstanceFormatError,
@@ -13,6 +14,7 @@ from sdglab.instances import (
     gen_random_euclidean,
     gen_random_matrix_metric,
     gen_random_ranges,
+    gen_star_metric,
     read_instance,
 )
 
@@ -90,20 +92,14 @@ def test_cli_rejects_non_finite_instances(data, tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
 
 
-def _typed(params: dict) -> dict:
-    return {key: (value, type(value)) for key, value in params.items()}
-
-
-def test_chain_reference_matches_bfs_oracle():
-    # n = 3 is the star's one diameter exception: a single leaf at distance 2.
+def test_chain_and_star_reference_is_the_coefficient():
     for n in range(3, 41):
-        b = gen_chain_metric(n)
-        path = build_sdg(b.space, b.ranges).edges
-        star = [(0, v, float(b.space.matrix[0, v])) for v in range(1, n)]
+        chain, star = gen_chain_metric(n), gen_star_metric(n)
+        path = build_sdg(chain.space, chain.ranges).edges
         assert {(u, v) for u, v, _ in path} == {(i, i + 1) for i in range(n - 1)}
-        ref = b.reference
-        assert _typed(ref["sdg_params"]) == _typed(support.rooted_tree_parameters(n, path, 0))
-        assert _typed(ref["star_params"]) == _typed(support.rooted_tree_parameters(n, star, 0))
+        for b in (chain, star):
+            assert b.reference == {"weight_coefficient": 1.0}
+            assert weight_coefficient(Prepared(b.space, b.ranges)).coefficient == b.reference["weight_coefficient"]
 
 
 def test_matrix_metric_is_closed_as_drawn():

@@ -8,6 +8,10 @@ dotted names in strings (`metric.Metric.euclidean`), since a bare name is
 never a call of it. Re-exports in `__init__.py` and uses in `tests/` do not
 count: a helper that only tests call is test code, and belongs in
 `tests/support.py`.
+
+Every top-level function and class of `tests/support.py` and
+`tests/strategies.py` must likewise be referenced outside its own definition
+from a file in `tests/`, so an oracle outlives no test that reads it.
 """
 import ast
 import re
@@ -19,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sdglab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+TESTS = ROOT / "tests"
+TEST_HELPERS = [TESTS / "support.py", TESTS / "strategies.py"]
 IDENTIFIER = re.compile(r"(\.?)([A-Za-z_]\w*)")
 
 
@@ -53,11 +59,11 @@ def _references(path: Path) -> list[tuple[str, int, bool]]:
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _definitions(members: bool) -> list:
+def _definitions(modules: list[Path], members: bool) -> list:
     """Top-level functions and classes, or (members=True) the non-dunder
     methods and properties of top-level classes."""
     defs = []
-    for path in MODULES:
+    for path in modules:
         for node in ast.parse(path.read_text()).body:
             if not members and isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 args = (path, node.name, node.lineno, node.end_lineno)
@@ -71,23 +77,30 @@ def _definitions(members: bool) -> list:
 
 
 REFERENCES = {path: _references(path) for path in USERS}
+TEST_REFERENCES = {path: _references(path) for path in sorted(TESTS.glob("*.py"))}
 
 
-def _used(path: Path, name: str, first: int, last: int, dotted_only: bool) -> bool:
-    for user, refs in REFERENCES.items():
+def _used(path: Path, name: str, first: int, last: int, dotted_only: bool, references=REFERENCES) -> bool:
+    for user, refs in references.items():
         for ref, line, dotted in refs:
             if ref == name and (dotted or not dotted_only) and (user != path or not first <= line <= last):
                 return True
     return False
 
 
-@pytest.mark.parametrize("path, name, first, last", _definitions(members=False))
+@pytest.mark.parametrize("path, name, first, last", _definitions(MODULES, members=False))
 def test_top_level_name_is_used(path, name, first, last):
     if not _used(path, name, first, last, dotted_only=False):
         pytest.fail(f"{path.name}: {name} (lines {first}-{last}) is referenced nowhere outside itself")
 
 
-@pytest.mark.parametrize("path, name, first, last", _definitions(members=True))
+@pytest.mark.parametrize("path, name, first, last", _definitions(MODULES, members=True))
 def test_method_is_used(path, name, first, last):
     if not _used(path, name, first, last, dotted_only=True):
         pytest.fail(f"{path.name}: method {name} (lines {first}-{last}) is referenced nowhere outside itself")
+
+
+@pytest.mark.parametrize("path, name, first, last", _definitions(TEST_HELPERS, members=False))
+def test_test_helper_is_used(path, name, first, last):
+    if not _used(path, name, first, last, dotted_only=False, references=TEST_REFERENCES):
+        pytest.fail(f"{path.name}: {name} (lines {first}-{last}) is referenced nowhere in tests/ outside itself")
