@@ -89,11 +89,16 @@ def gen_star_metric(n: int) -> InstanceBundle:
     return _unit_radii("star", d)
 
 
+def _chain_matrix(n: int) -> np.ndarray:
+    """Distance 1 between consecutive points, 2 between all other pairs."""
+    return 2.0 - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
 def gen_chain_metric(n: int) -> InstanceBundle:
     """Chain metric with unit radii; the disk graph is the unit path."""
     if n < 3:
         raise ValueError(f"chain family needs n >= 3, got {n}")
-    return _unit_radii("chain", 2.0 - np.eye(n, k=1) - np.eye(n, k=-1))
+    return _unit_radii("chain", _chain_matrix(n))
 
 
 def gen_c3(w: float = 1000.0) -> InstanceBundle:
