@@ -47,7 +47,6 @@ class CostRatioReport:
     ok: bool
     ratio: float  # cost / w(MST(M))
     bound: float  # 4 * log_{5/4} n
-    message: str
 
 
 def cost_ratio_check(report: AssignmentReport, n: int) -> CostRatioReport:
@@ -63,5 +62,4 @@ def cost_ratio_check(report: AssignmentReport, n: int) -> CostRatioReport:
     ratio = report.cost / report.lower_bound
     bound = 2.0 * lightness_bound(n)
     ok = report.cost <= 2.0 * report.w_forest and ratio <= bound and report.feasible
-    message = "ok" if ok else f"cost ratio {ratio} violates its bound {bound}"
-    return CostRatioReport(ok=ok, ratio=ratio, bound=bound, message=message)
+    return CostRatioReport(ok=ok, ratio=ratio, bound=bound)

@@ -8,8 +8,10 @@ verification, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -205,6 +207,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
+    for path in filter(None, (args.out, args.svg)):  # fail as writing would, but before the sweep runs
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if args.family == "standard":
         specs = standard_suite(args.seed, trials=args.trials)
     else:

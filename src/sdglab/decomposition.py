@@ -17,9 +17,10 @@ vertices. The construction is an exchange argument:
 `decompose` trusts F, which `Prepared` built; `verify_certificate` checks F by
 the cycle property and re-derives every claimed property from scratch.
 `lightness_trace` prepares the survivors of each round as a new instance and
-decomposes it, shrinking the point set by a factor >= 1/5 per round, which
-telescopes to w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at
-most 2 * log_{5/4} n for any metric.
+decomposes it with H shortcut onto them, so every round's path weighs at most
+w(H). The point set shrinks by a factor >= 1/5 per round, which telescopes to
+w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
+2 * log_{5/4} n for any metric.
 
 `Prepared` holds one instance (space, r, path mode) and computes its disk-graph
 MSF, first path and first certificate once, on first use; the trace, the
@@ -463,32 +464,26 @@ class LightnessTrace:
 def lightness_trace(p: Prepared) -> LightnessTrace:
     """Peel the disk-graph forest until at most 4 vertices survive.
 
-    Each round works on one `Prepared`: it removes a certificate's edge set,
+    There is one path, p.path, and round 1 uses it with p.certificate. Each
+    round works on one `Prepared`: it removes a certificate's edge set,
     prepares the survivors (whose MSF is the induced disk graph's) and
-    shortcuts the path onto them. The first round and every round that
-    `solves_exactly` re-solves for p.ham_mode take the round's own path and
-    certificate; the others decompose the shortcut path. Raises
-    BoundViolationError if any step of the telescoped accounting fails, and
-    ValueError on a space without the triangle inequality, which shortcutting
-    needs.
+    shortcuts the path onto them, and the next round decomposes that
+    shortcut path. Raises BoundViolationError if any step of the telescoped
+    accounting fails, and ValueError on a space without the triangle
+    inequality, which shortcutting needs.
     """
     if not p.space.is_metric:
         raise ValueError("lightness_trace needs the triangle inequality; the space is not a metric")
     w_msf = p.msf.weight
     labels = tuple(range(p.space.n))
     cur: Prepared | None = p
-    h: HamPath | None = None  # the current round's path, shortcut from the last round's
+    h = p.path if p.space.n >= 2 else None  # the current round's path, shortcut from p.path
     rounds: list[TraceRound] = []
     removed_weights: list[float] = []
 
-    while cur.space.n > 4:
+    while cur is not None and cur.space.n > 4:
         n = cur.space.n
-        if h is None or solves_exactly(p.ham_mode, n):
-            if h is not None and cur.path.weight > h.weight:
-                raise BoundViolationError("path weight increased between rounds")
-            h, cert = cur.path, cur.certificate
-        else:
-            cert = decompose(cur, h)
+        cert = p.certificate if cur is p else decompose(cur, h)
         isolated = set(cert.isolated)
         survivors = tuple(v for v in range(n) if v not in isolated)
         if len(survivors) > (4 * n) // 5:
@@ -498,14 +493,15 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         w_kept = _fsum_edges([e for e in cur.msf.edges if (e[0], e[1]) not in removed_pairs])
         removed_weights.extend(w for _, _, w in cert.tilde_e)
 
-        nxt = None
+        nxt = next_h = None  # none when the round isolated everything
         if survivors:
-            nxt = Prepared(cur.space.induce(survivors)[0], cur.r.restrict(survivors), p.ham_mode)
-            if w_kept > nxt.msf.weight:
-                raise BoundViolationError("kept forest weight exceeds the induced MSF weight")
+            nxt = Prepared(cur.space.induce(survivors)[0], cur.r.restrict(survivors))
             position = {old: new for new, old in enumerate(survivors)}
             sub = shortcut_path(cur.space, h, survivors)
             next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight, exact=False)
+        w_next_forest = 0.0 if nxt is None else nxt.msf.weight
+        if w_kept > w_next_forest:
+            raise BoundViolationError("kept forest weight exceeds the induced MSF weight")
 
         rounds.append(
             TraceRound(
@@ -514,26 +510,17 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
                 w_ham=h.weight,
                 w_removed=_fsum_edges(cert.tilde_e),
                 w_kept=w_kept,
-                w_next_forest=0.0 if nxt is None else nxt.msf.weight,
+                w_next_forest=w_next_forest,
             )
         )
         if h.weight > rounds[0].w_ham:
             raise BoundViolationError("path weight exceeded the first round's weight")
-        cur = nxt
-        if cur is None:
-            break
-        labels, h = tuple(labels[v] for v in survivors), next_h
+        cur, labels, h = nxt, tuple(labels[v] for v in survivors), next_h
 
-    # Basis: at most 4 vertices (possibly zero when a round isolated everything).
-    if cur is not None:
-        basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in cur.msf.edges)
-        if h is None and cur.space.n >= 2:
-            h = p.path  # no round ran
-        w_ham_last = 0.0 if h is None else h.weight
-        basis_labels = labels
-    else:
-        basis_edges, basis_labels, w_ham_last = (), (), 0.0
-
+    # Basis: at most 4 vertices, and none when a round isolated everything.
+    local_edges = () if cur is None else cur.msf.edges
+    basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in local_edges)
+    w_ham_last = 0.0 if h is None else h.weight
     basis_weight = _fsum_edges(basis_edges)
     if basis_weight > 3.0 * w_ham_last:
         raise BoundViolationError("basis forest outweighs three times its path")
@@ -544,7 +531,7 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         n=p.space.n,
         ham_mode=p.ham_mode,
         rounds=tuple(rounds),
-        basis_labels=basis_labels,
+        basis_labels=labels,
         basis_edges=basis_edges,
         basis_weight=basis_weight,
         w_msf=w_msf,

@@ -13,6 +13,9 @@ forest, computed once) and `is_metric` (whether the triangle inequality may
 be used). A graph's `edges` is a sorted view of its matrix; `from_edges`
 reads edge lists from outside the program.
 
+A `Forest` is n and its edges in edge order, nothing else: being acyclic,
+it has n minus its edge count components.
+
 `dense_msf` computes the unique forest on a matrix for the builders (`mst`,
 `disk.sdg_msf`): one pass gives every vertex its lightest edge, which joins
 the vertices into fragments, and Prim then grows its trees a fragment at a
@@ -142,17 +145,10 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class Forest:
-    """Acyclic spanning subgraph with a component id (minimum member) per vertex."""
+    """Acyclic spanning subgraph on vertices 0..n-1, as its edges in edge order."""
 
     n: int
     edges: tuple[Edge, ...]
-    component: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.component) != self.n:
-            raise ValueError("component labels must cover every vertex")
-        if len(self.edges) + self.num_components != self.n:
-            raise ValueError("edge count must equal n minus the number of components")
 
     @property
     def weight(self) -> float:
@@ -160,7 +156,7 @@ class Forest:
 
     @property
     def num_components(self) -> int:
-        return len(set(self.component))
+        return self.n - len(self.edges)
 
     @property
     def connected(self) -> bool:
@@ -185,15 +181,6 @@ class Forest:
         return tuple(out)
 
 
-def _component_ids(n: int, uf: UnionFind) -> tuple[int, ...]:
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        root = uf.find(v)
-        if root not in smallest or v < smallest[root]:
-            smallest[root] = v
-    return tuple(smallest[uf.find(v)] for v in range(n))
-
-
 def kruskal_msf(g: WeightedGraph) -> Forest:
     """Minimum spanning forest by Kruskal over `g.edges`, already in edge order.
 
@@ -205,7 +192,7 @@ def kruskal_msf(g: WeightedGraph) -> Forest:
     for e in g.edges:
         if uf.union(e[0], e[1]):
             kept.append(e)
-    return Forest(n=g.n, edges=tuple(kept), component=_component_ids(g.n, uf))
+    return Forest(n=g.n, edges=tuple(kept))
 
 
 def is_msf(d: np.ndarray, f: Forest) -> bool:
@@ -214,7 +201,7 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
     +inf marks an absent edge, and only the upper triangle is read, as
     `WeightedGraph.edges` reads it. f must have d's n, canonical edges (u < v)
     in strictly ascending `edge_key` order, each present with its matrix
-    weight, no cycle, and each component labelled by its minimum member.
+    weight, and no cycle.
 
     Its edges are merged in that order. The edge that joins components A and
     B is the heaviest, in the total order, on every forest path between them,
@@ -252,11 +239,8 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
         for x in b:
             comp[x] = ra
         a.extend(b)
-    lowest = {r: min(members[r]) for r in set(comp)}
-    if f.component != tuple(lowest[comp[v]] for v in range(n)):
-        return False
     pos = np.empty(n, dtype=np.intp)
-    pos[[x for r in lowest for x in members[r]]] = np.arange(n)
+    pos[[x for r in set(comp) for x in members[r]]] = np.arange(n)
     path_max = np.full((n, n), -1, dtype=np.int32)  # -1: different components
     for k, (first, size_a, size_b) in enumerate(merges):
         lo = int(pos[first])
@@ -284,8 +268,8 @@ def dense_msf(d: np.ndarray) -> Forest:
 
     +inf marks an absent edge and the diagonal is ignored. Every edge is
     compared in the total order, so each one chosen is in the unique MSF by
-    the cut property, and the result equals `kruskal_msf` of the same graph,
-    component labels included. Two steps, each O(n^2) array work in all:
+    the cut property, and the result equals `kruskal_msf` of the same graph.
+    Two steps, each O(n^2) array work in all:
 
     (1) Fragments. Each vertex's lightest edge is the first minimum of its row:
     edges (v, x) of equal weight compare as their other endpoints x do. It is
@@ -310,8 +294,7 @@ def dense_msf(d: np.ndarray) -> Forest:
     the vertices joined since are read (the whole row, the first time y
     ties). No pair (y, joined vertex) is read twice, and no row is scanned
     twice, so all ties together cost O(n^2). With no finite edge left, Prim
-    restarts at the smallest vertex not reached, which is the minimum member
-    of its component.
+    restarts at the smallest vertex not reached.
 
     Memory is O(n) arrays plus one block: about 2^16 entries for the row
     pass and a first tie's row scan, 2^14 for the other tie reads.
@@ -356,14 +339,13 @@ def dense_msf(d: np.ndarray) -> Forest:
     # code[y]: y's least edge, as min * n + max, to the first seen[y] joined vertices at weight seen_w[y].
     none = n * n
     code, seen, seen_w = np.full(n, none, dtype=idx.dtype), np.zeros(n, dtype=idx.dtype), np.full(n, np.inf)
-    component = [0] * n
     joined = size = 0
     while joined < n:
         w = np.fmin.reduce(best_w)
         tied = (best_w == w).nonzero()[0]
         x = int(tied[0])
         if w == np.inf:
-            label = x
+            pass  # no edge leaves the trees: a new one starts at x, the smallest vertex not reached
         elif tied.size == 1:
             s = int(((d[x] == w) & np.isnan(best_w)).argmax())
             edges.append((min(s, x), max(s, x), float(w)))
@@ -412,12 +394,11 @@ def dense_msf(d: np.ndarray) -> Forest:
         best_w[members] = np.nan
         joined_order[joined : joined + len(members)] = members
         for m in members:
-            component[m] = label
             np.minimum(best_w, d[m], out=best_w)
         size = len(members)
         joined += size
     edges.sort(key=edge_key)
-    return Forest(n=n, edges=tuple(edges), component=tuple(component))
+    return Forest(n=n, edges=tuple(edges))
 
 
 def tree_path(adj: Sequence[dict[int, float]], u: int, v: int) -> list[Edge] | None:

@@ -139,3 +139,24 @@ def test_io_failure_exits_2(argv, error_type, tmp_path, capsys):
     assert err["type"] == error_type
     if error_type == FORMAT:
         assert err["error"].startswith(f"malformed JSON in {deep}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@pytest.mark.parametrize(
+    "target, error_type, message",
+    [("", "IsADirectoryError", "Is a directory"), ("missing/s.out", "FileNotFoundError", "No such file")],
+    ids=["directory", "missing-parent"],
+)
+def test_sweep_rejects_an_unwritable_output_before_evaluating(
+    flag, target, error_type, message, tmp_path, capsys, monkeypatch
+):
+    # The error is the one writing the file would raise, but no spec runs first.
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("sweep evaluated its specs before checking its output paths")
+
+    monkeypatch.setattr("sdglab.cli.run_sweep", run_sweep)
+    path = str(tmp_path / target)
+    assert cli(["sweep", "--family", "star", "--n", "5", "--workers", "1", flag, path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == error_type and message in err["error"] and path in err["error"]
+    assert sorted(tmp_path.iterdir()) == []

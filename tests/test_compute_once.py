@@ -1,16 +1,17 @@
 """One evaluation computes each derived object once.
 
-Every `sdglab` module's binding of `dense_msf`, `kruskal_msf`, `decompose` and
-`approx_ham_path` is replaced by a counting wrapper (modules import by name, so
-patching the defining module alone would miss calls). An evaluation then runs
-`dense_msf` on the full n x n matrix exactly twice: the disk-graph MSF and the
-metric MST. Biased ranges add none: their generator reads the same `Metric.mst`
-that the evaluation does. Every other `dense_msf` call is the MSF of one
-round's survivors, so there is one per round that leaves survivors. It
-decomposes once per peeling round, the first round reusing the evaluation's
-own certificate, and builds the MST-doubling path at most once, for the first
-round: later rounds shortcut it or solve exactly. It never runs Kruskal: the
-verifier checks the disk-graph MSF by the cycle property (`graph.is_msf`).
+Every `sdglab` module's binding of `dense_msf`, `kruskal_msf`, `decompose`,
+`approx_ham_path` and `exact_min_ham_path` is replaced by a counting wrapper
+(modules import by name, so patching the defining module alone would miss
+calls). An evaluation then runs `dense_msf` on the full n x n matrix exactly
+twice: the disk-graph MSF and the metric MST. Biased ranges add none: their
+generator reads the same `Metric.mst` that the evaluation does. Every other
+`dense_msf` call is the MSF of one round's survivors, so there is one per
+round that leaves survivors. It decomposes once per peeling round, the first
+round reusing the evaluation's own certificate, and builds one path, for the
+first round, exactly or by MST doubling as `solves_exactly` decides: later
+rounds shortcut it and never solve again. It never runs Kruskal: the verifier
+checks the disk-graph MSF by the cycle property (`graph.is_msf`).
 """
 import sys
 
@@ -28,8 +29,8 @@ SPECS = [s for s in spec_grid(31, 1, (5, 9, 17, 30), KINDS, modes=("uniform", "b
 @pytest.fixture
 def counts(monkeypatch):
     """Per-name lists of the size of each call: the matrix side for
-    dense_msf, the point count for kruskal_msf, decompose and approx_ham_path."""
-    seen = {"dense_msf": [], "kruskal_msf": [], "decompose": [], "approx_ham_path": []}
+    dense_msf, the point count for the others."""
+    seen = {name: [] for name in ("dense_msf", "kruskal_msf", "decompose", "approx_ham_path", "exact_min_ham_path")}
 
     def counting(name, fn, size):
         def wrapper(*args, **kwargs):
@@ -43,6 +44,9 @@ def counts(monkeypatch):
         graph.kruskal_msf: counting("kruskal_msf", graph.kruskal_msf, lambda a: a[0].n),
         decomposition.decompose: counting("decompose", decomposition.decompose, lambda a: a[0].space.n),
         hamiltonian.approx_ham_path: counting("approx_ham_path", hamiltonian.approx_ham_path, lambda a: a[0].n),
+        hamiltonian.exact_min_ham_path: counting(
+            "exact_min_ham_path", hamiltonian.exact_min_ham_path, lambda a: a[0].n
+        ),
     }
     for name, module in list(sys.modules.items()):
         if name == "sdglab" or name.startswith("sdglab."):
@@ -67,4 +71,6 @@ def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
     assert seen["kruskal_msf"] == []
     assert len(seen["decompose"]) == record.trace_rounds
     assert seen["decompose"].count(spec.n) == 1
-    assert seen["approx_ham_path"] == ([] if solves_exactly(ham_mode, spec.n) else [spec.n])
+    exact = solves_exactly(ham_mode, spec.n)
+    assert seen["approx_ham_path"] == ([] if exact else [spec.n])
+    assert seen["exact_min_ham_path"] == ([spec.n] if exact else [])

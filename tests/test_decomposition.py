@@ -16,7 +16,7 @@ from sdglab.decomposition import (
 )
 from sdglab.disk import RangeAssignment, build_sdg
 from sdglab.graph import complete_graph, kruskal_msf
-from sdglab.hamiltonian import EXACT_CUTOFF, HamPath, approx_ham_path, exact_min_ham_path
+from sdglab.hamiltonian import EXACT_CUTOFF, HamPath, approx_ham_path, exact_min_ham_path, path_weight
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
@@ -25,6 +25,7 @@ from sdglab.instances import (
     gen_random_ranges,
     gen_star_metric,
 )
+from sdglab.sweep import build_instance, standard_suite
 
 from strategies import metric_range_pairs
 
@@ -225,6 +226,20 @@ def test_trace_first_path_is_the_solved_path(ham_mode):
         assert trace.rounds[0].certificate is p.certificate
         assert trace.rounds[0].w_ham == p.path.weight == trace.w_ham_first
         assert p.path.exact == (ham_mode == "exact" or (ham_mode == "auto" and m.n <= EXACT_CUTOFF))
+
+
+def test_later_rounds_shortcut_the_first_path():
+    # Every later round's path is round 1's path restricted to its survivors,
+    # as in the telescoping argument, even where an exact solve of the
+    # survivors would give a lighter path.
+    spec = next(s for s in standard_suite(1, trials=1) if s.id == "euclidean-d2p2-n011-uniform-t0")
+    bundle = build_instance(spec)
+    p = Prepared(bundle.space, bundle.ranges, "auto")
+    trace = lightness_trace(p)
+    assert trace.round_count >= 2
+    for rd in trace.rounds[1:]:
+        survivors = set(rd.labels)
+        assert rd.w_ham == path_weight(bundle.space, [v for v in p.path.order if v in survivors])
 
 
 def test_prepared_rejects_bad_mode_and_radii_count():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sdglab.disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
 from sdglab.graph import (
     Forest,
+    UnionFind,
     WeightedGraph,
     complete_graph,
     dense_msf,
@@ -67,7 +68,7 @@ def test_kruskal_deterministic_under_permutation():
 
 
 def _assert_prim_equals_kruskal(m, r):
-    """Whole forests, component labels included, for the disk graph and the complete graph."""
+    """Whole forests, for the disk graph and the complete graph."""
     assert sdg_msf(m, r) == kruskal_msf(build_sdg(m, r))
     assert m.mst == kruskal_msf(complete_graph(m))
 
@@ -98,11 +99,11 @@ def test_dense_msf_equals_kruskal_disconnected():
 def test_dense_msf_one_and_two_points():
     one = Metric.euclidean([[0.5]])
     _assert_prim_equals_kruskal(one, RangeAssignment((0.0,)))
-    assert one.mst == Forest(n=1, edges=(), component=(0,))
+    assert one.mst == Forest(n=1, edges=())
     two = Metric.euclidean([[0.0], [0.25]])
     for radius in (0.0, 0.25):
         _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
-    assert dense_msf(np.zeros((0, 0))) == Forest(n=0, edges=(), component=())
+    assert dense_msf(np.zeros((0, 0))) == Forest(n=0, edges=())
     assert dense_msf(np.array([[0.0, 3.0], [3.0, 0.0]])).edges == ((0, 1, 3.0),)
 
 
@@ -143,9 +144,12 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
     for g in graphs:
         f = dense_msf(g.matrix)
         assert f == kruskal_msf(g)
+        uf = UnionFind(g.n)
+        for u, v, _ in f.edges:
+            uf.union(u, v)
         by_root = {}
         for u, _, w in f.edges:
-            by_root.setdefault(f.component[u], set()).add(w)
+            by_root.setdefault(uf.find(u), set()).add(w)
         trees = list(by_root.values())
         spanning_restarts += any(a & b for i, a in enumerate(trees) for b in trees[i + 1 :])
     assert spanning_restarts > 100
@@ -199,7 +203,7 @@ def test_dense_msf_isolated_vertices_and_empty_graphs():
         np.fill_diagonal(d, 0.0)
         f = dense_msf(d)
         assert f == kruskal_msf(WeightedGraph(d))
-        assert f.edges == () and f.component == tuple(range(n))
+        assert f.edges == ()
     # All-+inf rows between connected parts: restarts at the isolated vertices.
     rng = np.random.default_rng(43)
     for _ in range(200):
@@ -294,14 +298,6 @@ def test_dense_msf_memory_is_linear():
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
 
 
-def _forest(n, edges, component):
-    """A Forest with any fields: object.__new__ skips `Forest.__post_init__`."""
-    f = object.__new__(Forest)
-    for name, value in (("n", n), ("edges", edges), ("component", component)):
-        object.__setattr__(f, name, value)
-    return f
-
-
 def test_is_msf_agrees_with_kruskal_on_tied_graphs_and_swaps():
     # Weights from {1, 2, 3}, so the endpoint tie-break decides many path maxima.
     rng = np.random.default_rng(37)
@@ -315,7 +311,7 @@ def test_is_msf_agrees_with_kruskal_on_tied_graphs_and_swaps():
         tree = set(msf.edges)
         for out in msf.edges:
             for into in set(g.edges) - tree:
-                f = _forest(n, tuple(sorted(tree - {out} | {into}, key=edge_key)), msf.component)
+                f = Forest(n, tuple(sorted(tree - {out} | {into}, key=edge_key)))
                 assert is_msf(g.matrix, f) == (msf == f)
                 swaps += 1
     assert accepted == 250 and swaps > 4000
@@ -326,36 +322,34 @@ _TIED_MSF = ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 2.0))
 
 
 @pytest.mark.parametrize(
-    "n, edges, component",
+    "n, edges",
     [
-        (5, _TIED_MSF[::-1], (0, 0, 0, 0, 4)),
-        (5, ((1, 0, 1.0),) + _TIED_MSF[1:], (0, 0, 0, 0, 4)),
-        (5, _TIED_MSF, (0, 0, 0, 0, 0)),
-        (5, _TIED_MSF, (1, 1, 1, 1, 4)),
-        (5, _TIED_MSF[:2] + ((2, 3, 2.5),), (0, 0, 0, 0, 4)),
-        (5, _TIED_MSF[:2] + ((0, 3, 2.0),), (0, 0, 0, 0, 4)),
-        (5, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 2.0)), (0, 0, 0, 0, 4)),
-        (5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)), (0, 0, 0, 0, 4)),
-        (5, _TIED_MSF[:2], (0, 0, 0, 3, 4)),
-        (5, _TIED_MSF[:1] + _TIED_MSF, (0, 0, 0, 0, 4)),
-        (6, _TIED_MSF, (0, 0, 0, 0, 4)),
+        (5, _TIED_MSF[::-1]),
+        (5, ((1, 0, 1.0),) + _TIED_MSF[1:]),
+        (5, _TIED_MSF[:2] + ((2, 3, 2.5),)),
+        (5, _TIED_MSF[:2] + ((0, 3, 2.0),)),
+        (5, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 2.0))),
+        (5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0))),
+        (5, _TIED_MSF[:2]),
+        (5, _TIED_MSF[:1] + _TIED_MSF),
+        (6, _TIED_MSF),
     ],
     ids=[
-        "unsorted", "flipped", "label-merged", "label-not-min", "wrong-weight", "absent-edge",
+        "unsorted", "flipped", "wrong-weight", "absent-edge",
         "cycle", "tie-lost", "cross-edge-dropped", "repeated-edge", "wrong-n",
     ],
 )
-def test_is_msf_rejects_what_kruskal_rejects(n, edges, component):
+def test_is_msf_rejects_what_kruskal_rejects(n, edges):
     msf = kruskal_msf(_TIED)
-    assert msf == _forest(5, _TIED_MSF, (0, 0, 0, 0, 4)) and is_msf(_TIED.matrix, msf)
-    f = _forest(n, edges, component)
+    assert msf == Forest(5, _TIED_MSF) and is_msf(_TIED.matrix, msf)
+    f = Forest(n, edges)
     assert msf != f and not is_msf(_TIED.matrix, f)
 
 
 def test_is_msf_rejects_an_infinite_tree_edge():
     # +inf marks an absent edge, so it equals the matrix entry of a missing pair.
     g = WeightedGraph.from_edges(2, ())
-    f = _forest(2, ((0, 1, math.inf),), (0, 0))
+    f = Forest(2, ((0, 1, math.inf),))
     assert kruskal_msf(g) != f and not is_msf(g.matrix, f)
 
 
@@ -423,7 +417,11 @@ def test_forest_invariant_edges_plus_components(seed, n, m_edges):
     rng = np.random.default_rng(seed)
     g = support.random_graph(n, m_edges, rng)
     f = kruskal_msf(g)
-    assert len(f.edges) + f.num_components == n
+    uf = UnionFind(n)
+    for u, v, _ in f.edges:
+        uf.union(u, v)
+    # A cycle edge would join nothing, leaving one more root than n - |edges|.
+    assert len(f.edges) + len({uf.find(v) for v in range(n)}) == n
 
 
 def test_weighted_graph_validation():
