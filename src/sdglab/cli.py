@@ -194,7 +194,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"ham_weight must be a number, got {payload['ham_weight']!r}")
     # The stored weight is checked against the path's edges by verify_certificate.
     order = parse_vertices(payload["ham_order"], space.n, "ham_order")
-    h = HamPath(order=order, weight=float(payload["ham_weight"]), exact=False)
+    h = HamPath(order=order, weight=float(payload["ham_weight"]))
     cert = DecompositionCertificate.from_dict(payload["certificate"], space)
     forest = Prepared(space, bundle.ranges).msf
     problems = verify_certificate(space, bundle.ranges, forest, h, cert)

@@ -15,7 +15,8 @@ vertices. The construction is an exchange argument:
     strictly lighter; one such forest edge is retired per missing path edge.
 
 `decompose` trusts F, which `Prepared` built; `verify_certificate` checks F by
-the cycle property and re-derives every claimed property from scratch.
+the cycle property on its own radii test, with no masked copy of the matrix,
+and re-derives every claimed property from scratch.
 `lightness_trace` prepares the survivors of each round as a new instance and
 decomposes it with H shortcut onto them, so every round's path weighs at most
 w(H). The point set shrinks by a factor >= 1/5 per round, which telescopes to
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disk import RangeAssignment, build_sdg, sdg_msf
+from .disk import RangeAssignment, sdg_msf
 from .graph import Edge, Forest, Space, canonical_edge, edge_key, is_msf, tree_path
 from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
 
@@ -259,9 +260,11 @@ def verify_certificate(
 
     Returns the list of violated invariants (empty means the certificate is
     valid). The checks are independent of how the certificate was built; any
-    exchange satisfying the per-index inequalities is accepted. The disk graph
-    comes from `build_sdg`, and f must be its MSF by `graph.is_msf`, a
-    cycle-property check in O(n^2) array work that builds no forest of its own.
+    exchange satisfying the per-index inequalities is accepted. An edge is in
+    the disk graph iff min(r_u, r_v) >= its weight, tested here for the path
+    edges and by `graph.is_msf` for the rest: f must be the disk graph's MSF by
+    that cycle-property check, O(n^2) array work over row blocks that builds
+    no forest and no n x n float array of its own.
     """
     problems: list[str] = []
     n = space.n
@@ -271,8 +274,7 @@ def verify_certificate(
         ham_edges = _ham_edges(space.matrix, h)
     except ValueError as exc:
         return [str(exc)]
-    sdg = build_sdg(space, r)
-    if not is_msf(sdg.matrix, f):
+    if not is_msf(space.matrix, np.asarray(r.radii, dtype=float), f):
         problems.append("forest is not the MSF of the symmetric disk graph")
     ham_weight = _fsum_edges(ham_edges)
     if ham_weight != h.weight:
@@ -281,8 +283,8 @@ def verify_certificate(
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
 
-    e_prime_ref = {(u, v) for u, v, _ in ham_edges if sdg.matrix[u, v] < math.inf}
-    e_dprime_ref = [e for e in ham_edges if sdg.matrix[e[0], e[1]] == math.inf]
+    e_prime_ref = {(u, v) for u, v, w in ham_edges if min(r[u], r[v]) >= w}
+    e_dprime_ref = [e for e in ham_edges if (e[0], e[1]) not in e_prime_ref]
     if _pairs(cert.e_prime) != e_prime_ref:
         problems.append("e_prime is not (path edges of the disk graph)")
     if _pairs(cert.e_dprime) != ham_pairs - e_prime_ref:
@@ -498,7 +500,7 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
             nxt = Prepared(cur.space.induce(survivors)[0], cur.r.restrict(survivors))
             position = {old: new for new, old in enumerate(survivors)}
             sub = shortcut_path(cur.space, h, survivors)
-            next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight, exact=False)
+            next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight)
         w_next_forest = 0.0 if nxt is None else nxt.msf.weight
         if w_kept > w_next_forest:
             raise BoundViolationError("kept forest weight exceeds the induced MSF weight")

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, Space, WeightedGraph, dense_msf
+from .graph import Forest, Space, WeightedGraph, dense_msf, row_blocks
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class RangeAssignment:
 
 def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
     """Symmetric disk graph of a space: edge (u,v) iff min(r(u), r(v)) >= d(u,v),
-    +inf elsewhere. The verifier's own threshold, apart from `sdg_matrix`."""
+    +inf elsewhere. It serves the CLI `sdg` command, the benchmark tracer and
+    the tests' Kruskal oracle, with a threshold of its own: the builders mask
+    with `sdg_matrix`, and the verifier tests the radii itself in `graph.is_msf`."""
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
     d = space.matrix
@@ -54,11 +56,16 @@ def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
 
 def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
     """Dense disk graph of a weight matrix: d(u,v) where min(r(u), r(v)) >= d(u,v),
-    +inf elsewhere. Absent (+inf) entries stay absent, since radii are finite."""
+    +inf elsewhere. Absent (+inf) entries stay absent, since radii are finite.
+    It is filled one row block at a time, so it is the only n x n array made."""
     if len(r) != d.shape[0]:
         raise ValueError(f"range assignment has {len(r)} radii for {d.shape[0]} vertices")
     radii = np.asarray(r.radii, dtype=float)
-    return np.where(np.minimum.outer(radii, radii) >= d, d, np.inf)
+    out = np.full(d.shape, np.inf)
+    for rows in row_blocks(len(radii)):
+        block = d[rows]
+        np.copyto(out[rows], block, where=(radii[rows, None] >= block) & (radii >= block))
+    return out
 
 
 def sdg_msf(space: Space, r: RangeAssignment) -> Forest:

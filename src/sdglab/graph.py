@@ -22,19 +22,25 @@ the vertices into fragments, and Prim then grows its trees a fragment at a
 time. Edges sharing an endpoint compare as their other endpoints do, so it
 keeps no code matrix: a vertex's least edge is looked up when it is chosen,
 and kept as a code only while it ties with others at the least weight.
-`is_msf` checks a given forest by the cycle property in O(n^2) array work,
-for `verify_certificate`, which thus checks every forest it is given
-(`sdglab verify` passes the builder's) without building one and without the
-builder's code.
+`is_msf` checks a given forest against the disk graph of a matrix and radii
+by the cycle property in O(n^2) array work, for `verify_certificate`, which
+thus checks every forest it is given (`sdglab verify` passes the builder's)
+without building one, without the builder's code and without a masked copy
+of the matrix: it tests min(r_u, r_v) >= d(u, v) itself, one row block at a
+time.
 `kruskal_msf`, Kruskal on a graph's edge view, is called by no library code:
 it is the tests' oracle for both and a benchmark tracer target.
+
+Every n x n pass of an evaluation, apart from Prim's row reads, runs over
+`row_blocks`, so its only n x n float64 arrays are the metric's own and the
+disk graph that `disk.sdg_matrix` masks for Prim.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -43,6 +49,19 @@ if TYPE_CHECKING:
     from .metric import Metric
 
 Edge = tuple[int, int, float]  # (u, v, weight) with u < v
+
+# Entries per row block of an n x n pass: a 512 KiB float64 block.
+BLOCK_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=1024)
+def row_blocks(count: int, width: int | None = None) -> tuple[slice, ...]:
+    """Consecutive slices of range(count), each of about BLOCK_ENTRIES // width
+    rows (width defaults to count: the rows of a square matrix). Cached, as
+    small instances call it for every pass."""
+    step = max(1, BLOCK_ENTRIES // max(1, count if width is None else width))
+    return tuple(slice(a, min(a + step, count)) for a in range(0, count, step))
+
 
 def edge_key(e: Edge) -> tuple[float, int, int]:
     """Total order on edges: weight first, then endpoints."""
@@ -195,25 +214,33 @@ def kruskal_msf(g: WeightedGraph) -> Forest:
     return Forest(n=g.n, edges=tuple(kept))
 
 
-def is_msf(d: np.ndarray, f: Forest) -> bool:
-    """Whether f equals `kruskal_msf` of the graph with weight matrix d.
+def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
+    """Whether f equals `kruskal_msf` of the disk graph of weight matrix d
+    under radii: the graph of the finite entries d(u, v) with
+    min(radii[u], radii[v]) >= d(u, v). With radii = np.full(n, np.inf) it is
+    the graph d itself.
 
     +inf marks an absent edge, and only the upper triangle is read, as
     `WeightedGraph.edges` reads it. f must have d's n, canonical edges (u < v)
-    in strictly ascending `edge_key` order, each present with its matrix
-    weight, and no cycle.
+    in strictly ascending `edge_key` order, each in the disk graph with its
+    matrix weight, and no cycle.
 
     Its edges are merged in that order. The edge that joins components A and
     B is the heaviest, in the total order, on every forest path between them,
     so its index is written into the A x B and B x A blocks of an int32
-    matrix. By the cycle property f is then the MSF iff every present edge
+    matrix. By the cycle property f is then the MSF iff every disk-graph edge
     lies inside one component and is at least its path maximum in the order
     (weight, min * n + max), with equality only for the tree edge itself.
-    That comparison runs over blocks of rows, so the index matrix is the only
-    n x n array the check adds.
+    That comparison runs over row blocks, each masked by its own radii test.
+    Only the disk-graph edges no heavier than their path maximum (on a valid
+    forest, the tree edges alone) are compared by code, so the index matrix
+    is the only n x n array the check adds.
     """
     d = np.asarray(d, dtype=float)
+    radii = np.asarray(radii, dtype=float)
     n = d.shape[0]
+    if radii.shape != (n,):
+        raise ValueError(f"{radii.size} radii for {n} vertices")
     if f.n != n:
         return False
     keys = [edge_key(e) for e in f.edges]
@@ -226,8 +253,9 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
     comp = list(range(n))  # vertex -> the id of its component's list
     members = [[v] for v in range(n)]
     merges = []  # (first member of the larger list, its size, the other's size)
+    rad = radii.tolist()
     for u, v, w in f.edges:
-        if not (0 <= u < v < n and d[u, v] == w < math.inf):
+        if not (0 <= u < v < n and d[u, v] == w < math.inf and min(rad[u], rad[v]) >= w):
             return False
         ra, rb = comp[u], comp[v]
         if ra == rb:
@@ -247,20 +275,25 @@ def is_msf(d: np.ndarray, f: Forest) -> bool:
         mid, hi = lo + size_a, lo + size_a + size_b
         path_max[lo:mid, mid:hi] = k
         path_max[mid:hi, lo:mid] = k
-    idx = np.arange(n, dtype=np.int32 if n * n < 2**31 else np.int64)
-    # Index -1 reads weight +inf, which only an absent edge reaches.
+    # Index -1 reads weight +inf, so a present edge between two components fails.
     weight = np.array([w for _, _, w in f.edges] + [math.inf])
-    code = np.array([u * n + v for u, v, _ in f.edges] + [-1], dtype=idx.dtype)
-    # Entries (i, j) with j > i, one block of rows i at a time.
-    step = max(1, (1 << 18) // max(1, n))
-    for start in range(0, n, step):
-        g = d[start : start + step, start:]
-        i, j = idx[start : start + step, None], idx[start:]
-        k = path_max[pos[start : start + step, None], pos[start:]]
-        top_w, top_c = weight[k], code[k]
-        if not ((g > top_w) | (g == top_w) & (i * n + j >= top_c) | (i >= j)).all():
-            return False
-    return True
+    code = np.array([u * n + v for u, v, _ in f.edges] + [-1])
+
+    def block_holds(rows: slice) -> bool:
+        # Entries (i, j) with j > i, for one block of rows i: the suspects are
+        # those with d(i, j) <= min(path maximum, r_i, r_j). An absent entry
+        # is a suspect only at path maximum +inf, where its code passes.
+        g = d[rows, rows.start :]
+        k = path_max[pos[rows, None], pos[rows.start :]]
+        limit = np.minimum(weight[k], radii[rows, None])
+        np.minimum(limit, radii[rows.start :], out=limit)
+        i, j = (g <= limit).nonzero()
+        above = i < j
+        i, j = i[above], j[above]
+        k = k[i, j]
+        return bool(((g[i, j] == weight[k]) & ((i + rows.start) * n + j + rows.start >= code[k])).all())
+
+    return all(block_holds(rows) for rows in row_blocks(n))
 
 
 def dense_msf(d: np.ndarray) -> Forest:
@@ -303,15 +336,15 @@ def dense_msf(d: np.ndarray) -> Forest:
     n = d.shape[0]
     idx = np.arange(n)
     hook, light = np.empty(n, dtype=idx.dtype), np.empty(n)
-    step = max(1, (1 << 16) // max(1, n))
     gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
-    for start in range(0, n, step):
-        block = d[start : start + step].copy()
-        rows = np.arange(block.shape[0])
-        block[rows, rows + start] = np.inf
+    for rows in row_blocks(n):
+        block = d[rows].copy()
+        diag = np.arange(block.shape[0])
+        block[diag, diag + rows.start] = np.inf
         first = block.argmin(axis=1)
-        light[start : start + rows.size] = block[rows, first]
-        hook[start : start + rows.size] = first
+        light[rows] = block[diag, first]
+        hook[rows] = first
+        del block  # so the next block's copy is the only one held
     hook = np.where(light < np.inf, hook, idx)  # an isolated vertex is its own root
     mutual = (hook[hook] == idx) & (idx < hook)
     hook[mutual] = idx[mutual]  # a mutual pair is rooted at its smaller vertex
@@ -367,8 +400,8 @@ def dense_msf(d: np.ndarray) -> Forest:
             never = before == 0
             span[never] = 0
             fresh = tied[never]
-            for start in range(0, fresh.size, step):
-                t = fresh[start : start + step]
+            for rows in row_blocks(fresh.size, n):
+                t = fresh[rows]
                 src = ((d[t] == w) & np.isnan(best_w)).argmax(axis=1)
                 code[t] = np.minimum(src, t) * n + np.maximum(src, t)
             if span.any():

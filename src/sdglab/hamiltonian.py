@@ -42,11 +42,10 @@ def solves_exactly(mode: str, n: int) -> bool:
 
 @dataclass(frozen=True)
 class HamPath:
-    """A vertex order with its weight; `exact` marks a certified global minimum."""
+    """A vertex order with its weight."""
 
     order: tuple[int, ...]
     weight: float
-    exact: bool
 
     @property
     def n(self) -> int:
@@ -117,7 +116,7 @@ def exact_min_ham_path(space: Space) -> HamPath:
         last = prev
     order.reverse()
     order = _canonical(order)
-    return HamPath(order=order, weight=path_weight(space, order), exact=True)
+    return HamPath(order=order, weight=path_weight(space, order))
 
 
 def approx_ham_path(m: Metric) -> HamPath:
@@ -139,7 +138,7 @@ def approx_ham_path(m: Metric) -> HamPath:
             if not seen[y]:
                 stack.append(y)
     order = _canonical(order)
-    return HamPath(order=order, weight=path_weight(m, order), exact=False)
+    return HamPath(order=order, weight=path_weight(m, order))
 
 
 def shortcut_path(m: Metric, h: HamPath, subset: Sequence[int]) -> HamPath:
@@ -153,5 +152,5 @@ def shortcut_path(m: Metric, h: HamPath, subset: Sequence[int]) -> HamPath:
     order = tuple(v for v in h.order if v in sub)
     if len(order) != len(sub):
         raise ValueError("subset contains vertices missing from the path")
-    return HamPath(order=order, weight=path_weight(m, order), exact=False)
+    return HamPath(order=order, weight=path_weight(m, order))
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Space, WeightedGraph
+from .graph import Space, WeightedGraph, row_blocks
 from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
@@ -214,9 +214,15 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
     rng = _rng(seed)
     scale = float(1 << MATRIX_GRID_BITS)
     cells = rng.integers(0, (1 << MATRIX_GRID_BITS) + 1, size=(n, n))
-    d = 1.0 + cells.astype(float) / scale
-    d = np.triu(d, 1)
-    return Metric.from_matrix(d + d.T)
+    # The upper triangle's draws become distances in place, as float64 over
+    # the int64 cells a row block at a time, and the lower triangle mirrors it.
+    d = cells.view(float)
+    for rows in row_blocks(n):
+        d[rows] = 1.0 + cells[rows] / scale
+        d[rows, : rows.start] = d[: rows.start, rows].T
+        square = np.triu(d[rows, rows], 1)
+        d[rows, rows] = square + square.T
+    return Metric.adopt_matrix(d)
 
 
 def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:

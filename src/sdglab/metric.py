@@ -6,11 +6,15 @@ distance matrix, so lookups are O(1) and all operations are pure. As a
 is the matrix's.
 Explicit matrices are checked exactly against the metric axioms on
 construction (every triple that could violate one); norms satisfy them by
-definition. An l_p matrix adds one n x n plane of terms |a_k - b_k|^p per
-coordinate, in order k = 0..d-1 (the maximum for p = inf), then takes the root
-once. That is numpy's order for a reduction over d <= 7 trailing elements (it
-sums 8 or more pairwise). As fl(a - b) = -fl(b - a) and a - a = 0, every
-plane is exactly symmetric with a zero diagonal, so the sum needs no mirror.
+definition. An l_p matrix is filled one row block at a time: a block adds a
+plane of terms |a_k - b_k|^p per coordinate, in order k = 0..d-1 (the maximum
+for p = inf), then takes the root once. That is numpy's order for a reduction
+over d <= 7 trailing elements (it sums 8 or more pairwise). As
+fl(a - b) = -fl(b - a) and a - a = 0, every plane is exactly symmetric with a
+zero diagonal, so the sum needs no mirror.
+Every n x n pass here, the checks included, runs over row blocks
+(`graph.row_blocks`), so building a metric allocates no n x n array beside its
+matrix.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Space
+from .graph import Space, row_blocks
 
 EUCLIDEAN_LP = "euclidean_lp"
 EXPLICIT_MATRIX = "matrix"
@@ -48,6 +52,49 @@ class MetricError(ValueError):
         self.violation = violation
 
 
+def _first_upper(d: np.ndarray, bad) -> tuple[int, int] | None:
+    """First (u, v) with v >= u, in row-major order, where bad holds: bad(d, rows)
+    is a boolean array over the entries (rows, rows.start:) of d, read one row
+    block at a time. For a property symmetric in u and v this is also the first
+    pair of the whole matrix: the first row that holds one holds none left of
+    the diagonal, as its mirror would lie in an earlier row."""
+    for rows in row_blocks(len(d)):
+        hit = bad(d, rows)
+        if hit.any():
+            u, v = np.argwhere(hit)[0]
+            return rows.start + int(u), rows.start + int(v)
+    return None
+
+
+def _asymmetric(d: np.ndarray, rows: slice) -> np.ndarray:
+    a, b = d[rows, rows.start :], d[rows.start :, rows].T
+    bad = a != b
+    if bad.any():  # a NaN pair is symmetric; the non-finite check reports it
+        bad &= ~(np.isnan(a) & np.isnan(b))
+    return bad
+
+
+def _nonpositive_off_diagonal(d: np.ndarray, rows: slice) -> np.ndarray:
+    u, v = np.arange(rows.start, rows.stop)[:, None], np.arange(rows.start, len(d))
+    return (d[rows, rows.start :] <= 0.0) & (v > u)
+
+
+def _non_finite(d: np.ndarray, rows: slice) -> np.ndarray:
+    return ~np.isfinite(d[rows, rows.start :])
+
+
+def _nearest(d: np.ndarray) -> np.ndarray:
+    """min_{y != x} d(x, y) for every row x (+inf for one point), by row blocks."""
+    n = len(d)
+    out = np.empty(n)
+    for rows in row_blocks(n):
+        block = d[rows].copy()
+        block.ravel()[rows.start :: n + 1] = np.inf  # its entries (u, u)
+        out[rows] = block.min(axis=1)
+        del block  # so the next block's copy is the only one held
+    return out
+
+
 def validate_metric(matrix) -> MetricViolation | None:
     """Check a square matrix against the metric axioms.
 
@@ -69,10 +116,9 @@ def validate_metric(matrix) -> MetricViolation | None:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         return MetricViolation("shape", (), f"expected a square matrix, got shape {d.shape}")
     n = d.shape[0]
-    # A NaN pair is symmetric; the non-finite check below reports it.
-    bad = np.argwhere((d != d.T) & ~(np.isnan(d) & np.isnan(d.T)))
-    if bad.size:
-        u, v = (int(x) for x in bad[0])
+    bad = _first_upper(d, _asymmetric)
+    if bad is not None:
+        u, v = bad
         return MetricViolation(
             "symmetry", (u, v), f"asymmetric entries: d({u},{v})={d[u, v]} != d({v},{u})={d[v, u]}"
         )
@@ -80,20 +126,23 @@ def validate_metric(matrix) -> MetricViolation | None:
     if diag.size:
         u = int(diag[0][0])
         return MetricViolation("diagonal", (u,), f"nonzero diagonal entry d({u},{u})={d[u, u]}")
-    off_diagonal = ~np.eye(n, dtype=bool)
-    bad = np.argwhere((d <= 0.0) & off_diagonal)
-    if bad.size:
-        u, v = (int(x) for x in bad[0])
+    # d is symmetric from here on, so each check reads the upper triangle only.
+    bad = _first_upper(d, _nonpositive_off_diagonal)
+    if bad is not None:
+        u, v = bad
         return MetricViolation(
             "positivity", (u, v), f"off-diagonal distance d({u},{v})={d[u, v]} is not positive"
         )
-    if not np.all(np.isfinite(d)):
-        u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
+    bad = _first_upper(d, _non_finite)
+    if bad is not None:
+        u, v = bad
         return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
     if n < 3:
         return None  # a violating triple needs three distinct points
-    nearest = d.min(axis=1, where=off_diagonal, initial=np.inf)
-    rows = np.flatnonzero((d > np.add.outer(nearest, nearest)).any(axis=1))
+    nearest = _nearest(d)
+    rows = np.flatnonzero(
+        np.concatenate([(d[blk] > nearest[blk, None] + nearest).any(axis=1) for blk in row_blocks(n)])
+    )
     # d[u,w] <= d[u,v] + d[v,w] for every triple of the rows left, checked over
     # blocks of them in ascending order, so memory stays O(n^2) and the first
     # violating triple in lexicographic order is found in the first block that
@@ -133,18 +182,28 @@ def as_vertex_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
-    if points.shape[1] == 1:  # 1-D distances are plain absolute differences for every p
-        return np.abs(np.subtract.outer(points[:, 0], points[:, 0]))
-    d = np.zeros((len(points), len(points)))
-    term = np.empty_like(d)
-    for x in points.T:
-        np.abs(np.subtract.outer(x, x, out=term), out=term)
+    n, dim = points.shape
+    d = np.zeros((n, n))
+    blocks = row_blocks(n)
+    term = np.empty((blocks[0].stop, n))
+    for rows in blocks:
+        out = d[rows]
+        if dim == 1:  # 1-D distances are plain absolute differences for every p
+            np.abs(np.subtract.outer(points[rows, 0], points[:, 0], out=out), out=out)
+            continue
+        t = term[: out.shape[0]]
+        for x in points.T:
+            np.abs(np.subtract.outer(x[rows], x, out=t), out=t)
+            if p == 2.0:
+                np.multiply(t, t, out=t)
+            elif p not in (1.0, np.inf):
+                np.power(t, p, out=t)
+            (np.maximum if p == np.inf else np.add)(out, t, out=out)
         if p == 2.0:
-            np.multiply(term, term, out=term)
+            np.sqrt(out, out=out)
         elif p not in (1.0, np.inf):
-            np.power(term, p, out=term)
-        (np.maximum if p == np.inf else np.add)(d, term, out=d)
-    return d if p in (1.0, np.inf) else np.sqrt(d, out=d) if p == 2.0 else np.power(d, 1.0 / p, out=d)
+            np.power(out, 1.0 / p, out=out)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,18 +246,25 @@ class Metric(Space):
             raise ValueError(f"point {u} has a non-finite coordinate")
         with np.errstate(over="ignore"):
             d = _pairwise_lp(pts, float(p))
-        if not np.isfinite(d).all():
-            u, v = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
-            raise ValueError(f"distance between points {u} and {v} overflows")
-        zero = np.argwhere((d == 0.0) & ~np.eye(len(d), dtype=bool))
-        if zero.size:
-            u, v = (int(x) for x in zero[0])
-            raise ValueError(f"points {u} and {v} coincide; distances must be positive")
+        # d is exactly symmetric, so its upper triangle holds the first bad pair,
+        # and nonnegative, so a nonpositive distance is a zero one.
+        bad = _first_upper(d, _non_finite)
+        if bad is not None:
+            raise ValueError(f"distance between points {bad[0]} and {bad[1]} overflows")
+        bad = _first_upper(d, _nonpositive_off_diagonal)
+        if bad is not None:
+            raise ValueError(f"points {bad[0]} and {bad[1]} coincide; distances must be positive")
         return Metric(kind=EUCLIDEAN_LP, p=float(p), points=pts, matrix=d)
 
     @staticmethod
     def from_matrix(matrix) -> "Metric":
-        d = np.asarray(matrix, dtype=float).copy()
+        """The metric of a copy of `matrix`, checked by `validate_metric`."""
+        return Metric.adopt_matrix(np.array(matrix, dtype=float))
+
+    @staticmethod
+    def adopt_matrix(d: np.ndarray) -> "Metric":
+        """`from_matrix` without the copy: d, a float64 array that the caller
+        built and hands over, is checked and becomes the read-only matrix."""
         violation = validate_metric(d)
         if violation is not None:
             raise MetricError(violation)
@@ -223,7 +289,7 @@ class Metric(Space):
         """Smallest positive pairwise distance; requires at least two points."""
         if self.n < 2:
             raise ValueError("min_distance needs at least two points")
-        return float(self.matrix.min(where=~np.eye(self.n, dtype=bool), initial=np.inf))
+        return float(_nearest(self.matrix).min())
 
     def induce(self, subset: Sequence[int]) -> tuple["Metric", tuple[int, ...]]:
         """Sub-metric on `subset`, plus the new-index -> old-index relabeling.

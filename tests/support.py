@@ -175,7 +175,7 @@ def mask_loop_min_ham_path(space) -> HamPath:
         last = prev
     order.reverse()
     order = _canonical(order)
-    return HamPath(order=order, weight=path_weight(space, order), exact=True)
+    return HamPath(order=order, weight=path_weight(space, order))
 
 
 def layered_argmin_min_ham_path(space) -> HamPath:
@@ -228,7 +228,7 @@ def layered_argmin_min_ham_path(space) -> HamPath:
         last = prev
     order.reverse()
     order = _canonical(order)
-    return HamPath(order=order, weight=path_weight(space, order), exact=True)
+    return HamPath(order=order, weight=path_weight(space, order))
 
 
 def exhaustive_triangle_violation(d: np.ndarray) -> MetricViolation | None:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +16,7 @@ from sdglab.decomposition import (
     weight_coefficient,
 )
 from sdglab.disk import RangeAssignment, build_sdg
-from sdglab.graph import complete_graph, kruskal_msf
+from sdglab.graph import Forest, complete_graph, is_msf, kruskal_msf
 from sdglab.hamiltonian import EXACT_CUTOFF, HamPath, approx_ham_path, exact_min_ham_path, path_weight
 from sdglab.instances import (
     gen_c3,
@@ -25,6 +26,7 @@ from sdglab.instances import (
     gen_random_ranges,
     gen_star_metric,
 )
+from sdglab.metric import Metric
 from sdglab.sweep import build_instance, standard_suite
 
 from strategies import metric_range_pairs
@@ -130,9 +132,25 @@ def test_verifier_rejects_wrong_forest():
     assert "forest is not the MSF of the symmetric disk graph" in problems
 
 
+def test_verifier_rejects_a_forest_edge_outside_the_disk_graph():
+    # Points 0, 1, 3, 4 with unit radii: the disk graph is {(0,1), (2,3)}.
+    # Adding the metric edge (1,2), whose radii fall short of its weight 2,
+    # joins the two components, and no disk-graph edge crosses them, so only
+    # the radii test on the forest's own edges can refuse it.
+    m = Metric.euclidean([[0.0], [1.0], [3.0], [4.0]])
+    r = RangeAssignment.constant(4, 1.0)
+    p = Prepared(m, r)
+    assert p.msf == Forest(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    bad = Forest(4, ((0, 1, 1.0), (2, 3, 1.0), (1, 2, 2.0)))
+    assert bad == m.mst and not is_msf(m.matrix, np.asarray(r.radii), bad)
+    problems = verify_certificate(m, r, bad, p.path, p.certificate)
+    assert "forest is not the MSF of the symmetric disk graph" in problems
+    assert verify_certificate(m, r, p.msf, p.path, p.certificate) == []
+
+
 def test_decompose_rejects_non_permutation():
     space, r, forest, h = _setup(gen_chain_metric(5))
-    bad = HamPath(order=(0, 1, 2, 3, 3), weight=h.weight, exact=False)
+    bad = HamPath(order=(0, 1, 2, 3, 3), weight=h.weight)
     with pytest.raises(ValueError):
         decompose(Prepared(space, r), bad)
 
@@ -225,7 +243,8 @@ def test_trace_first_path_is_the_solved_path(ham_mode):
         trace = lightness_trace(p)
         assert trace.rounds[0].certificate is p.certificate
         assert trace.rounds[0].w_ham == p.path.weight == trace.w_ham_first
-        assert p.path.exact == (ham_mode == "exact" or (ham_mode == "auto" and m.n <= EXACT_CUTOFF))
+        exact = ham_mode == "exact" or (ham_mode == "auto" and m.n <= EXACT_CUTOFF)
+        assert p.path == (exact_min_ham_path(m) if exact else approx_ham_path(m))
 
 
 def test_later_rounds_shortcut_the_first_path():
@@ -323,7 +342,7 @@ def test_graph_path_step_outside_the_graph_is_reported():
     # The line graph joins only the endpoints to the middles, so 1-2 is no edge.
     space, r, forest, good = _setup(gen_line_graph(5, 1000.0, 1e-4))
     cert = decompose(Prepared(space, r), good)
-    h = HamPath(order=(0, 1, 2, 3, 4), weight=0.0, exact=False)
+    h = HamPath(order=(0, 1, 2, 3, 4), weight=0.0)
     with pytest.raises(ValueError, match=r"path step \(1,2\) is not an edge of the graph"):
         decompose(Prepared(space, r), h)
     assert verify_certificate(space, r, forest, h, cert) == [

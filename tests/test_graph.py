@@ -301,20 +301,37 @@ def test_dense_msf_memory_is_linear():
 def test_is_msf_agrees_with_kruskal_on_tied_graphs_and_swaps():
     # Weights from {1, 2, 3}, so the endpoint tie-break decides many path maxima.
     rng = np.random.default_rng(37)
-    accepted = swaps = 0
+    # Radii from {0, 1, 2, 3}, so min(r_u, r_v) >= w ties often, and the disk
+    # graph drops edges of the graph's MSF that a forest may still hold.
+    radii_rng = np.random.default_rng(38)
+    accepted = swaps = disk_accepted = disk_forests = 0
     for _ in range(250):
         n = int(rng.integers(2, 10))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
         g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
+        everything = np.full(n, np.inf)
         msf = kruskal_msf(g)
-        accepted += is_msf(g.matrix, msf)
+        accepted += is_msf(g.matrix, everything, msf)
         tree = set(msf.edges)
         for out in msf.edges:
             for into in set(g.edges) - tree:
                 f = Forest(n, tuple(sorted(tree - {out} | {into}, key=edge_key)))
-                assert is_msf(g.matrix, f) == (msf == f)
+                assert is_msf(g.matrix, everything, f) == (msf == f)
                 swaps += 1
+        radii = radii_rng.integers(0, 4, size=n).astype(float)
+        disk_msf = kruskal_msf(build_sdg(g, RangeAssignment(radii)))
+        disk_accepted += is_msf(g.matrix, radii, disk_msf)
+        disk_tree = set(disk_msf.edges)
+        candidates = [msf] + [
+            Forest(n, tuple(sorted(disk_tree - {out} | {into}, key=edge_key)))
+            for out in [None, *disk_tree]
+            for into in set(g.edges) - disk_tree
+        ]
+        for f in candidates:
+            assert is_msf(g.matrix, radii, f) == (disk_msf == f)
+            disk_forests += 1
     assert accepted == 250 and swaps > 4000
+    assert disk_accepted == 250 and disk_forests > 4000
 
 
 _TIED = WeightedGraph.from_edges(5, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 2.0)))  # vertex 4 alone
@@ -341,16 +358,16 @@ _TIED_MSF = ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 2.0))
 )
 def test_is_msf_rejects_what_kruskal_rejects(n, edges):
     msf = kruskal_msf(_TIED)
-    assert msf == Forest(5, _TIED_MSF) and is_msf(_TIED.matrix, msf)
+    assert msf == Forest(5, _TIED_MSF) and is_msf(_TIED.matrix, np.full(5, np.inf), msf)
     f = Forest(n, edges)
-    assert msf != f and not is_msf(_TIED.matrix, f)
+    assert msf != f and not is_msf(_TIED.matrix, np.full(5, np.inf), f)
 
 
 def test_is_msf_rejects_an_infinite_tree_edge():
     # +inf marks an absent edge, so it equals the matrix entry of a missing pair.
     g = WeightedGraph.from_edges(2, ())
     f = Forest(2, ((0, 1, math.inf),))
-    assert kruskal_msf(g) != f and not is_msf(g.matrix, f)
+    assert kruskal_msf(g) != f and not is_msf(g.matrix, np.full(2, np.inf), f)
 
 
 def test_cycle_property_c3():

@@ -33,7 +33,7 @@ def test_exact_chain_is_the_path():
     h = exact_min_ham_path(m)
     assert h.order == (0, 1, 2, 3)
     assert h.weight == 3.0
-    assert h.exact
+    assert h == support.mask_loop_min_ham_path(m)
 
 
 def test_exact_star_matches_permutation_scan():
@@ -85,7 +85,7 @@ def test_approx_chain_preorder_is_the_path():
     m = gen_chain_metric(5).space
     h = approx_ham_path(m)
     assert h.weight == 4.0
-    assert not h.exact
+    assert h == exact_min_ham_path(m)  # on a chain the preorder is optimal
     mst_w = kruskal_msf(complete_graph(m)).weight
     assert h.weight <= 2.0 * mst_w
 
@@ -150,9 +150,9 @@ def test_shortcut_composes_over_nested_subsets(m, data):
 
 def test_ham_path_auto_dispatch():
     small = gen_random_euclidean(10, 2, 2.0, 1)
-    assert Prepared(small, RangeAssignment.constant(10, 1.0), "auto").path.exact
+    assert Prepared(small, RangeAssignment.constant(10, 1.0), "auto").path == exact_min_ham_path(small)
     large = gen_random_euclidean(20, 2, 2.0, 1)
-    assert not Prepared(large, RangeAssignment.constant(20, 1.0), "auto").path.exact
+    assert Prepared(large, RangeAssignment.constant(20, 1.0), "auto").path == approx_ham_path(large)
     with pytest.raises(ValueError, match="unknown ham_mode 'nope'"):
         Prepared(small, RangeAssignment.constant(10, 1.0), "nope")
 
@@ -166,7 +166,7 @@ def _same_as_mask_loop(space, reference=support.mask_loop_min_ham_path):
             exact_min_ham_path(space)
         return None
     h = exact_min_ham_path(space)
-    assert (h.order, h.weight, h.exact) == (expected.order, expected.weight, expected.exact)
+    assert h == expected
     return h
 
 

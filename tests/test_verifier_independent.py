@@ -4,9 +4,10 @@ Each certificate is prepared first, through the builder's path (`sdg_msf`,
 which runs `dense_msf` on `sdg_matrix`). Then every `sdglab` module's binding
 of those three functions is replaced by one that raises (modules import by
 name, so patching the defining module alone would miss calls), and
-`verify_certificate` must still accept the certificate: it builds the disk
-graph with `build_sdg` and checks the forest with `is_msf`, so it shares no
-shortcut with the builder that a bug could hide behind.
+`verify_certificate` must still accept the certificate: it tests the radii
+min(r_u, r_v) >= d(u, v) itself, for the path edges and, row block by row
+block, inside `is_msf`, which checks the forest, so it shares no shortcut with
+the builder that a bug could hide behind.
 """
 import sys
 
