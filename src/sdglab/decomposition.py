@@ -16,7 +16,8 @@ vertices. The construction is an exchange argument:
 
 `decompose` trusts F, which `Prepared` built; `verify_certificate` checks F by
 the cycle property on its own radii test, with no masked copy of the matrix,
-and re-derives every claimed property from scratch.
+and re-derives every claimed property from scratch: it reads only vertex pairs
+from the certificate, and every weight from the space.
 `lightness_trace` prepares the survivors of each round as a new instance and
 decomposes it with H shortcut onto them, so every round's path weighs at most
 w(H). The point set shrinks by a factor >= 1/5 per round, which telescopes to
@@ -87,8 +88,8 @@ def parse_vertices(values, n: int, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _min_endpoint(e: Edge, r: RangeAssignment) -> int:
-    u, v, _ = e
+def _min_endpoint(pair: tuple[int, int], r: RangeAssignment) -> int:
+    u, v = pair
     return u if r[u] < r[v] else v
 
 
@@ -156,16 +157,16 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
     independently. The certificate is deterministic: ties resolve through the
     total edge order.
     """
-    ham_edges = _ham_edges(p.space.matrix, h)
+    ham_edges = sorted(_ham_edges(p.space.matrix, h), key=edge_key)
     n, r, f = p.space.n, p.r, p.msf
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
 
-    # A path edge is in the disk graph iff both radii reach across it.
-    e_prime = sorted((e for e in ham_edges if min(r[e[0]], r[e[1]]) >= e[2]), key=edge_key)
-    e_dprime = sorted((e for e in ham_edges if min(r[e[0]], r[e[1]]) < e[2]), key=edge_key)
-    e1 = sorted((e for e in e_prime if (e[0], e[1]) in forest_pairs), key=edge_key)
-    e2 = sorted((e for e in e_prime if (e[0], e[1]) not in forest_pairs), key=edge_key)
+    # Splits keep ascending order; a path edge is in the disk graph iff both radii reach across it.
+    e_prime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) >= e[2]]
+    e_dprime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) < e[2]]
+    e1 = [e for e in e_prime if (e[0], e[1]) in forest_pairs]
+    e2 = [e for e in e_prime if (e[0], e[1]) not in forest_pairs]
 
     # Cycle exchanges: walk e2 in ascending order, swap each edge into the
     # running forest against the heaviest cycle edge outside the path.
@@ -188,12 +189,12 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
     # edges missing from the disk graph; whenever the smaller-radius endpoint
     # still has forest edges, retire its heaviest one.
     resid = f.adjacency()
-    for u, v, _ in list(e1) + tilde_e2:
+    for u, v, _ in e1 + tilde_e2:
         del resid[u][v], resid[v][u]
     star_h: list[Edge] = []
     star_f: list[Edge] = []
     for e in e_dprime:
-        me = _min_endpoint(e, r)
+        me = _min_endpoint(e[:2], r)
         if resid[me]:
             incident = [canonical_edge(me, x, w) for x, w in resid[me].items()]
             out = max(incident, key=edge_key)
@@ -201,7 +202,7 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
             star_f.append(out)
             del resid[out[0]][out[1]], resid[out[1]][out[0]]
 
-    tilde_e = sorted(list(e1) + tilde_e2 + star_f, key=edge_key)
+    tilde_e = sorted(e1 + tilde_e2 + star_f, key=edge_key)
     isolated = tuple(v for v in range(n) if not resid[v])
     return DecompositionCertificate(
         n=n,
@@ -260,108 +261,101 @@ def verify_certificate(
 
     Returns the list of violated invariants (empty means the certificate is
     valid). The checks are independent of how the certificate was built; any
-    exchange satisfying the per-index inequalities is accepted. An edge is in
-    the disk graph iff min(r_u, r_v) >= its weight, tested here for the path
-    edges and by `graph.is_msf` for the rest: f must be the disk graph's MSF by
-    that cycle-property check, O(n^2) array work over row blocks that builds
-    no forest and no n x n float array of its own.
+    exchange satisfying the per-index inequalities is accepted. Only vertex
+    pairs are read from the certificate; every weight compared is d(u, v) from
+    the space. An edge is in the disk graph iff min(r_u, r_v) >= its weight,
+    tested here for the path edges and by `graph.is_msf` for the rest: f must
+    be the disk graph's MSF by that cycle-property check, O(n^2) array work
+    over row blocks that builds no forest and no n x n float array of its own.
     """
-    problems: list[str] = []
-    n = space.n
+    n, d = space.n, space.matrix
     if cert.n != n:
         return [f"certificate is for n={cert.n}, space has n={n}"]
     try:
-        ham_edges = _ham_edges(space.matrix, h)
+        ham_edges = _ham_edges(d, h)
     except ValueError as exc:
         return [str(exc)]
-    if not is_msf(space.matrix, np.asarray(r.radii, dtype=float), f):
+    problems: list[str] = []
+    if not is_msf(d, np.asarray(r.radii, dtype=float), f):
         problems.append("forest is not the MSF of the symmetric disk graph")
     ham_weight = _fsum_edges(ham_edges)
     if ham_weight != h.weight:
         problems.append("stored path weight does not match its edge weights")
 
+    def weight(pair: tuple[int, int]) -> float:
+        return float(d[pair])
+
+    pairs = {name: [(u, v) for u, v, _ in getattr(cert, name)] for name in cert.EDGE_FIELDS}
+    sets = {name: set(field) for name, field in pairs.items()}
+    e2, tilde_e2, star_h, star_f = pairs["e2"], pairs["tilde_e2"], pairs["star_h"], pairs["star_f"]
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
-
     e_prime_ref = {(u, v) for u, v, w in ham_edges if min(r[u], r[v]) >= w}
-    e_dprime_ref = [e for e in ham_edges if (e[0], e[1]) not in e_prime_ref]
-    if _pairs(cert.e_prime) != e_prime_ref:
-        problems.append("e_prime is not (path edges of the disk graph)")
-    if _pairs(cert.e_dprime) != ham_pairs - e_prime_ref:
-        problems.append("e_dprime is not (path edges outside the disk graph)")
-    if _pairs(cert.e1) != e_prime_ref & forest_pairs:
-        problems.append("e1 is not (e_prime edges inside the forest)")
-    if _pairs(cert.e2) != e_prime_ref - forest_pairs:
-        problems.append("e2 is not (e_prime edges outside the forest)")
-    if list(cert.e2) != sorted(cert.e2, key=edge_key):
+    e_dprime_ref = ham_pairs - e_prime_ref
+
+    for name, ref, what in (
+        ("e_prime", e_prime_ref, "path edges of the disk graph"),
+        ("e_dprime", e_dprime_ref, "path edges outside the disk graph"),
+        ("e1", e_prime_ref & forest_pairs, "e_prime edges inside the forest"),
+        ("e2", e_prime_ref - forest_pairs, "e_prime edges outside the forest"),
+    ):
+        if sets[name] != ref:
+            problems.append(f"{name} is not ({what})")
+    if e2 != sorted(e2, key=lambda e: (weight(e), e)):
         problems.append("e2 is not in ascending edge order")
 
     # Cycle-exchange block.
-    if len(cert.tilde_e2) != len(cert.e2):
+    if len(tilde_e2) != len(e2):
         problems.append("tilde_e2 and e2 differ in length")
-    if len(_pairs(cert.tilde_e2)) != len(cert.tilde_e2):
+    if len(sets["tilde_e2"]) != len(tilde_e2):
         problems.append("tilde_e2 contains duplicate edges")
-    for i, e in enumerate(cert.tilde_e2):
-        if (e[0], e[1]) not in forest_pairs:
+    for i, e in enumerate(tilde_e2):
+        if e not in forest_pairs:
             problems.append(f"tilde_e2[{i}] is not a forest edge")
-        if (e[0], e[1]) in ham_pairs:
+        if e in ham_pairs:
             problems.append(f"tilde_e2[{i}] belongs to the path")
-    for i, (kept, out) in enumerate(zip(cert.e2, cert.tilde_e2)):
-        if out[2] > kept[2]:
-            problems.append(f"exchange {i} removed a heavier edge: w={out[2]} > w={kept[2]}")
+    for i, (kept, out) in enumerate(zip(e2, tilde_e2)):
+        if weight(out) > weight(kept):
+            problems.append(f"exchange {i} removed a heavier edge: w={weight(out)} > w={weight(kept)}")
 
     # Radius-retirement block.
-    if len(cert.star_f) != len(cert.star_h):
+    if len(star_f) != len(star_h):
         problems.append("star_f and star_h differ in length")
-    if len(_pairs(cert.star_h)) != len(cert.star_h):
+    if len(sets["star_h"]) != len(star_h):
         problems.append("star_h contains duplicate edges")
-    if len(_pairs(cert.star_f)) != len(cert.star_f):
+    if len(sets["star_f"]) != len(star_f):
         problems.append("star_f contains duplicate edges")
-    dprime_pairs = ham_pairs - e_prime_ref
-    for i, e in enumerate(cert.star_h):
-        if (e[0], e[1]) not in dprime_pairs:
+    for i, e in enumerate(star_h):
+        if e not in e_dprime_ref:
             problems.append(f"star_h[{i}] is not a path edge missing from the disk graph")
-    for i, e in enumerate(cert.star_f):
-        if (e[0], e[1]) not in forest_pairs:
+    for i, e in enumerate(star_f):
+        if e not in forest_pairs:
             problems.append(f"star_f[{i}] is not a forest edge")
-        if (e[0], e[1]) in ham_pairs:
+        if e in ham_pairs:
             problems.append(f"star_f[{i}] belongs to the path")
-    for i, (he, fe) in enumerate(zip(cert.star_h, cert.star_f)):
+    for i, (he, fe) in enumerate(zip(star_h, star_f)):
         me = _min_endpoint(he, r)
-        if me not in (fe[0], fe[1]):
+        if me not in fe:
             problems.append(f"star_f[{i}] is not incident to the smaller-radius endpoint of star_h[{i}]")
-        if fe[2] > r[me]:
-            problems.append(f"retired edge {i} exceeds the endpoint radius: w={fe[2]} > r={r[me]}")
-    for u, v, w in e_dprime_ref:
-        me = _min_endpoint((u, v, w), r)
-        if not r[me] < w:
-            problems.append(f"path edge ({u},{v}) outside the disk graph has radius >= weight")
-    if _fsum_edges(cert.star_f) > _fsum_edges(cert.star_h):
+        if weight(fe) > r[me]:
+            problems.append(f"retired edge {i} exceeds the endpoint radius: w={weight(fe)} > r={r[me]}")
+    if math.fsum(map(weight, star_f)) > math.fsum(map(weight, star_h)):
         problems.append("retired forest edges outweigh their path edges")
 
     # Set algebra of the removed set.
-    union = _pairs(cert.e1) | _pairs(cert.tilde_e2) | _pairs(cert.star_f)
-    if _pairs(cert.tilde_e) != union or len(cert.tilde_e) != len(cert.e1) + len(
-        cert.tilde_e2
-    ) + len(cert.star_f):
+    union = sets["e1"] | sets["tilde_e2"] | sets["star_f"]
+    if sets["tilde_e"] != union or len(pairs["tilde_e"]) != len(pairs["e1"]) + len(tilde_e2) + len(star_f):
         problems.append("tilde_e is not the disjoint union of e1, tilde_e2 and star_f")
-    if _pairs(cert.e1) & _pairs(cert.e2) or _pairs(cert.e1) & _pairs(cert.star_h) or _pairs(
-        cert.e2
-    ) & _pairs(cert.star_h):
-        problems.append("e1, e2 and star_h are not pairwise disjoint")
-    if _pairs(cert.e1) & _pairs(cert.tilde_e2) or _pairs(cert.e1) & _pairs(cert.star_f) or _pairs(
-        cert.tilde_e2
-    ) & _pairs(cert.star_f):
-        problems.append("e1, tilde_e2 and star_f are not pairwise disjoint")
-
-    if _fsum_edges(cert.tilde_e) > ham_weight:
+    for a, b, c in (("e1", "e2", "star_h"), ("e1", "tilde_e2", "star_f")):
+        if sets[a] & sets[b] or sets[a] & sets[c] or sets[b] & sets[c]:
+            problems.append(f"{a}, {b} and {c} are not pairwise disjoint")
+    if math.fsum(map(weight, pairs["tilde_e"])) > ham_weight:
         problems.append("removed weight exceeds the path weight")
 
     # Isolation block, recomputed on the forest minus the removed set.
-    removed = _pairs(cert.tilde_e)
     degree = [0] * n
     for u, v, _ in f.edges:
-        if (u, v) not in removed:
+        if (u, v) not in sets["tilde_e"]:
             degree[u] += 1
             degree[v] += 1
     isolated_ref = tuple(v for v in range(n) if degree[v] == 0)
@@ -371,12 +365,9 @@ def verify_certificate(
         problems.append(
             f"isolated count {len(isolated_ref)} is below ceil(n/5) = {math.ceil(n / 5)}"
         )
-    retired = _pairs(cert.star_h)
-    for u, v, w in e_dprime_ref:
-        if (u, v) in retired:
-            continue
-        me = _min_endpoint((u, v, w), r)
-        if degree[me] != 0:
+    residual = e_dprime_ref - sets["star_h"]
+    for u, v, _ in ham_edges:
+        if (u, v) in residual and degree[_min_endpoint((u, v), r)]:
             problems.append(
                 f"residual path edge ({u},{v}) has a non-isolated smaller-radius endpoint"
             )

@@ -436,8 +436,6 @@ def dense_msf(d: np.ndarray) -> Forest:
 
 def tree_path(adj: Sequence[dict[int, float]], u: int, v: int) -> list[Edge] | None:
     """Unique path between u and v in a forest adjacency; None if disconnected."""
-    if u == v:
-        return []
     parent: dict[int, int] = {u: u}
     queue = deque([u])
     while queue:

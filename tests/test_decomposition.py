@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from sdglab import decomposition
 from sdglab.decomposition import (
+    BoundViolationError,
     DecompositionCertificate,
     Prepared,
     decompose,
@@ -259,6 +262,51 @@ def test_later_rounds_shortcut_the_first_path():
     for rd in trace.rounds[1:]:
         survivors = set(rd.labels)
         assert rd.w_ham == path_weight(bundle.space, [v for v in p.path.order if v in survivors])
+
+
+def _prepared_n45():
+    spec = next(s for s in standard_suite(1, trials=1) if s.id == "euclidean-d2p2-n045-uniform-t0")
+    bundle = build_instance(spec)
+    return Prepared(bundle.space, bundle.ranges)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"isolated": ()}, "round isolated fewer than a fifth of the vertices"),
+        ({"tilde_e": ()}, "kept forest weight exceeds the induced MSF weight"),
+    ],
+)
+def test_trace_rejects_a_wrong_first_certificate(fields, message):
+    p = _prepared_n45()
+    p.__dict__["certificate"] = dataclasses.replace(p.certificate, **fields)
+    with pytest.raises(BoundViolationError, match=message):
+        lightness_trace(p)
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (4.0, "path weight exceeded the first round's weight"),
+        (0.0, "basis forest outweighs three times its path"),
+    ],
+)
+def test_trace_rejects_a_wrong_shortcut_weight(scale, message, monkeypatch):
+    shortcut = decomposition.shortcut_path
+
+    def scaled(space, h, subset):
+        sub = shortcut(space, h, subset)
+        return HamPath(order=sub.order, weight=scale * sub.weight)
+
+    monkeypatch.setattr(decomposition, "shortcut_path", scaled)
+    with pytest.raises(BoundViolationError, match=message):
+        lightness_trace(_prepared_n45())
+
+
+def test_trace_rejects_more_rounds_than_the_bound(monkeypatch):
+    monkeypatch.setattr(decomposition, "log_rounds_bound", lambda n: 0)
+    with pytest.raises(BoundViolationError, match=re.escape("round count exceeds ceil(log_{5/4} n)")):
+        lightness_trace(_prepared_n45())
 
 
 def test_prepared_rejects_bad_mode_and_radii_count():
