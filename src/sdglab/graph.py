@@ -18,7 +18,8 @@ it has n minus its edge count components.
 
 `dense_msf` computes the unique forest on a matrix for the builders (`mst`,
 `disk.sdg_msf`): one pass gives every vertex its lightest edge, which joins
-the vertices into fragments, and Prim then grows its trees a fragment at a
+the vertices into fragments, together with any edges the caller already
+knows to be in the forest, and Prim then grows its trees a fragment at a
 time. Edges sharing an endpoint compare as their other endpoints do, so it
 keeps no code matrix: a vertex's least edge is looked up when it is chosen,
 and kept as a code only while it ties with others at the least weight.
@@ -33,7 +34,8 @@ it is the tests' oracle for both and a benchmark tracer target.
 
 Every n x n pass of an evaluation, apart from Prim's row reads, runs over
 `row_blocks`, so its only n x n float64 arrays are the metric's own and the
-disk graph that `disk.sdg_matrix` masks for Prim.
+disk graph that `disk.sdg_matrix` masks for Prim, which is made only when
+the radii drop an edge of the space's MST.
 """
 from __future__ import annotations
 
@@ -296,12 +298,15 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
     return all(block_holds(rows) for rows in row_blocks(n))
 
 
-def dense_msf(d: np.ndarray) -> Forest:
+def dense_msf(d: np.ndarray, known: Sequence[Edge] = ()) -> Forest:
     """Minimum spanning forest of a dense symmetric weight matrix.
 
     +inf marks an absent edge and the diagonal is ignored. Every edge is
     compared in the total order, so each one chosen is in the unique MSF by
     the cut property, and the result equals `kruskal_msf` of the same graph.
+    `known` lists edges (u, v, d(u, v)) that the caller knows to be in that
+    MSF (`disk.sdg_msf` passes the space's MST edges that its radii keep);
+    they are taken unchecked, and a wrong one gives a wrong forest.
     Two steps, each O(n^2) array work in all:
 
     (1) Fragments. Each vertex's lightest edge is the first minimum of its row:
@@ -310,7 +315,9 @@ def dense_msf(d: np.ndarray) -> Forest:
     no two edges tie in the total order, the only cycles of these hooks are
     mutual pairs, which keep the larger index's hook and are rooted at the
     smaller; pointer jumping then labels every vertex with its fragment's
-    root.
+    root. The known edges then join fragments by union-find, each one that
+    joins two being kept (one inside a fragment can only be a hook, as both
+    lie in the MSF), so Prim starts from fewer, larger fragments.
 
     (2) Prim over fragments. A tree grows a whole fragment at a time, with
     one `np.minimum` per member row, and each outside vertex keeps only
@@ -362,6 +369,12 @@ def dense_msf(d: np.ndarray) -> Forest:
         if (jumped == root).all():
             break
         root = jumped
+    if known:
+        uf, tops = UnionFind(n), root.tolist()
+        for e in known:
+            if uf.union(tops[e[0]], tops[e[1]]):
+                edges.append(e)
+        root = np.array([uf.find(t) for t in tops], dtype=idx.dtype)
     order = np.argsort(root, kind="stable")
     fragment_start = np.searchsorted(root[order], idx).tolist()
     fragment_size = np.bincount(root, minlength=n).tolist()

@@ -3,15 +3,20 @@
 Every `sdglab` module's binding of `dense_msf`, `kruskal_msf`, `decompose`,
 `approx_ham_path` and `exact_min_ham_path` is replaced by a counting wrapper
 (modules import by name, so patching the defining module alone would miss
-calls). An evaluation then runs `dense_msf` on the full n x n matrix exactly
-twice: the disk-graph MSF and the metric MST. Biased ranges add none: their
+calls). An evaluation then runs `dense_msf` on the full n x n matrix once,
+for the metric MST, when the radii keep every MST edge, as biased ranges
+always do: the disk-graph MSF is then that MST. Otherwise it runs once more,
+for the disk-graph MSF. Biased ranges add none of their own: their
 generator reads the same `Metric.mst` that the evaluation does. Every other
-`dense_msf` call is the MSF of one round's survivors, so there is one per
-round that leaves survivors. It decomposes once per peeling round, the first
-round reusing the evaluation's own certificate, and builds one path, for the
-first round, exactly or by MST doubling as `solves_exactly` decides: later
-rounds shortcut it and never solve again. It never runs Kruskal: the verifier
-checks the disk-graph MSF by the cycle property (`graph.is_msf`).
+`dense_msf` call belongs to one round's survivors: each round that leaves
+survivors runs their induced metric's MST, plus the disk-graph MSF when
+their radii drop an edge of it. The test derives these counts on its own,
+from `build_sdg` and Kruskal. An evaluation decomposes once per peeling
+round, the first round reusing the evaluation's own certificate, and builds
+one path, for the first round, exactly or by MST doubling as
+`solves_exactly` decides: later rounds shortcut it and never solve again.
+It never runs Kruskal: the verifier checks the disk-graph MSF by the cycle
+property (`graph.is_msf`).
 """
 import sys
 
@@ -19,6 +24,8 @@ import pytest
 
 from sdglab import decomposition, graph, hamiltonian
 from sdglab.decomposition import Prepared, lightness_trace
+from sdglab.disk import build_sdg
+from sdglab.graph import WeightedGraph, kruskal_msf
 from sdglab.hamiltonian import solves_exactly
 from sdglab.sweep import build_instance, euclidean_kinds, evaluate_instance, spec_grid
 
@@ -56,6 +63,13 @@ def counts(monkeypatch):
     return seen
 
 
+def _msf_calls(space, r) -> int:
+    """The `dense_msf` calls that one disk-graph MSF costs on a fresh space:
+    its MST, and the masked matrix's MSF when the radii drop an MST edge,
+    that is, when the disk graph's MSF differs from the space's MST."""
+    return 1 + (kruskal_msf(build_sdg(space, r)) != kruskal_msf(WeightedGraph(space.matrix)))
+
+
 @pytest.mark.parametrize("ham_mode", ["approx", "auto"])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
@@ -63,11 +77,20 @@ def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
     seen = {name: list(calls) for name, calls in counts.items()}
     bundle = build_instance(spec)
     trace = lightness_trace(Prepared(bundle.space, bundle.ranges, ham_mode))
-    leaving_survivors = sum(len(rd.certificate.isolated) < len(rd.labels) for rd in trace.rounds)
+    m, r = bundle.space, bundle.ranges
+    full = _msf_calls(m, r)
+    expected = [spec.n] * full
+    for rd in trace.rounds:
+        isolated = set(rd.certificate.isolated)
+        survivors = [old for v, old in enumerate(rd.labels) if v not in isolated]
+        if survivors:
+            expected += [len(survivors)] * _msf_calls(m.induce(survivors)[0], r.restrict(survivors))
 
     assert record.trace_rounds == trace.round_count >= 1
-    assert seen["dense_msf"].count(spec.n) == 2
-    assert len(seen["dense_msf"]) == 2 + leaving_survivors
+    if spec.range_mode == "biased":
+        assert full == 1
+    assert seen["dense_msf"].count(spec.n) == full
+    assert sorted(seen["dense_msf"]) == sorted(expected)
     assert seen["kruskal_msf"] == []
     assert len(seen["decompose"]) == record.trace_rounds
     assert seen["decompose"].count(spec.n) == 1

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
+from sdglab.graph import WeightedGraph, kruskal_msf
 from sdglab.instances import (
     gen_c3,
     gen_chain_metric,
     gen_line_graph,
     gen_random_euclidean,
+    gen_random_ranges,
     gen_star_metric,
 )
+from sdglab.metric import Metric
 
 from strategies import metric_range_pairs, metrics, seeds
 import support
@@ -41,6 +44,18 @@ def test_c3_sdg_keeps_heavy_edge():
     b = gen_c3(1000.0)
     sdg = build_sdg(b.space, b.ranges)
     assert support.edge_pairs(sdg) == {(0, 1), (1, 2)}
+
+
+def test_c3_msf_keeps_the_one_mst_edge_the_radii_keep():
+    # The MST is {01, 02}; radius 1 at vertex 0 keeps 01 and drops 02, so the
+    # disk-graph MSF is 01 plus the heavy edge 12, which Prim must still find.
+    for w in (0.5, 2.0, 3.0, 1000.0):
+        b = gen_c3(w)
+        expected = kruskal_msf(build_sdg(b.space, b.ranges))
+        assert sdg_msf(b.space, b.ranges) == expected
+        if w > 2.0:
+            assert b.space.mst.edges == ((0, 1, 1.0), (0, 2, 2.0))
+            assert expected.edges == ((0, 1, 1.0), (1, 2, w))
 
 
 def test_line_graph_sdg_routes_through_far_endpoint():
@@ -138,3 +153,42 @@ def test_large_ranges_match_complete_graph_msf():
     msf, mst = _udg_msf_and_mst(m, m.diameter())
     assert msf.edge_pairs() <= mst.edge_pairs() and msf.connected
     assert msf.weight / mst.weight == 1.0
+
+
+@st.composite
+def grid_metrics(draw):
+    """Distinct integer points under l1 or l_inf: many distances tie."""
+    dim = draw(st.sampled_from([1, 2]))
+    side = draw(st.integers(2, 6))
+    points = draw(st.lists(st.tuples(*[st.integers(0, side)] * dim), min_size=2, max_size=16, unique=True))
+    return Metric.euclidean(np.array(points, dtype=float), p=draw(st.sampled_from([1.0, np.inf])))
+
+
+@st.composite
+def tied_range_pairs(draw):
+    """A grid-tied or random metric, and radii from the range generator or
+    drawn from its own distances, so that radii equal to weights are common."""
+    m = draw(st.one_of(grid_metrics(), metrics(max_n=16)))
+    mode = draw(st.sampled_from(["uniform", "biased", "distances"]))
+    if mode != "distances":
+        return m, gen_random_ranges(m, mode, draw(seeds))
+    weights = sorted(set(m.matrix.ravel().tolist()))
+    return m, RangeAssignment(tuple(draw(st.sampled_from(weights)) for _ in range(m.n)))
+
+
+@given(tied_range_pairs())
+@settings(max_examples=150)
+def test_mst_edges_the_radii_keep_are_disk_msf_edges(pair):
+    m, r = pair
+    msf = kruskal_msf(build_sdg(m, r))
+    kept = {(u, v) for u, v, w in kruskal_msf(WeightedGraph(m.matrix)).edges if min(r[u], r[v]) >= w}
+    assert kept <= msf.edge_pairs()
+    assert sdg_msf(m, r) == msf
+
+
+@given(st.one_of(grid_metrics(), metrics(max_n=16)), seeds)
+@settings(max_examples=60)
+def test_biased_disk_msf_is_the_mst(m, seed):
+    r = gen_random_ranges(m, "biased", seed)
+    assert sdg_msf(m, r) is m.mst
+    assert m.mst == kruskal_msf(build_sdg(m, r))

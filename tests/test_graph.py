@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -116,32 +117,42 @@ def _with_absent_edges(d, rng, frac):
     return WeightedGraph(d)
 
 
-def test_dense_msf_equals_kruskal_on_tied_graphs():
-    # Weights from {1, 2, 3}: ties between edges from different tree vertices
-    # to one outside vertex are common, so the endpoint tie-break decides.
+@lru_cache(maxsize=1)
+def _tied_graphs() -> tuple[tuple[WeightedGraph, ...], tuple[WeightedGraph, ...]]:
+    """Small graphs with weights from {1, 2, 3}, then sparse ones on which
+    Prim restarts: the same weights, and the all-tie star and chain metrics
+    with many absent edges."""
     rng = np.random.default_rng(29)
+    small = []
     for _ in range(200):
         n = int(rng.integers(1, 10))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
-        g = WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs))
-        assert dense_msf(g.matrix) == kruskal_msf(g)
-    # The same weights and the all-tie star and chain metrics with many absent
-    # edges: Prim restarts, and the weights its trees tie on recur after a
-    # restart, so the tie-break must not carry over.
+        small.append(WeightedGraph.from_edges(n, tuple((u, v, float(rng.integers(1, 4))) for u, v in pairs)))
     rng = np.random.default_rng(31)
-    graphs = []
+    sparse = []
     for _ in range(300):
         n = int(rng.integers(2, 25))
         w = rng.integers(1, 4, size=(n, n)).astype(float)
         np.fill_diagonal(w, 0.0)
         kept = float(rng.uniform(0.5, 2.5)) / n  # mean degree about 0.5 to 2.5
-        graphs.append(_with_absent_edges(np.minimum(w, w.T), rng, 1 - kept))
+        sparse.append(_with_absent_edges(np.minimum(w, w.T), rng, 1 - kept))
     for n in (*range(3, 13), 16, 24, 32, 48, 64):
         for bundle in (gen_star_metric(n), gen_chain_metric(n)):
             for frac in (0.3, 0.6, 0.8):
-                graphs.append(_with_absent_edges(bundle.space.matrix, rng, frac))
+                sparse.append(_with_absent_edges(bundle.space.matrix, rng, frac))
+    return tuple(small), tuple(sparse)
+
+
+def test_dense_msf_equals_kruskal_on_tied_graphs():
+    # Weights from {1, 2, 3}: ties between edges from different tree vertices
+    # to one outside vertex are common, so the endpoint tie-break decides.
+    small, sparse = _tied_graphs()
+    for g in small:
+        assert dense_msf(g.matrix) == kruskal_msf(g)
+    # On the sparse graphs Prim restarts, and the weights its trees tie on
+    # recur after a restart, so the tie-break must not carry over.
     spanning_restarts = 0
-    for g in graphs:
+    for g in sparse:
         f = dense_msf(g.matrix)
         assert f == kruskal_msf(g)
         uf = UnionFind(g.n)
@@ -153,6 +164,22 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
         trees = list(by_root.values())
         spanning_restarts += any(a & b for i, a in enumerate(trees) for b in trees[i + 1 :])
     assert spanning_restarts > 100
+
+
+def test_dense_msf_with_known_edges_equals_kruskal_on_tied_graphs():
+    # Known MSF edges merge the nearest-neighbour fragments before Prim: none,
+    # all of them (Prim only restarts), and random subsets in random order,
+    # some of them hooks already.
+    rng = np.random.default_rng(37)
+    merged = 0
+    for g in sum(_tied_graphs(), ()):
+        f = kruskal_msf(g)
+        some = [e for e in f.edges if rng.random() < 0.5]
+        most = [f.edges[i] for i in rng.permutation(len(f.edges)) if rng.random() < 0.8]
+        for known in ((), f.edges, tuple(some), tuple(most)):
+            assert dense_msf(g.matrix, known) == f
+        merged += len(some) > 0
+    assert merged > 300
 
 
 def _assert_dense_equals_kruskal(d):
