@@ -28,8 +28,9 @@ w(F) <= log_{5/4} n * w(H) and hence a weight coefficient of at most
 MSF, first path and first certificate once, on first use; the trace, the
 coefficient and the assignment read them from it, so all belong to one (space, r).
 The MST depends on the space alone, so it is the space's own `mst`, and the
-disk-graph MSF starts from it (`disk.sdg_msf`): the MST edges the radii keep
-are MSF edges, and when the radii keep them all the two forests are one.
+disk-graph MSF starts from it once it is built (`disk.sdg_msf`): the MST
+edges the radii keep are MSF edges, and when the radii keep them all the two
+forests are one.
 """
 from __future__ import annotations
 
@@ -467,10 +468,11 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
     accounting fails, and ValueError on a space without the triangle
     inequality, which shortcutting needs.
 
-    Each round's MSF starts, as every `Prepared.msf` does, from its induced
-    metric's own MST, never from the previous round's kept edges: those are
-    what the check "kept forest weight exceeds the induced MSF weight" tests,
-    and seeding the induced MSF with them would make it pass by construction.
+    Each round's MSF is computed from its induced disk graph alone: the
+    induced metric builds no MST to start from, and the previous round's
+    kept edges are not passed in as known MSF edges. Those are what the
+    check "kept forest weight exceeds the induced MSF weight" tests, and
+    seeding the induced MSF with them would make it pass by construction.
     """
     if not p.space.is_metric:
         raise ValueError("lightness_trace needs the triangle inequality; the space is not a metric")

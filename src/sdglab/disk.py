@@ -71,22 +71,30 @@ def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
 def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     """MSF of the symmetric disk graph, equal to kruskal_msf(build_sdg(space, r)).
 
-    It starts from the space's own MST. An MST edge e = (u, v) with
-    min(r(u), r(v)) >= w(e), the test of `sdg_matrix`, is the lightest edge
-    of the space, in the total order, between the two sides that removing e
-    splits its tree into. The disk graph has a subset of those edges and
-    keeps e, so e is its lightest there too and, by the cut property, an
-    edge of the disk graph's MSF. If the radii keep every MST edge, that MSF
-    therefore contains the MST, and it has no more edges (a subgraph has at
-    least as many components), so the MST itself is returned: no masked copy
-    and no second Prim. This holds for every biased range assignment, whose
-    radii reach each vertex's heaviest MST edge. Otherwise `dense_msf` runs
-    on the masked matrix with the kept edges as known MSF edges.
+    It starts from the space's own MST when the space already holds it, as
+    every evaluated instance does (w(MST), biased ranges and MST doubling all
+    read it). It never builds that MST: a trace round's induced metric needs
+    no MST of its own, and computing one only to start from it cost a round
+    more than the masked Prim it can save.
+
+    An MST edge e = (u, v) with min(r(u), r(v)) >= w(e), the test of
+    `sdg_matrix`, is the lightest edge of the space, in the total order,
+    between the two sides that removing e splits its tree into. The disk
+    graph has a subset of those edges and keeps e, so e is its lightest there
+    too and, by the cut property, an edge of the disk graph's MSF. If the
+    radii keep every MST edge, that MSF therefore contains the MST, and it
+    has no more edges (a subgraph has at least as many components), so the
+    MST itself is returned: no masked copy and no second Prim. This holds for
+    every biased range assignment, whose radii reach each vertex's heaviest
+    MST edge. Otherwise `dense_msf` runs on the masked matrix, with the kept
+    edges, if the space has its MST, as known MSF edges.
     """
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
+    mst = vars(space).get("mst")  # `Space.mst` if it was computed; never computed here
+    if mst is None:
+        return dense_msf(sdg_matrix(space.matrix, r))
     radii = r.radii
-    mst = space.mst
     kept = [e for e in mst.edges if radii[e[0]] >= e[2] and radii[e[1]] >= e[2]]
     if len(kept) == len(mst.edges):
         return mst

@@ -34,8 +34,8 @@ it is the tests' oracle for both and a benchmark tracer target.
 
 Every n x n pass of an evaluation, apart from Prim's row reads, runs over
 `row_blocks`, so its only n x n float64 arrays are the metric's own and the
-disk graph that `disk.sdg_matrix` masks for Prim, which is made only when
-the radii drop an edge of the space's MST.
+disk graph that `disk.sdg_matrix` masks for Prim, which is made unless the
+space holds its MST and the radii keep every edge of it.
 """
 from __future__ import annotations
 

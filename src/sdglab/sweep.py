@@ -125,6 +125,7 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
     if not bundle.space.is_metric:
         raise ValueError(f"sweeps evaluate metric instances only, got family {spec.family!r}")
     m, r, n = bundle.space, bundle.ranges, bundle.n
+    mst = m.mst  # first, so that the disk-graph MSF starts from it (`disk.sdg_msf`)
     p = Prepared(m, r, ham_mode)
     cert_ok = not verify_certificate(m, r, p.msf, p.path, p.certificate)
     trace = lightness_trace(p)
@@ -135,9 +136,9 @@ def evaluate_instance(spec: InstanceSpec, ham_mode: str = "approx") -> Experimen
         n=n,
         family=spec.family,
         connected=p.msf.connected,
-        w_mst=m.mst.weight,
+        w_mst=mst.weight,
         w_msf_sdg=p.msf.weight,
-        coefficient=p.msf.weight / m.mst.weight,
+        coefficient=p.msf.weight / mst.weight,
         bound_2log=lightness_bound(n),
         ham_mode=ham_mode,
         w_ham=p.path.weight,

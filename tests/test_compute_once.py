@@ -4,19 +4,19 @@ Every `sdglab` module's binding of `dense_msf`, `kruskal_msf`, `decompose`,
 `approx_ham_path` and `exact_min_ham_path` is replaced by a counting wrapper
 (modules import by name, so patching the defining module alone would miss
 calls). An evaluation then runs `dense_msf` on the full n x n matrix once,
-for the metric MST, when the radii keep every MST edge, as biased ranges
-always do: the disk-graph MSF is then that MST. Otherwise it runs once more,
-for the disk-graph MSF. Biased ranges add none of their own: their
-generator reads the same `Metric.mst` that the evaluation does. Every other
-`dense_msf` call belongs to one round's survivors: each round that leaves
-survivors runs their induced metric's MST, plus the disk-graph MSF when
-their radii drop an edge of it. The test derives these counts on its own,
-from `build_sdg` and Kruskal. An evaluation decomposes once per peeling
-round, the first round reusing the evaluation's own certificate, and builds
-one path, for the first round, exactly or by MST doubling as
-`solves_exactly` decides: later rounds shortcut it and never solve again.
-It never runs Kruskal: the verifier checks the disk-graph MSF by the cycle
-property (`graph.is_msf`).
+for the metric MST, which it builds first, when the radii keep every MST
+edge, as biased ranges always do: the disk-graph MSF is then that MST.
+Otherwise it runs once more, for the disk-graph MSF. Biased ranges add none
+of their own: their generator reads the same `Metric.mst` that the
+evaluation does. Every other `dense_msf` call is the disk-graph MSF of one
+round's survivors, so there is one per round that leaves survivors: a
+round's induced metric never builds an MST of its own. The test derives
+these counts on its own, from `build_sdg` and Kruskal. An evaluation
+decomposes once per peeling round, the first round reusing the evaluation's
+own certificate, and builds one path, for the first round, exactly or by
+MST doubling as `solves_exactly` decides: later rounds shortcut it and never
+solve again. It never runs Kruskal: the verifier checks the disk-graph MSF
+by the cycle property (`graph.is_msf`).
 """
 import sys
 
@@ -63,13 +63,6 @@ def counts(monkeypatch):
     return seen
 
 
-def _msf_calls(space, r) -> int:
-    """The `dense_msf` calls that one disk-graph MSF costs on a fresh space:
-    its MST, and the masked matrix's MSF when the radii drop an MST edge,
-    that is, when the disk graph's MSF differs from the space's MST."""
-    return 1 + (kruskal_msf(build_sdg(space, r)) != kruskal_msf(WeightedGraph(space.matrix)))
-
-
 @pytest.mark.parametrize("ham_mode", ["approx", "auto"])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
@@ -78,19 +71,15 @@ def test_evaluation_computes_each_object_once(spec, ham_mode, counts):
     bundle = build_instance(spec)
     trace = lightness_trace(Prepared(bundle.space, bundle.ranges, ham_mode))
     m, r = bundle.space, bundle.ranges
-    full = _msf_calls(m, r)
-    expected = [spec.n] * full
-    for rd in trace.rounds:
-        isolated = set(rd.certificate.isolated)
-        survivors = [old for v, old in enumerate(rd.labels) if v not in isolated]
-        if survivors:
-            expected += [len(survivors)] * _msf_calls(m.induce(survivors)[0], r.restrict(survivors))
+    # The disk graph's MSF is the MST exactly when the radii keep every MST edge.
+    full = 1 + (kruskal_msf(build_sdg(m, r)) != kruskal_msf(WeightedGraph(m.matrix)))
+    survivors = [len(rd.labels) - len(rd.certificate.isolated) for rd in trace.rounds]
 
     assert record.trace_rounds == trace.round_count >= 1
     if spec.range_mode == "biased":
         assert full == 1
     assert seen["dense_msf"].count(spec.n) == full
-    assert sorted(seen["dense_msf"]) == sorted(expected)
+    assert sorted(seen["dense_msf"]) == sorted([spec.n] * full + [k for k in survivors if k > 0])
     assert seen["kruskal_msf"] == []
     assert len(seen["decompose"]) == record.trace_rounds
     assert seen["decompose"].count(spec.n) == 1

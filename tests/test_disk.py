@@ -48,13 +48,16 @@ def test_c3_sdg_keeps_heavy_edge():
 
 def test_c3_msf_keeps_the_one_mst_edge_the_radii_keep():
     # The MST is {01, 02}; radius 1 at vertex 0 keeps 01 and drops 02, so the
-    # disk-graph MSF is 01 plus the heavy edge 12, which Prim must still find.
+    # disk-graph MSF is 01 plus the heavy edge 12, which Prim must still find,
+    # from scratch and, once the graph's MST is built, with 01 known.
     for w in (0.5, 2.0, 3.0, 1000.0):
         b = gen_c3(w)
         expected = kruskal_msf(build_sdg(b.space, b.ranges))
         assert sdg_msf(b.space, b.ranges) == expected
+        mst = b.space.mst
+        assert sdg_msf(b.space, b.ranges) == expected
         if w > 2.0:
-            assert b.space.mst.edges == ((0, 1, 1.0), (0, 2, 2.0))
+            assert mst.edges == ((0, 1, 1.0), (0, 2, 2.0))
             assert expected.edges == ((0, 1, 1.0), (1, 2, w))
 
 
@@ -183,6 +186,11 @@ def test_mst_edges_the_radii_keep_are_disk_msf_edges(pair):
     msf = kruskal_msf(build_sdg(m, r))
     kept = {(u, v) for u, v, w in kruskal_msf(WeightedGraph(m.matrix)).edges if min(r[u], r[v]) >= w}
     assert kept <= msf.edge_pairs()
+    # Without the MST (never built by sdg_msf, as in a trace round), then from it.
+    had_mst = "mst" in vars(m)
+    assert sdg_msf(m, r) == msf
+    assert ("mst" in vars(m)) == had_mst
+    m.mst
     assert sdg_msf(m, r) == msf
 
 

@@ -6,11 +6,11 @@ stage ran; memory already live when it began, such as the metric, is not
 counted, and a build's peak includes the matrix it returns (1.0). Every n x n
 pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
   * either metric build holds its matrix plus one block or two: 1.09;
-  * `Prepared.msf` starts from the metric's MST, built before the stage.
-    When the radii drop an MST edge (uniform ranges) it holds the disk
-    graph's one masked copy, plus blocks and Prim's O(n) arrays: 1.07.
-    Under biased ranges it returns the MST and allocates next to nothing:
-    0.001;
+  * `Prepared.msf` under uniform ranges holds the disk graph's one masked
+    copy, plus blocks and Prim's O(n) arrays: 1.07 as a trace round runs it,
+    with no MST, and 1.07 as an evaluation does, from the MST built before.
+    Under biased ranges, whose generator builds the MST, it returns the MST
+    and allocates next to nothing: 0.001;
   * `verify_certificate` holds `is_msf`'s int32 index matrix (0.5) plus
     blocks, 0.65, and so no n x n float64 array.
 Each bound adds to its measured value a margin of at least 0.03 (250 KiB). One
@@ -56,10 +56,7 @@ INSTANCES = pytest.mark.parametrize(
 
 
 def _prepared(metric, mode) -> Prepared:
-    """An instance whose metric MST, which `disk.sdg_msf` starts from and
-    every evaluation reads, is already built: it is O(n), not a stage."""
     m = metric()
-    m.mst
     return Prepared(m, gen_random_ranges(m, mode, 2), "approx")
 
 
@@ -71,7 +68,16 @@ def test_disk_msf_holds_one_masked_copy(metric, mode):
         assert msf is p.space.mst
         assert peak < 0.10
     else:
+        assert "mst" not in vars(p.space)
         assert peak < 1.10
+
+
+def test_disk_msf_from_the_mst_holds_one_masked_copy():
+    # Uniform radii drop MST edges; the kept ones join Prim's fragments.
+    p = _prepared(lambda: gen_random_euclidean(N, 2, 2.0, 1), "uniform")
+    p.space.mst
+    _, peak = _peak(lambda: p.msf)
+    assert peak < 1.10
 
 
 @INSTANCES
