@@ -3,12 +3,15 @@
 Three providers:
   * exact Held-Karp dynamic programming over (visited set, last vertex)
     states, usable up to n = 18 and on non-complete graphs (absent edges are
-    +inf). It runs one popcount layer of visited sets at a time, stored as
-    dp[u, rank of T]: every state (T, v) has the single predecessor set T
-    minus v, so each state is written once, from a column minimum over the
-    last-but-one vertex u. The parent is the first u attaining it (ties go to
-    the smallest u). Only two layers of float64 values are held, n*C(n, k)
-    each, beside the full n*2^n int8 parent table that rebuilds the path;
+    +inf). It runs one popcount layer of visited sets at a time. A finished
+    layer k keeps, for each end vertex v, the values dp[T, v] of the
+    C(n-1, k-1) sets T that contain v, in ascending mask order. Those sets
+    are the sets of layer k-1 lacking v, with v added and in the same order,
+    so each row is one column minimum over the last-but-one vertex u, read
+    from layer k-1 expanded to n x C(n, k-1) with +inf where u is not in T.
+    No parent table is kept: the path is rebuilt from the full set backward,
+    the vertex before v in T being the first (smallest) u whose sum
+    dp[T - v, u] + d[u, v] attains the minimum, the forward pass's own sums;
   * an MST-doubling 2-approximation for metrics: depth-first preorder of the
     minimum spanning tree with triangle-inequality shortcutting;
   * subsequence shortcutting of an existing path onto a vertex subset.
@@ -27,9 +30,9 @@ import numpy as np
 from .graph import Space
 from .metric import Metric, as_vertex_subset
 
-# 18 * 2^18 states: a 4.5 MiB int8 parent table, two float64 layers of at
-# most 18 * C(18, 9) values (6.7 MiB) each, and one endpoint's candidates,
-# 18 * C(17, 8) float64 values (3.3 MiB); the traced peak is 27 MiB.
+# At n = 18 the kept layers hold 18 * 2^17 float64 values (18 MiB) in all,
+# the expanded layer at most 18 * C(18, 9) (6.7 MiB) and one endpoint's
+# candidates 18 * C(17, 8) (3.3 MiB); the traced peak is 25.2 MiB.
 EXACT_LIMIT = 18
 EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
 HAM_MODES = ("exact", "approx", "auto")
@@ -76,46 +79,45 @@ def exact_min_ham_path(space: Space) -> HamPath:
     n = d.shape[0]
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
-    size = 1 << n
     popcount = np.zeros(1, dtype=np.int8)  # of every mask below 2^n
     for _ in range(n):
         popcount = np.concatenate([popcount, popcount + 1])
-    rank = np.empty(size, dtype=np.int32)  # position of a mask within its layer
-    parent = np.full((n, size), -1, dtype=np.int8)  # parent[v, T]: u before v
-    first = (n - np.arange(n, dtype=np.uint8))[:, None]  # row u scores n - u
-    layer = np.flatnonzero(popcount == 1)  # the masks 1 << v; dp column v is {v}
-    dp = np.full((n, n), np.inf)  # dp[u, rank of T]: lightest path over T ending at u
-    np.fill_diagonal(dp, 0.0)
+    kept = [None, np.zeros(n)]  # kept[k]: row v is dp[T, v] over the k-sets T that hold v
     for k in range(2, n + 1):
-        nxt_layer = np.flatnonzero(popcount == k)
-        rank[nxt_layer] = np.arange(nxt_layer.size)
-        nxt = np.full((n, nxt_layer.size), np.inf)
+        layer = np.flatnonzero(popcount == k - 1)
+        inside = np.empty((n, layer.size), dtype=bool)
+        for u in range(n):
+            inside[u] = layer & (1 << u)
+        dp = np.full((n, layer.size), np.inf)  # dp[u, i]: lightest path over layer[i] ending at u
+        dp[inside] = kept[k - 1]
+        rows = np.empty((n, math.comb(n - 1, k - 1)))
+        cand = np.empty_like(rows)
         for v in range(n):
-            lacks = np.flatnonzero(((layer >> v) & 1) == 0)
-            cand = dp.take(lacks, axis=1)
+            # T -> T | {v} keeps the order of the sets lacking v
+            dp.take((~inside[v]).nonzero()[0], axis=1, out=cand, mode="clip")
             cand += d[:, v, None]
-            best = cand.min(axis=0)
-            # the first u attaining the minimum scores highest; unreached
-            # states (best = inf) get u = 0 but are never walked back through
-            tie = (cand == best).view(np.uint8)
-            tie *= first
-            targets = layer[lacks] | (1 << v)
-            nxt[v, rank[targets]] = best
-            parent[v, targets] = n - tie.max(axis=0)
-        layer, dp = nxt_layer, nxt
-    full = size - 1
-    last = int(dp[:, 0].argmin())
-    if not np.isfinite(dp[last, 0]):
+            np.minimum.reduce(cand, axis=0, out=rows[v])
+        del dp, cand
+        kept.append(rows.ravel())
+    last = int(kept[n].argmin())
+    if not np.isfinite(kept[n][last]):
         raise ValueError("graph has no Hamiltonian path")
-    order = []
-    mask = full
-    while last >= 0:
-        order.append(last)
-        prev = int(parent[last, mask])
-        mask ^= 1 << last
-        last = prev
-    order.reverse()
-    order = _canonical(order)
+    order = [last]
+    rest = (1 << n) - 1 - (1 << last)
+    for k in range(n - 1, 0, -1):
+        # the first u in rest with the lightest kept[k][u, rest] + d[u, last]
+        members = [w for w in range(n) if rest >> w & 1]
+        best = math.inf
+        for u in members:
+            # rest's place in row u is the colex rank of rest - {u} over the other n - 1
+            others = [w - (w > u) for w in members if w != u]
+            at = u * math.comb(n - 1, k - 1) + sum(math.comb(w, i) for i, w in enumerate(others, 1))
+            weight = kept[k][at] + d[u, order[-1]]
+            if weight < best:
+                best, prev = weight, u
+        order.append(prev)
+        rest ^= 1 << prev
+    order = _canonical(order[::-1])
     return HamPath(order=order, weight=path_weight(space, order))
 
 

@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from sdglab.decomposition import Prepared
 from sdglab.disk import RangeAssignment
 from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf
 from sdglab.hamiltonian import (
+    EXACT_CUTOFF,
     EXACT_LIMIT,
     approx_ham_path,
     exact_min_ham_path,
@@ -241,6 +245,47 @@ def test_exact_matches_layered_argmin_sparse_graphs(n):
     assert _same_as_layered_argmin(without) is None
 
 
+def _bench_exact_kinds():
+    """The matrix and Euclidean (family, d, p) kinds of the exact-auto benchmark."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [kind for kind in module.EXACT_KINDS if kind[0] in ("matrix", "euclidean")]
+
+
+BENCH_KINDS = _bench_exact_kinds()
+
+
+def _bench_kind_metric(kind, n):
+    family, d, p = kind
+    if family == "matrix":
+        return gen_random_matrix_metric(n, 7 * n)
+    return gen_random_euclidean(n, d, p, 7 * n + d)
+
+
+def _kind_id(kind):
+    family, d, p = kind
+    return family if family == "matrix" else f"d{d}p{p:g}"
+
+
+def test_bench_kinds_are_the_matrix_and_twelve_euclidean():
+    assert sum(family == "euclidean" for family, _, _ in BENCH_KINDS) == 12
+    assert ("matrix", None, None) in BENCH_KINDS and ("euclidean", 2, 2.0) in BENCH_KINDS
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("kind", BENCH_KINDS, ids=_kind_id)
+def test_exact_matches_layered_argmin_bench_kinds(kind, n):
+    assert _same_as_layered_argmin(_bench_kind_metric(kind, n)) is not None
+
+
+@pytest.mark.parametrize("kind", [("matrix", None, None), ("euclidean", 2, 2.0)], ids=_kind_id)
+def test_exact_matches_layered_argmin_bench_kinds_at_the_cutoff(kind):
+    assert _same_as_layered_argmin(_bench_kind_metric(kind, EXACT_CUTOFF)) is not None
+
+
 def test_exact_memory_at_the_auto_cutoff():
     m = gen_chain_metric(16).space
     tracemalloc.start()
@@ -250,7 +295,7 @@ def test_exact_memory_at_the_auto_cutoff():
     finally:
         tracemalloc.stop()
     assert h.order == tuple(range(16))
-    assert peak < 7 * 2**20  # the int8 parent table is 1 MiB, each float64 layer at most 1.5 MiB
+    assert peak < 6.25 * 2**20  # kept layers 4 MiB in all, the expanded layer at most 1.6 MiB
 
 
 def test_exact_memory_stays_under_the_full_table():
@@ -262,4 +307,4 @@ def test_exact_memory_stays_under_the_full_table():
     finally:
         tracemalloc.stop()
     assert h.order == tuple(range(EXACT_LIMIT))
-    assert peak < 32 * 2**20  # a full 2^18 x 18 float64 table alone is 36 MiB
+    assert peak < 27 * 2**20  # a full 2^18 x 18 float64 table alone is 36 MiB
