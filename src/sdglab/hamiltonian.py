@@ -93,7 +93,8 @@ def exact_min_ham_path(space: Space) -> HamPath:
         rows = np.empty((n, math.comb(n - 1, k - 1)))
         cand = np.empty_like(rows)
         for v in range(n):
-            # T -> T | {v} keeps the order of the sets lacking v
+            # T -> T | {v} keeps the order of the sets lacking v; mode "clip"
+            # (the indices are in range) lets take write to cand unbuffered
             dp.take((~inside[v]).nonzero()[0], axis=1, out=cand, mode="clip")
             cand += d[:, v, None]
             np.minimum.reduce(cand, axis=0, out=rows[v])
