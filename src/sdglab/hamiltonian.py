@@ -104,22 +104,24 @@ def exact_min_ham_path(space: Space) -> HamPath:
     if not np.isfinite(kept[n][last]):
         raise ValueError("graph has no Hamiltonian path")
     order = [last]
-    rest = (1 << n) - 1 - (1 << last)
-    for k in range(n - 1, 0, -1):
-        # the first u in rest with the lightest kept[k][u, rest] + d[u, last]
+    rest = ((1 << n) - 1) ^ (1 << last)
+    while rest:
+        # the vertex before order[-1]: the u with the lightest dp[rest, u] + d[u, order[-1]],
+        # the forward pass's own sums; min keeps the first, so ties go to the smallest u
         members = [w for w in range(n) if rest >> w & 1]
-        best = math.inf
-        for u in members:
-            # rest's place in row u is the colex rank of rest - {u} over the other n - 1
-            others = [w - (w > u) for w in members if w != u]
-            at = u * math.comb(n - 1, k - 1) + sum(math.comb(w, i) for i, w in enumerate(others, 1))
-            weight = kept[k][at] + d[u, order[-1]]
-            if weight < best:
-                best, prev = weight, u
-        order.append(prev)
-        rest ^= 1 << prev
+        order.append(min(members, key=lambda u: _kept_value(kept, n, members, u) + d[u, order[-1]]))
+        rest ^= 1 << order[-1]
     order = _canonical(order[::-1])
     return HamPath(order=order, weight=path_weight(space, order))
+
+
+def _kept_value(kept: list, n: int, members: list[int], u: int) -> float:
+    """dp[T, u] for the set T of the ascending `members`, which holds u: row u
+    of T's kept layer, at the colex rank of T - {u} among the sets of the
+    other n - 1 vertices (those above u shifted down by one)."""
+    others = [w - (w > u) for w in members if w != u]
+    rank = sum(math.comb(w, i) for i, w in enumerate(others, 1))
+    return kept[len(members)][u * math.comb(n - 1, len(others)) + rank]
 
 
 def approx_ham_path(m: Metric) -> HamPath:
