@@ -28,7 +28,9 @@ by the cycle property in O(n^2) array work, for `verify_certificate`, which
 thus checks every forest it is given (`sdglab verify` passes the builder's)
 without building one, without the builder's code and without a masked copy
 of the matrix: it tests min(r_u, r_v) >= d(u, v) itself, one row block at a
-time.
+time, keeps only the pairs that could beat their tree-path maximum, and reads
+those maxima from a sparse table over the Kruskal merge order, so it needs
+O(n log n) memory plus one block.
 `kruskal_msf`, Kruskal on a graph's edge view, is called by no library code:
 it is the tests' oracle for both and a benchmark tracer target.
 
@@ -218,25 +220,26 @@ def kruskal_msf(g: WeightedGraph) -> Forest:
 
 def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
     """Whether f equals `kruskal_msf` of the disk graph of weight matrix d
-    under radii: the graph of the finite entries d(u, v) with
-    min(radii[u], radii[v]) >= d(u, v). With radii = np.full(n, np.inf) it is
-    the graph d itself.
+    under radii, the finite entries d(u, v) <= min(radii[u], radii[v]) (with
+    radii = np.full(n, np.inf), the graph d itself).
 
     +inf marks an absent edge, and only the upper triangle is read, as
     `WeightedGraph.edges` reads it. f must have d's n, canonical edges (u < v)
     in strictly ascending `edge_key` order, each in the disk graph with its
     matrix weight, and no cycle.
 
-    Its edges are merged in that order. The edge that joins components A and
-    B is the heaviest, in the total order, on every forest path between them,
-    so its index is written into the A x B and B x A blocks of an int32
-    matrix. By the cycle property f is then the MSF iff every disk-graph edge
-    lies inside one component and is at least its path maximum in the order
-    (weight, min * n + max), with equality only for the tree edge itself.
-    That comparison runs over row blocks, each masked by its own radii test.
-    Only the disk-graph edges no heavier than their path maximum (on a valid
-    forest, the tree edges alone) are compared by code, so the index matrix
-    is the only n x n array the check adds.
+    Its edges are merged in that order. Every component that ever forms is a
+    run of the final member order, and the merge joining A and B is the
+    heaviest edge (in the total order) on every forest path between them, so
+    with seam[p] the merge joining positions p and p + 1 (len(f.edges), of
+    weight +inf, if none) a pair's path maximum is the largest seam between
+    its positions, read from a sparse table. By the cycle property f is the
+    MSF iff every disk-graph edge lies in one component and is at least its
+    path maximum in the order (weight, min * n + max), equal only for the tree
+    edge itself. One row-block scan keeps the pairs that can fail, d(u, v) <=
+    min(r_u, r_v, max(cap_u, cap_v)) with cap the heaviest tree edge of the
+    largest component on its vertices and +inf elsewhere, so no pair across
+    components is dropped. Memory: O(n log n) plus one block.
     """
     d = np.asarray(d, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -248,13 +251,9 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
     keys = [edge_key(e) for e in f.edges]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return False
-    # Each component keeps its members as one list, and the larger list
-    # absorbs the smaller. Every component that ever forms is then one
-    # contiguous block of the final member order, so each merge writes two
-    # rectangles of the index matrix in that order.
     comp = list(range(n))  # vertex -> the id of its component's list
-    members = [[v] for v in range(n)]
-    merges = []  # (first member of the larger list, its size, the other's size)
+    members = [[v] for v in range(n)]  # a component's list absorbs the smaller one it merges with
+    heads = []
     rad = radii.tolist()
     for u, v, w in f.edges:
         if not (0 <= u < v < n and d[u, v] == w < math.inf and min(rad[u], rad[v]) >= w):
@@ -265,35 +264,37 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         a, b = members[ra], members[rb]
-        merges.append((a[0], len(a), len(b)))
+        heads.append(b[0])
         for x in b:
             comp[x] = ra
         a.extend(b)
-    pos = np.empty(n, dtype=np.intp)
-    pos[[x for r in set(comp) for x in members[r]]] = np.arange(n)
-    path_max = np.full((n, n), -1, dtype=np.int32)  # -1: different components
-    for k, (first, size_a, size_b) in enumerate(merges):
-        lo = int(pos[first])
-        mid, hi = lo + size_a, lo + size_a + size_b
-        path_max[lo:mid, mid:hi] = k
-        path_max[mid:hi, lo:mid] = k
-    # Index -1 reads weight +inf, so a present edge between two components fails.
+    roots = sorted(set(comp), key=lambda c: len(members[c]), reverse=True)  # the largest first
+    pos = np.argsort([x for c in roots for x in members[c]])  # vertex -> its position
+    seam = np.full((max(1, (n - 1).bit_length()), max(0, n - 1)), len(heads))  # row l: max of 2^l seams
+    seam[0, pos[heads] - 1] = np.arange(len(heads))
+    for level in range(1, len(seam)):
+        half = 1 << (level - 1)
+        np.maximum(seam[level - 1, :-half], seam[level - 1, half:], out=seam[level, :-half])
     weight = np.array([w for _, _, w in f.edges] + [math.inf])
-    code = np.array([u * n + v for u, v, _ in f.edges] + [-1])
+    code = np.array([u * n + v for u, v, _ in f.edges] + [-1])  # so +inf pairs across components pass
+    size = len(members[roots[0]]) if n else 0
+    top = next((w for u, _, w in reversed(f.edges) if comp[u] == roots[0]), math.inf)
+    outside = pos >= size
+    cap = np.where(outside, radii, np.minimum(radii, top))
 
     def block_holds(rows: slice) -> bool:
-        # Entries (i, j) with j > i, for one block of rows i: the suspects are
-        # those with d(i, j) <= min(path maximum, r_i, r_j). An absent entry
-        # is a suspect only at path maximum +inf, where its code passes.
-        g = d[rows, rows.start :]
-        k = path_max[pos[rows, None], pos[rows.start :]]
-        limit = np.minimum(weight[k], radii[rows, None])
-        np.minimum(limit, radii[rows.start :], out=limit)
-        i, j = (g <= limit).nonzero()
+        s = rows.start
+        limit = np.minimum.outer(radii[rows], cap[s:])
+        if size < n and (free := outside[rows]).any():  # rows whose pairs are never capped
+            limit[free] = np.minimum.outer(radii[rows][free], radii[s:])
+        i, j = np.divmod((d[rows, s:] <= limit).ravel().nonzero()[0], n - s)
         above = i < j
-        i, j = i[above], j[above]
-        k = k[i, j]
-        return bool(((g[i, j] == weight[k]) & ((i + rows.start) * n + j + rows.start >= code[k])).all())
+        i, j = i[above] + s, j[above] + s
+        g, a, b = d[i, j], np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+        level = np.frexp(b - a)[1] - 1
+        k = np.maximum(seam[level, a], seam[level, b - (1 << level)])
+        w = weight[k]
+        return bool(((g > w) | ((g == w) & (i * n + j >= code[k]))).all())
 
     return all(block_holds(rows) for rows in row_blocks(n))
 

@@ -398,6 +398,91 @@ def test_is_msf_rejects_an_infinite_tree_edge():
     assert kruskal_msf(g) != f and not is_msf(g.matrix, np.full(2, np.inf), f)
 
 
+@pytest.mark.parametrize("radius", [math.inf, 9.0])
+@pytest.mark.parametrize(
+    "trees, cross",
+    [
+        (((0, 1, 1.0), (2, 3, 1.0), (3, 4, 2.0)), (1, 2)),
+        (((0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)), (2, 3)),
+    ],
+    ids=["row-outside-largest", "row-inside-largest"],
+)
+def test_is_msf_rejects_a_heavy_edge_between_two_components(trees, cross, radius):
+    # The edge between the two trees is heavier than every tree edge, so a cap
+    # on either component would drop it. The lower endpoint of the pair lies
+    # outside the largest component in one layout and inside it in the other.
+    g = WeightedGraph.from_edges(5, trees + (cross + (5.0,),))
+    f = Forest(5, tuple(sorted(trees, key=edge_key)))
+    assert kruskal_msf(g) != f and not is_msf(g.matrix, np.full(5, radius), f)
+
+
+def test_is_msf_accepts_absent_pairs_between_components():
+    # Two trees on interleaved vertices and no pair between them: unbounded
+    # radii reach every +inf entry across, and none of them is an edge.
+    g = WeightedGraph.from_edges(6, ((0, 2, 1.0), (2, 4, 3.0), (0, 4, 3.0), (1, 3, 2.0), (3, 5, 2.0)))
+    f = kruskal_msf(g)
+    assert f.num_components == 2 and is_msf(g.matrix, np.full(6, np.inf), f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 33])
+def test_is_msf_rejects_a_tied_pair_below_its_path_maximum(n):
+    # Every pair weighs 1, as does every radius, so Kruskal keeps the star at
+    # vertex 0 and every other spanning tree has some pair (u, v) that ties its
+    # path maximum at a smaller code: on the path 0-1-...-(n-1), pair (0, 2).
+    g = WeightedGraph(np.ones((n, n)) - np.eye(n))
+    radii = np.ones(n)
+    star = kruskal_msf(g)
+    assert star.edges == tuple((0, v, 1.0) for v in range(1, n)) and is_msf(g.matrix, radii, star)
+    rng = np.random.default_rng(n)
+    trees = [tuple((v, v + 1, 1.0) for v in range(n - 1))]
+    for _ in range(20):  # random trees: each vertex hangs below an earlier one of a random order
+        order = rng.permutation(n).tolist()
+        pairs = [sorted((order[int(rng.integers(0, i))], order[i])) for i in range(1, n)]
+        trees.append(tuple(sorted(((u, v, 1.0) for u, v in pairs), key=edge_key)))
+    for edges in trees:
+        f = Forest(n, edges)
+        assert is_msf(g.matrix, radii, f) == (f == star)
+
+
+def test_is_msf_agrees_with_kruskal_on_tied_forests_of_many_components():
+    # Up to 64 vertices in 2-5 groups, weights from {1, 2, 3} inside a group.
+    # Pairs across groups are absent under unbounded radii, and weigh 4 under
+    # radii from {1, 2, 3}, which drop them; the disk graph's MSF then has
+    # several trees, and the candidates drop, swap or add one edge of it.
+    rng = np.random.default_rng(43)
+    multi = forests = 0
+    for trial in range(80):
+        n = int(rng.integers(8, 65))
+        group = rng.integers(0, int(rng.integers(2, 6)), size=n)
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+        present = np.triu(rng.random((n, n)) < 0.4, 1)
+        unbounded = trial % 2 == 0
+        d = np.where(group[:, None] == group, w, np.inf if unbounded else 4.0)
+        d = np.where(present | present.T, np.minimum(d, d.T), np.inf)
+        np.fill_diagonal(d, 0.0)
+        g = WeightedGraph(d)
+        if unbounded:
+            radii, disk = np.full(n, np.inf), g
+        else:
+            radii = rng.integers(1, 4, size=n).astype(float)
+            disk = build_sdg(g, RangeAssignment(radii))
+        msf = kruskal_msf(disk)
+        uf = UnionFind(n)
+        for u, v, _ in msf.edges:
+            uf.union(u, v)
+        multi += len({uf.find(u) for u, _, _ in msf.edges}) >= 2  # trees of two or more vertices
+        tree = list(msf.edges)
+        outside = sorted(set(g.edges) - set(tree), key=edge_key)
+        candidates = [msf] + [Forest(n, tuple(tree[:i] + tree[i + 1 :])) for i in range(0, len(tree), 3)]
+        for into in (outside[i] for i in rng.integers(len(outside), size=30)) if outside else ():
+            kept = [e for e in tree if rng.random() > 1 / len(tree)]
+            candidates.append(Forest(n, tuple(sorted(kept + [into], key=edge_key))))
+        for f in candidates:
+            assert is_msf(g.matrix, radii, f) == (f == msf)
+            forests += 1
+    assert multi > 60 and forests > 2500
+
+
 def test_cycle_property_c3():
     assert support.cycle_property_check(C3, kruskal_msf(C3)) is None
 

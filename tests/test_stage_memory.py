@@ -11,8 +11,9 @@ pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
     with no MST, and 1.07 as an evaluation does, from the MST built before.
     Under biased ranges, whose generator builds the MST, it returns the MST
     and allocates next to nothing: 0.001;
-  * `verify_certificate` holds `is_msf`'s int32 index matrix (0.5) plus
-    blocks, 0.65, and so no n x n float64 array.
+  * `verify_certificate` holds `is_msf`'s O(n log n) sparse table and one
+    row block of radius limits (0.0625) with the pairs it keeps, and no n x n
+    array of any type: 0.13 under either range mode.
 Each bound adds to its measured value a margin of at least 0.03 (250 KiB). One
 more full-size temporary, float64 or a few boolean ones, breaks a bound.
 """
@@ -86,4 +87,4 @@ def test_verifier_allocates_no_float_matrix(metric, mode):
     args = (p.space, p.r, p.msf, p.path, p.certificate)
     problems, peak = _peak(lambda: verify_certificate(*args))
     assert problems == []
-    assert peak < 0.80
+    assert peak < 0.16
