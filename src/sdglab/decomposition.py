@@ -73,15 +73,16 @@ def _pairs(edges: Sequence[Edge]) -> set[tuple[int, int]]:
 
 
 def _ham_edges(d: np.ndarray, h: HamPath) -> list[Edge]:
-    """Canonical weighted edges of a path, validated against a space's matrix."""
+    """Canonical weighted edges of a path, in path order, validated against a
+    space's matrix; its weights are read in one gather."""
     if sorted(h.order) != list(range(d.shape[0])):
         raise ValueError("hamiltonian path order is not a permutation of the vertices")
-    edges = []
-    for a, b in zip(h.order, h.order[1:]):
-        if d[a, b] == math.inf:
-            raise ValueError(f"path step ({a},{b}) is not an edge of the graph")
-        edges.append(canonical_edge(a, b, d[a, b]))
-    return edges
+    a, b = h.order[:-1], h.order[1:]
+    weights = d[a, b].tolist()
+    if math.inf in weights:
+        i = weights.index(math.inf)
+        raise ValueError(f"path step ({a[i]},{b[i]}) is not an edge of the graph")
+    return [(x, y, w) if x < y else (y, x, w) for x, y, w in zip(a, b, weights)]
 
 
 def parse_vertices(values, n: int, what: str) -> tuple[int, ...]:
@@ -266,10 +267,11 @@ def verify_certificate(
     valid). The checks are independent of how the certificate was built; any
     exchange satisfying the per-index inequalities is accepted. Only vertex
     pairs are read from the certificate; every weight compared is d(u, v) from
-    the space. An edge is in the disk graph iff min(r_u, r_v) >= its weight,
-    tested here for the path edges and by `graph.is_msf` for the rest: f must
-    be the disk graph's MSF by that cycle-property check, O(n^2) array work
-    over row blocks that builds no forest and no n x n float array of its own.
+    the space, read in one gather. An edge is in the disk graph iff
+    min(r_u, r_v) >= its weight, tested here over the path's steps as arrays
+    and by `graph.is_msf` for the rest: f must be the disk graph's MSF by that
+    cycle-property check, which builds no forest and holds O(n log n) memory
+    plus one row block, so no n x n array of its own.
     """
     n, d = space.n, space.matrix
     if cert.n != n:
@@ -278,22 +280,24 @@ def verify_certificate(
         ham_edges = _ham_edges(d, h)
     except ValueError as exc:
         return [str(exc)]
+    radii = np.asarray(r.radii, dtype=float)
     problems: list[str] = []
-    if not is_msf(d, np.asarray(r.radii, dtype=float), f):
+    if not is_msf(d, radii, f):
         problems.append("forest is not the MSF of the symmetric disk graph")
     ham_weight = _fsum_edges(ham_edges)
     if ham_weight != h.weight:
         problems.append("stored path weight does not match its edge weights")
 
-    def weight(pair: tuple[int, int]) -> float:
-        return float(d[pair])
-
     pairs = {name: [(u, v) for u, v, _ in getattr(cert, name)] for name in cert.EDGE_FIELDS}
     sets = {name: set(field) for name, field in pairs.items()}
     e2, tilde_e2, star_h, star_f = pairs["e2"], pairs["tilde_e2"], pairs["star_h"], pairs["star_f"]
+    weighed = list({*e2, *tilde_e2[: len(e2)], *star_h, *star_f, *pairs["tilde_e"]})  # the pairs compared by weight
+    weight = dict(zip(weighed, d[[u for u, _ in weighed], [v for _, v in weighed]].tolist()))
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
-    e_prime_ref = {(u, v) for u, v, w in ham_edges if min(r[u], r[v]) >= w}
+    steps = np.asarray(h.order, dtype=np.intp)
+    in_disk = np.minimum(radii[steps[:-1]], radii[steps[1:]]) >= d[steps[:-1], steps[1:]]
+    e_prime_ref = {(u, v) for (u, v, _), kept in zip(ham_edges, in_disk.tolist()) if kept}
     e_dprime_ref = ham_pairs - e_prime_ref
 
     for name, ref, what in (
@@ -304,7 +308,7 @@ def verify_certificate(
     ):
         if sets[name] != ref:
             problems.append(f"{name} is not ({what})")
-    if e2 != sorted(e2, key=lambda e: (weight(e), e)):
+    if e2 != sorted(e2, key=lambda e: (weight[e], e)):
         problems.append("e2 is not in ascending edge order")
 
     # Cycle-exchange block.
@@ -318,8 +322,8 @@ def verify_certificate(
         if e in ham_pairs:
             problems.append(f"tilde_e2[{i}] belongs to the path")
     for i, (kept, out) in enumerate(zip(e2, tilde_e2)):
-        if weight(out) > weight(kept):
-            problems.append(f"exchange {i} removed a heavier edge: w={weight(out)} > w={weight(kept)}")
+        if weight[out] > weight[kept]:
+            problems.append(f"exchange {i} removed a heavier edge: w={weight[out]} > w={weight[kept]}")
 
     # Radius-retirement block.
     if len(star_f) != len(star_h):
@@ -340,9 +344,9 @@ def verify_certificate(
         me = _min_endpoint(he, r)
         if me not in fe:
             problems.append(f"star_f[{i}] is not incident to the smaller-radius endpoint of star_h[{i}]")
-        if weight(fe) > r[me]:
-            problems.append(f"retired edge {i} exceeds the endpoint radius: w={weight(fe)} > r={r[me]}")
-    if math.fsum(map(weight, star_f)) > math.fsum(map(weight, star_h)):
+        if weight[fe] > r[me]:
+            problems.append(f"retired edge {i} exceeds the endpoint radius: w={weight[fe]} > r={r[me]}")
+    if math.fsum(weight[e] for e in star_f) > math.fsum(weight[e] for e in star_h):
         problems.append("retired forest edges outweigh their path edges")
 
     # Set algebra of the removed set.
@@ -352,7 +356,7 @@ def verify_certificate(
     for a, b, c in (("e1", "e2", "star_h"), ("e1", "tilde_e2", "star_f")):
         if sets[a] & sets[b] or sets[a] & sets[c] or sets[b] & sets[c]:
             problems.append(f"{a}, {b} and {c} are not pairwise disjoint")
-    if math.fsum(map(weight, pairs["tilde_e"])) > ham_weight:
+    if math.fsum(weight[e] for e in pairs["tilde_e"]) > ham_weight:
         problems.append("removed weight exceeds the path weight")
 
     # Isolation block, recomputed on the forest minus the removed set.

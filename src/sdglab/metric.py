@@ -193,11 +193,13 @@ def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
             continue
         t = term[: out.shape[0]]
         for x in points.T:
-            np.abs(np.subtract.outer(x[rows], x, out=t), out=t)
+            np.subtract.outer(x[rows], x, out=t)
             if p == 2.0:
-                np.multiply(t, t, out=t)
-            elif p not in (1.0, np.inf):
-                np.power(t, p, out=t)
+                np.multiply(t, t, out=t)  # t * t is |t| * |t| exactly, so no abs pass
+            elif p in (1.0, np.inf):
+                np.abs(t, out=t)
+            else:
+                np.power(np.abs(t, out=t), p, out=t)
             (np.maximum if p == np.inf else np.add)(out, t, out=out)
         if p == 2.0:
             np.sqrt(out, out=out)
