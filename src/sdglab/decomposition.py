@@ -291,7 +291,8 @@ def verify_certificate(
     pairs = {name: [(u, v) for u, v, _ in getattr(cert, name)] for name in cert.EDGE_FIELDS}
     sets = {name: set(field) for name, field in pairs.items()}
     e2, tilde_e2, star_h, star_f = pairs["e2"], pairs["tilde_e2"], pairs["star_h"], pairs["star_f"]
-    weighed = list({*e2, *tilde_e2[: len(e2)], *star_h, *star_f, *pairs["tilde_e"]})  # the pairs compared by weight
+    # The pairs some check compares by weight, weighed in one gather.
+    weighed = list({*e2, *tilde_e2[: len(e2)], *star_h, *star_f, *pairs["tilde_e"]})
     weight = dict(zip(weighed, d[[u for u, _ in weighed], [v for _, v in weighed]].tolist()))
     forest_pairs = f.edge_pairs()
     ham_pairs = _pairs(ham_edges)
