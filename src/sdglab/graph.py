@@ -269,7 +269,8 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
             comp[x] = ra
         a.extend(b)
     roots = sorted(set(comp), key=lambda c: len(members[c]), reverse=True)  # the largest first
-    pos = np.argsort([x for c in roots for x in members[c]])  # vertex -> its position
+    pos = np.empty(n, dtype=np.intp)  # vertex -> its position
+    pos[[x for c in roots for x in members[c]]] = np.arange(n)
     seam = np.full((max(1, (n - 1).bit_length()), max(0, n - 1)), len(heads))  # row l: max of 2^l seams
     seam[0, pos[heads] - 1] = np.arange(len(heads))
     for level in range(1, len(seam)):
@@ -284,9 +285,9 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
 
     def block_holds(rows: slice) -> bool:
         s = rows.start
-        limit = np.minimum.outer(radii[rows], cap[s:])
+        limit = np.minimum(radii[rows, None], cap[s:])
         if size < n and (free := outside[rows]).any():  # rows whose pairs are never capped
-            limit[free] = np.minimum.outer(radii[rows][free], radii[s:])
+            limit[free] = np.minimum(radii[rows][free, None], radii[s:])
         i, j = np.divmod((d[rows, s:] <= limit).ravel().nonzero()[0], n - s)
         above = i < j
         i, j = i[above] + s, j[above] + s
