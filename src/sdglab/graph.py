@@ -253,7 +253,7 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
         return False
     comp = list(range(n))  # vertex -> the id of its component's list
     members = [[v] for v in range(n)]  # a component's list absorbs the smaller one it merges with
-    heads = []
+    heads = []  # per merge, the first member of the absorbed list: its seam lies just before it
     rad = radii.tolist()
     for u, v, w in f.edges:
         if not (0 <= u < v < n and d[u, v] == w < math.inf and min(rad[u], rad[v]) >= w):
