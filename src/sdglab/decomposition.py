@@ -9,7 +9,12 @@ vertices. The construction is an exchange argument:
   * path edges present in the disk graph but outside F are swapped, in
     ascending order, against the heaviest non-path edge of the unique cycle
     each one closes (per swap the removed edge is no heavier than the added
-    one, by the max-cycle-edge property of the MSF);
+    one, by the max-cycle-edge property of the MSF). F is rooted once, with a
+    parent and a parent-edge weight per vertex, and each cycle is read by
+    climbing from both endpoints of the new edge to their nearest common
+    ancestor, so a swap costs O(cycle length); the subtree cut off by the
+    removed edge is re-hung from the new edge by reversing the parent
+    pointers of its climbed segment, which roots the running forest again;
   * path edges missing from the disk graph are too long for their smaller
     endpoint's radius, so every surviving forest edge at that endpoint is
     strictly lighter; one such forest edge is retired per missing path edge.
@@ -42,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .disk import RangeAssignment, sdg_msf
-from .graph import Edge, Forest, Space, canonical_edge, edge_key, is_msf, tree_path
+from .graph import Edge, Forest, Space, canonical_edge, edge_key, is_msf
 from .hamiltonian import HAM_MODES, HamPath, approx_ham_path, exact_min_ham_path, shortcut_path, solves_exactly
 
 LOG_BASE = 5.0 / 4.0
@@ -74,11 +79,14 @@ def _pairs(edges: Sequence[Edge]) -> set[tuple[int, int]]:
 
 def _ham_edges(d: np.ndarray, h: HamPath) -> list[Edge]:
     """Canonical weighted edges of a path, in path order, validated against a
-    space's matrix; its weights are read in one gather."""
+    space's matrix; its weights are read in one gather. The steps are taken
+    from `np.asarray(h.order)` with no cast, so a vertex stored as a float
+    raises IndexError there, as indexing with the order itself would."""
     if sorted(h.order) != list(range(d.shape[0])):
         raise ValueError("hamiltonian path order is not a permutation of the vertices")
+    steps = np.asarray(h.order)
+    weights = d[steps[:-1], steps[1:]].tolist()
     a, b = h.order[:-1], h.order[1:]
-    weights = d[a, b].tolist()
     if math.inf in weights:
         i = weights.index(math.inf)
         raise ValueError(f"path step ({a[i]},{b[i]}) is not an edge of the graph")
@@ -92,9 +100,9 @@ def parse_vertices(values, n: int, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _min_endpoint(pair: tuple[int, int], r: RangeAssignment) -> int:
+def _min_endpoint(pair: tuple[int, int], radii: Sequence[float]) -> int:
     u, v = pair
-    return u if r[u] < r[v] else v
+    return u if radii[u] < radii[v] else v
 
 
 @dataclass(frozen=True)
@@ -160,45 +168,87 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
     The forest is p.msf, taken as given; `verify_certificate` checks it
     independently. The certificate is deterministic: ties resolve through the
     total edge order.
+
+    The cycle exchanges run on the forest rooted once: every vertex holds its
+    parent and the weight of its parent edge. The cycle that an e2 edge (u, v)
+    closes is the two climbs from u and from v, taken a step each in turn
+    until one reaches a vertex the other passed, their nearest common
+    ancestor; both climbs then hold at most twice the cycle's length, so an
+    exchange costs O(cycle length), not a search of its component. Removing
+    the cycle's heaviest non-path edge (x, parent of x) detaches the subtree
+    of x, which holds the endpoint on x's side, say u; reversing the parent
+    pointers from u up to x and hanging u from v re-roots that subtree at u
+    and attaches it through the new edge. Every other pointer keeps its
+    vertex's path to its root, so the pointers again root a forest: the
+    running forest, which has the same vertex set and edge count.
     """
     ham_edges = sorted(_ham_edges(p.space.matrix, h), key=edge_key)
-    n, r, f = p.space.n, p.r, p.msf
-    forest_pairs = f.edge_pairs()
-    ham_pairs = _pairs(ham_edges)
+    n, radii, f = p.space.n, p.r.radii, p.msf
+    adj = f.adjacency()
 
     # Splits keep ascending order; a path edge is in the disk graph iff both radii reach across it.
-    e_prime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) >= e[2]]
-    e_dprime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) < e[2]]
-    e1 = [e for e in e_prime if (e[0], e[1]) in forest_pairs]
-    e2 = [e for e in e_prime if (e[0], e[1]) not in forest_pairs]
+    e_prime: list[Edge] = []
+    e_dprime: list[Edge] = []
+    e1: list[Edge] = []
+    e2: list[Edge] = []
+    for e in ham_edges:
+        u, v, w = e
+        if min(radii[u], radii[v]) >= w:
+            e_prime.append(e)
+            (e1 if v in adj[u] else e2).append(e)
+        else:
+            e_dprime.append(e)
+
+    # Root each tree of the forest at its least vertex; a root is its own parent.
+    parent = [-1] * n
+    up = [0.0] * n  # weight of the edge to the parent
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        parent[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, w in adj[x].items():
+                if parent[y] < 0:
+                    parent[y], up[y] = x, w
+                    stack.append(y)
 
     # Cycle exchanges: walk e2 in ascending order, swap each edge into the
     # running forest against the heaviest cycle edge outside the path.
-    adj = f.adjacency()
+    ham_pairs = _pairs(ham_edges)
+    mark = [-1] * n  # 2i + side for the climb from e2[i]'s endpoint on that side
     tilde_e2: list[Edge] = []
-    for e in e2:
-        path = tree_path(adj, e[0], e[1])
-        if path is None:
+    for i, (u, v, w) in enumerate(e2):
+        climbs = _climb_to_meet(parent, mark, 2 * i, u, v)
+        if climbs is None:
             raise BoundViolationError("disk-graph edge spans two forest components")
-        candidates = [c for c in path if (c[0], c[1]) not in ham_pairs]
-        if not candidates:
+        best = None
+        for side, climb in enumerate(climbs):
+            for k in range(len(climb) - 1):
+                x, y = climb[k], climb[k + 1]
+                key = (up[x], x, y) if x < y else (up[x], y, x)
+                if (best is None or key > best[0]) and key[1:] not in ham_pairs:
+                    best = key, side, k
+        if best is None:
             raise BoundViolationError("cycle fully contained in the path")
-        out = max(candidates, key=edge_key)
-        tilde_e2.append(out)
-        del adj[out[0]][out[1]], adj[out[1]][out[0]]
-        adj[e[0]][e[1]] = e[2]
-        adj[e[1]][e[0]] = e[2]
+        (w_out, a, b), side, k = best
+        tilde_e2.append((a, b, w_out))
+        climb = climbs[side]
+        for j in range(k, 0, -1):
+            parent[climb[j]], up[climb[j]] = climb[j - 1], up[climb[j - 1]]
+        parent[climb[0]], up[climb[0]] = climbs[1 - side][0], w
 
     # Radius retirements: on the forest minus (e1 + tilde_e2), scan the path
     # edges missing from the disk graph; whenever the smaller-radius endpoint
     # still has forest edges, retire its heaviest one.
-    resid = f.adjacency()
+    resid = adj
     for u, v, _ in e1 + tilde_e2:
         del resid[u][v], resid[v][u]
     star_h: list[Edge] = []
     star_f: list[Edge] = []
     for e in e_dprime:
-        me = _min_endpoint(e[:2], r)
+        me = _min_endpoint(e[:2], radii)
         if resid[me]:
             incident = [canonical_edge(me, x, w) for x, w in resid[me].items()]
             out = max(incident, key=edge_key)
@@ -220,6 +270,39 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
         tilde_e=tuple(tilde_e),
         isolated=isolated,
     )
+
+
+def _climb_to_meet(
+    parent: list[int], mark: list[int], stamp: int, u: int, v: int
+) -> tuple[list[int], list[int]] | None:
+    """The tree paths from u and from v up to their nearest common ancestor,
+    each listed from its endpoint up; None when u and v have different roots.
+    A root is its own parent.
+
+    The climbs alternate a step each, and the climb from u marks what it
+    passes with `stamp`, the climb from v with stamp + 1; the first vertex a
+    climb reaches that the other marked is the nearest common ancestor, where
+    the other climb is cut. Stamps are never reused, so no reset is needed.
+    """
+    a, b = [u], [v]
+    mark[u], mark[v] = stamp, stamp + 1
+    x, y = u, v
+    while True:
+        px, py = parent[x], parent[y]
+        if px == x and py == y:
+            return None
+        if px != x:
+            a.append(px)
+            if mark[px] == stamp + 1:
+                del b[b.index(px) + 1 :]
+                return a, b
+            mark[px], x = stamp, px
+        if py != y:
+            b.append(py)
+            if mark[py] == stamp:
+                del a[a.index(py) + 1 :]
+                return a, b
+            mark[py], y = stamp + 1, py
 
 
 @dataclass(frozen=True)
@@ -342,7 +425,7 @@ def verify_certificate(
         if e in ham_pairs:
             problems.append(f"star_f[{i}] belongs to the path")
     for i, (he, fe) in enumerate(zip(star_h, star_f)):
-        me = _min_endpoint(he, r)
+        me = _min_endpoint(he, r.radii)
         if me not in fe:
             problems.append(f"star_f[{i}] is not incident to the smaller-radius endpoint of star_h[{i}]")
         if weight[fe] > r[me]:
@@ -375,7 +458,7 @@ def verify_certificate(
         )
     residual = e_dprime_ref - sets["star_h"]
     for u, v, _ in ham_edges:
-        if (u, v) in residual and degree[_min_endpoint((u, v), r)]:
+        if (u, v) in residual and degree[_min_endpoint((u, v), r.radii)]:
             problems.append(
                 f"residual path edge ({u},{v}) has a non-isolated smaller-radius endpoint"
             )

@@ -32,7 +32,10 @@ time, keeps only the pairs that could beat their tree-path maximum, and reads
 those maxima from a sparse table over the Kruskal merge order, so it needs
 O(n log n) memory plus one block.
 `kruskal_msf`, Kruskal on a graph's edge view, is called by no library code:
-it is the tests' oracle for both and a benchmark tracer target.
+it is the tests' oracle for both and a benchmark tracer target. No path
+search over a forest lives here: `decomposition.decompose` reads its cycles
+from a rooted copy of the forest, and `Forest.adjacency` is the one walkable
+form a forest offers.
 
 Every n x n pass of an evaluation, apart from Prim's row reads, runs over
 `row_blocks`, so its only n x n float64 arrays are the metric's own and the
@@ -42,7 +45,6 @@ space holds its MST and the radii keep every edge of it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -448,26 +450,3 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = ()) -> Forest:
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges))
 
-
-def tree_path(adj: Sequence[dict[int, float]], u: int, v: int) -> list[Edge] | None:
-    """Unique path between u and v in a forest adjacency; None if disconnected."""
-    parent: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if v not in parent:
-        return None
-    path = []
-    x = v
-    while x != u:
-        px = parent[x]
-        path.append(canonical_edge(px, x, adj[x][px]))
-        x = px
-    path.reverse()
-    return path

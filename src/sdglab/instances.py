@@ -191,12 +191,12 @@ def gen_random_euclidean(n: int, d: int, p: float, seed: int) -> Metric:
     elif p == 2.0:
         while True:
             pts = rng.random((n, d))
-            if len({tuple(row) for row in pts}) == n:
+            if len(set(map(tuple, pts.tolist()))) == n:
                 break
     else:
         while True:
             cells = rng.integers(0, (1 << GRID_BITS) + 1, size=(n, d))
-            if len({tuple(row) for row in cells}) == n:
+            if len(set(map(tuple, cells.tolist()))) == n:
                 break
         pts = cells.astype(float) / scale
     return Metric.euclidean(pts, p=p)

@@ -14,7 +14,14 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from sdglab import metric
-from sdglab.graph import WeightedGraph
+from sdglab.decomposition import (
+    BoundViolationError,
+    DecompositionCertificate,
+    _ham_edges,
+    _min_endpoint,
+    _pairs,
+)
+from sdglab.graph import Edge, WeightedGraph, canonical_edge, edge_key
 from sdglab.hamiltonian import EXACT_LIMIT, HamPath, _canonical, path_weight
 from sdglab.metric import MetricViolation
 
@@ -340,6 +347,87 @@ def dfs_tree_path(n: int, edges, src: int, dst: int) -> list[tuple[int, int]] | 
             if y != prev:
                 stack.append((y, x, path + [(min(x, y), max(x, y))]))
     return None
+
+
+def tree_path(adj, u: int, v: int) -> list[Edge] | None:
+    """Unique path between u and v in a forest adjacency, by breadth-first
+    search; None if disconnected."""
+    parent: dict[int, int] = {u: u}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    if v not in parent:
+        return None
+    path = []
+    x = v
+    while x != u:
+        px = parent[x]
+        path.append(canonical_edge(px, x, adj[x][px]))
+        x = px
+    path.reverse()
+    return path
+
+
+def bfs_decompose(p, h) -> DecompositionCertificate:
+    """`decompose` as it ran before the rooted forest: each cycle exchange
+    finds its cycle with a `tree_path` search over the running forest, and the
+    path edges split through four filters. The reference for `decompose`,
+    which must return an equal certificate."""
+    ham_edges = sorted(_ham_edges(p.space.matrix, h), key=edge_key)
+    n, r, f = p.space.n, p.r, p.msf
+    forest_pairs = f.edge_pairs()
+    ham_pairs = _pairs(ham_edges)
+    e_prime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) >= e[2]]
+    e_dprime = [e for e in ham_edges if min(r[e[0]], r[e[1]]) < e[2]]
+    e1 = [e for e in e_prime if (e[0], e[1]) in forest_pairs]
+    e2 = [e for e in e_prime if (e[0], e[1]) not in forest_pairs]
+
+    adj = f.adjacency()
+    tilde_e2 = []
+    for e in e2:
+        path = tree_path(adj, e[0], e[1])
+        if path is None:
+            raise BoundViolationError("disk-graph edge spans two forest components")
+        candidates = [c for c in path if (c[0], c[1]) not in ham_pairs]
+        if not candidates:
+            raise BoundViolationError("cycle fully contained in the path")
+        out = max(candidates, key=edge_key)
+        tilde_e2.append(out)
+        del adj[out[0]][out[1]], adj[out[1]][out[0]]
+        adj[e[0]][e[1]] = e[2]
+        adj[e[1]][e[0]] = e[2]
+
+    resid = f.adjacency()
+    for u, v, _ in e1 + tilde_e2:
+        del resid[u][v], resid[v][u]
+    star_h = []
+    star_f = []
+    for e in e_dprime:
+        me = _min_endpoint(e[:2], r.radii)
+        if resid[me]:
+            out = max((canonical_edge(me, x, w) for x, w in resid[me].items()), key=edge_key)
+            star_h.append(e)
+            star_f.append(out)
+            del resid[out[0]][out[1]], resid[out[1]][out[0]]
+
+    return DecompositionCertificate(
+        n=n,
+        e_prime=tuple(e_prime),
+        e_dprime=tuple(e_dprime),
+        e1=tuple(e1),
+        e2=tuple(e2),
+        tilde_e2=tuple(tilde_e2),
+        star_h=tuple(star_h),
+        star_f=tuple(star_f),
+        tilde_e=tuple(sorted(e1 + tilde_e2 + star_f, key=edge_key)),
+        isolated=tuple(v for v in range(n) if not resid[v]),
+    )
 
 
 def cycle_property_check(g: WeightedGraph, f) -> str | None:

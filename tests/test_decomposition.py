@@ -32,6 +32,7 @@ from sdglab.instances import (
 from sdglab.metric import Metric
 from sdglab.sweep import build_instance, standard_suite
 
+import support
 from strategies import metric_range_pairs
 
 
@@ -105,6 +106,70 @@ def test_cycle_exchange_on_complete_star():
     assert verify_certificate(m, r, forest, h, cert) == []
 
 
+def test_decompose_rejects_an_e2_edge_across_forest_components():
+    # The exchange removes the hub edge that the path leaves out of the
+    # cycle; a cached forest without that edge cuts the cycle open.
+    m, r, forest, h = _star4_with_full_range()
+    (needed,) = decompose(Prepared(m, r), h).tilde_e2
+    p = Prepared(m, r)
+    p.__dict__["msf"] = Forest(4, tuple(e for e in forest.edges if e != needed))
+    for build in (decompose, support.bfs_decompose):
+        with pytest.raises(BoundViolationError, match="disk-graph edge spans two forest components"):
+            build(p, h)
+
+
+def _checked_against_bfs_oracle(p: Prepared) -> list[int]:
+    """Run p's trace with every certificate compared field by field with the
+    breadth-first oracle's on the same round; the exchange count per round."""
+    exchanges = []
+
+    def checked(q, h):
+        cert = decompose(q, h)
+        assert cert == support.bfs_decompose(q, h)
+        exchanges.append(len(cert.e2))
+        return cert
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "decompose", checked)
+        lightness_trace(p)
+    return exchanges
+
+
+@given(metric_range_pairs(min_n=2, max_n=14))
+@settings(max_examples=30, deadline=None)
+def test_rooted_exchanges_match_the_bfs_oracle_random(pair):
+    m, r = pair
+    for mode in ("approx", "auto", "exact"):
+        _checked_against_bfs_oracle(Prepared(m, r, mode))
+
+
+def _oracle_instance(kind: str, n: int):
+    if kind == "star":  # radius 2 keeps every edge, and every weight is 1 or 2
+        return gen_star_metric(n).space, RangeAssignment.constant(n, 2.0)
+    if kind in ("chain", "chain-unit"):
+        b = gen_chain_metric(n)
+        return b.space, b.ranges if kind == "chain-unit" else RangeAssignment.constant(n, 2.0)
+    p = {"l1": 1.0, "linf": math.inf, "l2": 2.0}[kind.split("-")[0]]
+    m = gen_random_euclidean(n, 2, p, 7)
+    return m, gen_random_ranges(m, kind.split("-")[1], 8)
+
+
+@pytest.mark.parametrize("mode, n", [("approx", 16), ("auto", 16), ("exact", 16), ("approx", 200), ("auto", 200)])
+@pytest.mark.parametrize(
+    "kind", ["star", "chain", "chain-unit", "l1-uniform", "l1-biased", "linf-uniform", "linf-biased", "l2-uniform"]
+)
+def test_rooted_exchanges_match_the_bfs_oracle(kind, mode, n):
+    m, r = _oracle_instance(kind, n)
+    p = Prepared(m, r, mode)
+    if kind == "l2-uniform":
+        assert not p.msf.connected
+    exchanges = _checked_against_bfs_oracle(p)
+    if kind not in ("chain", "chain-unit"):
+        assert exchanges[0] > 0
+    if n == 200 and kind != "star" and not kind.startswith("chain"):
+        assert len(exchanges) >= 2 and exchanges[1] > 0
+
+
 def test_tamper_dropped_edge_is_reported():
     space, r, forest, h = _setup(gen_chain_metric(5))
     cert = decompose(Prepared(space, r), h)
@@ -154,8 +219,11 @@ def test_verifier_rejects_a_forest_edge_outside_the_disk_graph():
 def test_decompose_rejects_non_permutation():
     space, r, forest, h = _setup(gen_chain_metric(5))
     bad = HamPath(order=(0, 1, 2, 3, 3), weight=h.weight)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hamiltonian path order is not a permutation of the vertices"):
         decompose(Prepared(space, r), bad)
+    # 1.0 == 1 passes the permutation test; the steps are gathered uncast.
+    with pytest.raises(IndexError):
+        decompose(Prepared(space, r), HamPath(order=(0, 1.0, 2, 3, 4), weight=h.weight))
 
 
 def test_decompose_deterministic():

@@ -18,7 +18,6 @@ from sdglab.graph import (
     edge_key,
     is_msf,
     kruskal_msf,
-    tree_path,
 )
 from sdglab.instances import (
     gen_chain_metric,
@@ -514,13 +513,13 @@ def test_cycle_property_cross_checked_by_enumeration():
 
 def test_forest_cycle_path_chord():
     f = kruskal_msf(WeightedGraph.from_edges(3, ((0, 1, 1.0), (1, 2, 1.0))))
-    path = tree_path(f.adjacency(), 0, 2)
+    path = support.tree_path(f.adjacency(), 0, 2)
     assert {(u, v) for u, v, _ in path} == {(0, 1), (1, 2)}
 
 
 def test_forest_cycle_star_chord():
     f = kruskal_msf(WeightedGraph.from_edges(5, tuple((0, i, 1.0) for i in range(1, 5))))
-    path = tree_path(f.adjacency(), 1, 2)
+    path = support.tree_path(f.adjacency(), 1, 2)
     assert {(u, v) for u, v, _ in path} == {(0, 1), (0, 2)}
 
 
@@ -532,13 +531,13 @@ def test_forest_cycle_matches_dfs_oracle():
         u, v = sorted(rng.choice(10, size=2, replace=False))
         if (u, v) in f.edge_pairs():
             continue
-        path = {(a, b) for a, b, _ in tree_path(f.adjacency(), int(u), int(v))}
+        path = {(a, b) for a, b, _ in support.tree_path(f.adjacency(), int(u), int(v))}
         assert path == set(support.dfs_tree_path(10, f.edges, int(u), int(v)))
 
 
 def test_forest_cycle_rejects_cross_component():
     f = kruskal_msf(WeightedGraph.from_edges(4, ((0, 1, 1.0), (2, 3, 1.0))))
-    assert tree_path(f.adjacency(), 0, 2) is None
+    assert support.tree_path(f.adjacency(), 0, 2) is None
 
 
 @given(seeds, st.integers(2, 14), st.integers(0, 12))
