@@ -9,12 +9,9 @@ vertices. The construction is an exchange argument:
   * path edges present in the disk graph but outside F are swapped, in
     ascending order, against the heaviest non-path edge of the unique cycle
     each one closes (per swap the removed edge is no heavier than the added
-    one, by the max-cycle-edge property of the MSF). F is rooted once, with a
-    parent and a parent-edge weight per vertex, and each cycle is read by
-    climbing from both endpoints of the new edge to their nearest common
-    ancestor, so a swap costs O(cycle length); the subtree cut off by the
-    removed edge is re-hung from the new edge by reversing the parent
-    pointers of its climbed segment, which roots the running forest again;
+    one, by the max-cycle-edge property of the MSF). F is rooted once, and a
+    swap reads only its cycle, climbing from the new edge's endpoints to
+    their nearest common ancestor, then re-hangs the subtree it cut off;
   * path edges missing from the disk graph are too long for their smaller
     endpoint's radius, so every surviving forest edge at that endpoint is
     strictly lighter; one such forest edge is retired per missing path edge.
@@ -173,14 +170,14 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
     parent and the weight of its parent edge. The cycle that an e2 edge (u, v)
     closes is the two climbs from u and from v, taken a step each in turn
     until one reaches a vertex the other passed, their nearest common
-    ancestor; both climbs then hold at most twice the cycle's length, so an
-    exchange costs O(cycle length), not a search of its component. Removing
-    the cycle's heaviest non-path edge (x, parent of x) detaches the subtree
-    of x, which holds the endpoint on x's side, say u; reversing the parent
+    ancestor. Neither climb goes more than the cycle's length, so an exchange
+    costs O(cycle length), not a search of its component. Removing the
+    cycle's heaviest non-path edge (x, parent of x) detaches the subtree of
+    x, which holds the endpoint on x's side, say u. Reversing the parent
     pointers from u up to x and hanging u from v re-roots that subtree at u
-    and attaches it through the new edge. Every other pointer keeps its
-    vertex's path to its root, so the pointers again root a forest: the
-    running forest, which has the same vertex set and edge count.
+    and attaches it through the new edge: a vertex of the subtree climbs to
+    that segment, along it to u and across to v, and every other vertex
+    keeps its path. So the pointers root the running forest again.
     """
     ham_edges = sorted(_ham_edges(p.space.matrix, h), key=edge_key)
     n, radii, f = p.space.n, p.r.radii, p.msf

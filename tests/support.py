@@ -333,7 +333,7 @@ def all_cycles(g: WeightedGraph) -> list[frozenset]:
 
 
 def dfs_tree_path(n: int, edges, src: int, dst: int) -> list[tuple[int, int]] | None:
-    """Depth-first path search, independent of the library's BFS walker."""
+    """Depth-first path search, independent of `tree_path`'s breadth-first walk."""
     adj = [[] for _ in range(n)]
     for u, v, _ in edges:
         adj[u].append(v)

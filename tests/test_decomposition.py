@@ -136,7 +136,7 @@ def _checked_against_bfs_oracle(p: Prepared) -> list[int]:
 
 
 @given(metric_range_pairs(min_n=2, max_n=14))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_rooted_exchanges_match_the_bfs_oracle_random(pair):
     m, r = pair
     for mode in ("approx", "auto", "exact"):
@@ -164,9 +164,9 @@ def test_rooted_exchanges_match_the_bfs_oracle(kind, mode, n):
     if kind == "l2-uniform":
         assert not p.msf.connected
     exchanges = _checked_against_bfs_oracle(p)
-    if kind not in ("chain", "chain-unit"):
+    if not kind.startswith("chain"):  # a chain's path is its forest
         assert exchanges[0] > 0
-    if n == 200 and kind != "star" and not kind.startswith("chain"):
+    if n == 200 and kind.startswith("l"):  # random points peel in more than one round
         assert len(exchanges) >= 2 and exchanges[1] > 0
 
 
