@@ -227,8 +227,8 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
                 key = (up[x], x, y) if x < y else (up[x], y, x)
                 if (best is None or key > best[0]) and key[1:] not in ham_pairs:
                     best = key, side, k
-        if best is None:
-            raise BoundViolationError("cycle fully contained in the path")
+        # best is set: were every cycle edge on the path, they and e2 would
+        # close a cycle inside the Hamiltonian path that _ham_edges checked.
         (w_out, a, b), side, k = best
         tilde_e2.append((a, b, w_out))
         climb = climbs[side]

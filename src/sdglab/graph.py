@@ -37,10 +37,20 @@ search over a forest lives here: `decomposition.decompose` reads its cycles
 from a rooted copy of the forest, and `Forest.adjacency` is the one walkable
 form a forest offers.
 
+Both kernels have two paths, chosen from n alone. Up to a cutoff
+(`PRIM_LIST_CUTOFF`, `CHECK_LIST_CUTOFF`) numpy's fixed cost per call, not
+the O(n^2) work, sets their price, so they read the matrix once through
+`tolist()` and run on Python lists: `dense_msf` a vertex-at-a-time Prim,
+`is_msf` a Kruskal of its own whose forest it compares with the given one.
+Above the cutoffs the array code described above runs. Both paths compare
+edges in the same total order, so they return the same forest and the same
+verdict.
+
 Every n x n pass of an evaluation, apart from Prim's row reads, runs over
 `row_blocks`, so its only n x n float64 arrays are the metric's own and the
 disk graph that `disk.sdg_matrix` masks for Prim, which is made unless the
-space holds its MST and the radii keep every edge of it.
+space holds its MST and the radii keep every edge of it. The list paths hold
+at most cutoff^2 Python floats.
 """
 from __future__ import annotations
 
@@ -58,6 +68,13 @@ Edge = tuple[int, int, float]  # (u, v, weight) with u < v
 
 # Entries per row block of an n x n pass: a 512 KiB float64 block.
 BLOCK_ENTRIES = 1 << 16
+
+# `dense_msf` and `is_msf` run on Python lists up to this many vertices, and
+# on arrays above, each cutoff at or below its kernel's measured crossover on
+# standard-suite inputs: between n = 45 and 64 for the builder, between 23
+# and 32 for the checker (BENCH_24.json).
+PRIM_LIST_CUTOFF = 48
+CHECK_LIST_CUTOFF = 24
 
 
 @lru_cache(maxsize=1024)
@@ -242,6 +259,11 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
     min(r_u, r_v, max(cap_u, cap_v)) with cap the heaviest tree edge of the
     largest component on its vertices and +inf elsewhere, so no pair across
     components is dropped. Memory: O(n log n) plus one block.
+
+    Up to CHECK_LIST_CUTOFF vertices, where this array code costs more than
+    its O(n^2) work (crossover measured between n = 23 and 32), it instead
+    runs Kruskal on Python lists, its own and not the builder's or the tests'
+    oracle, and compares the forest with f (`_kruskal_check_on_lists`).
     """
     d = np.asarray(d, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -250,6 +272,8 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
         raise ValueError(f"{radii.size} radii for {n} vertices")
     if f.n != n:
         return False
+    if n <= CHECK_LIST_CUTOFF:
+        return _kruskal_check_on_lists(d.tolist(), radii.tolist(), f.edges)
     keys = [edge_key(e) for e in f.edges]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return False
@@ -302,6 +326,33 @@ def is_msf(d: np.ndarray, radii: np.ndarray, f: Forest) -> bool:
     return all(block_holds(rows) for rows in row_blocks(n))
 
 
+def _kruskal_check_on_lists(rows: list[list[float]], rad: list[float], edges: Sequence[Edge]) -> bool:
+    """`is_msf`'s list path: whether edges, as a tuple, equals the forest that
+    Kruskal keeps from the upper-triangle pairs with d(u, v) < +inf and
+    d(u, v) <= min(r_u, r_v), taken in the order (weight, u, v). It shares no
+    code with `dense_msf` or `kruskal_msf`, so the verifier re-derives the
+    forest on its own."""
+    n = len(rows)
+    pairs = sorted(
+        (w, u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (w := rows[u][v]) < math.inf and w <= rad[u] and w <= rad[v]
+    )
+    parent = list(range(n))  # union-find with path halving
+    kept = []
+    for w, u, v in pairs:
+        a, b = u, v
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            kept.append((u, v, w))
+    return tuple(kept) == tuple(edges)
+
+
 def dense_msf(d: np.ndarray, known: Sequence[Edge] = ()) -> Forest:
     """Minimum spanning forest of a dense symmetric weight matrix.
 
@@ -342,9 +393,17 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = ()) -> Forest:
 
     Memory is O(n) arrays plus one block: about 2^16 entries for the row
     pass and a first tie's row scan, 2^14 for the other tie reads.
+
+    Up to PRIM_LIST_CUTOFF vertices, where these steps' set-up and per-step
+    numpy calls cost more than their O(n^2) work (crossover measured between
+    n = 45 and 64), `_prim_on_lists` runs instead, on the matrix read once
+    into at most PRIM_LIST_CUTOFF^2 Python floats. It needs no `known` edges,
+    which seed only the steps above: the forest is the same without them.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
+    if n <= PRIM_LIST_CUTOFF:
+        return _prim_on_lists(d.tolist())
     idx = np.arange(n)
     hook, light = np.empty(n, dtype=idx.dtype), np.empty(n)
     gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
@@ -450,3 +509,43 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = ()) -> Forest:
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges))
 
+
+def _prim_on_lists(rows: list[list[float]]) -> Forest:
+    """`dense_msf`'s list path: Prim a vertex at a time on the matrix rows.
+
+    Each outside vertex y keeps best[y], its lightest edge weight to the tree,
+    and src[y], that edge's tree end. A joining vertex x replaces it by a
+    lighter edge, or by an equal one when x < src[y], since edges sharing y
+    compare as their other endpoints. The same pass finds the next vertex,
+    the least in (weight, min endpoint, max endpoint), and with no finite
+    edge left a new tree starts at the smallest vertex not reached.
+    """
+    n = len(rows)
+    best = [math.inf] * n
+    src = [n] * n
+    rest = list(range(n))  # the vertices not reached, ascending
+    edges = []
+    x = 0
+    while rest:
+        rest.remove(x)
+        row = rows[x]
+        w = math.inf
+        for y in rest:
+            b, dy = best[y], row[y]
+            if dy < b or dy == b < math.inf and x < src[y]:
+                best[y] = b = dy
+                src[y] = x
+            if b < w:
+                w, nxt = b, y
+            elif b == w < math.inf:
+                s, t = src[y], src[nxt]
+                if (min(y, s), max(y, s)) < (min(nxt, t), max(nxt, t)):
+                    nxt = y
+        if w == math.inf:
+            if rest:
+                x = rest[0]
+            continue
+        x, s = nxt, src[nxt]
+        edges.append((s, x, w) if s < x else (x, s, w))
+    edges.sort(key=edge_key)
+    return Forest(n=n, edges=tuple(edges))

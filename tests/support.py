@@ -7,13 +7,15 @@ oracle validates the corresponding fast path rather than mirroring it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from itertools import combinations, permutations, product
 
 import numpy as np
+import pytest
 
-from sdglab import metric
+from sdglab import graph, metric
 from sdglab.decomposition import (
     BoundViolationError,
     DecompositionCertificate,
@@ -26,6 +28,28 @@ from sdglab.hamiltonian import EXACT_LIMIT, HamPath, _canonical, path_weight
 from sdglab.metric import MetricViolation
 
 _PERM_CACHE: dict[tuple[int, bool], np.ndarray] = {}
+
+
+def kernel_paths():
+    """Yields "arrays", then "lists": while the loop body runs, `dense_msf`
+    and `is_msf` take that path for every n, as both cutoffs are moved below
+    or past it. They are restored when the loop ends or its body raises."""
+    for path, cutoff in (("arrays", -1), ("lists", math.inf)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "PRIM_LIST_CUTOFF", cutoff)
+            patch.setattr(graph, "CHECK_LIST_CUTOFF", cutoff)
+            yield path
+
+
+def on_both_kernel_paths(test):
+    """Runs the decorated test once per `kernel_paths` path, under its own name."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for _ in kernel_paths():
+            test(*args, **kwargs)
+
+    return run
 
 
 def random_connected_graph(n: int, extra: int, rng: np.random.Generator) -> WeightedGraph:
@@ -394,10 +418,7 @@ def bfs_decompose(p, h) -> DecompositionCertificate:
         path = tree_path(adj, e[0], e[1])
         if path is None:
             raise BoundViolationError("disk-graph edge spans two forest components")
-        candidates = [c for c in path if (c[0], c[1]) not in ham_pairs]
-        if not candidates:
-            raise BoundViolationError("cycle fully contained in the path")
-        out = max(candidates, key=edge_key)
+        out = max((c for c in path if (c[0], c[1]) not in ham_pairs), key=edge_key)
         tilde_e2.append(out)
         del adj[out[0]][out[1]], adj[out[1]][out[0]]
         adj[e[0]][e[1]] = e[2]

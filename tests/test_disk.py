@@ -46,6 +46,7 @@ def test_c3_sdg_keeps_heavy_edge():
     assert support.edge_pairs(sdg) == {(0, 1), (1, 2)}
 
 
+@support.on_both_kernel_paths
 def test_c3_msf_keeps_the_one_mst_edge_the_radii_keep():
     # The MST is {01, 02}; radius 1 at vertex 0 keeps 01 and drops 02, so the
     # disk-graph MSF is 01 plus the heavy edge 12, which Prim must still find,
@@ -186,17 +187,21 @@ def test_mst_edges_the_radii_keep_are_disk_msf_edges(pair):
     msf = kruskal_msf(build_sdg(m, r))
     kept = {(u, v) for u, v, w in kruskal_msf(WeightedGraph(m.matrix)).edges if min(r[u], r[v]) >= w}
     assert kept <= msf.edge_pairs()
-    # Without the MST (never built by sdg_msf, as in a trace round), then from it.
-    had_mst = "mst" in vars(m)
-    assert sdg_msf(m, r) == msf
-    assert ("mst" in vars(m)) == had_mst
-    m.mst
-    assert sdg_msf(m, r) == msf
+    # Without the MST (never built by sdg_msf, as in a trace round), then from
+    # it, the MST built on the same kernel path.
+    for _ in support.kernel_paths():
+        vars(m).pop("mst", None)
+        assert sdg_msf(m, r) == msf
+        assert "mst" not in vars(m)
+        m.mst
+        assert sdg_msf(m, r) == msf
 
 
 @given(st.one_of(grid_metrics(), metrics(max_n=16)), seeds)
 @settings(max_examples=60)
 def test_biased_disk_msf_is_the_mst(m, seed):
-    r = gen_random_ranges(m, "biased", seed)
-    assert sdg_msf(m, r) is m.mst
-    assert m.mst == kruskal_msf(build_sdg(m, r))
+    for _ in support.kernel_paths():
+        vars(m).pop("mst", None)  # so the ranges build it on this path
+        r = gen_random_ranges(m, "biased", seed)
+        assert sdg_msf(m, r) is m.mst
+        assert m.mst == kruskal_msf(build_sdg(m, r))

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdglab import graph
 from sdglab.disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
 from sdglab.graph import (
+    CHECK_LIST_CUTOFF,
+    PRIM_LIST_CUTOFF,
     Forest,
     UnionFind,
     WeightedGraph,
@@ -68,9 +71,17 @@ def test_kruskal_deterministic_under_permutation():
 
 
 def _assert_prim_equals_kruskal(m, r):
-    """Whole forests, for the disk graph and the complete graph."""
-    assert sdg_msf(m, r) == kruskal_msf(build_sdg(m, r))
-    assert m.mst == kruskal_msf(complete_graph(m))
+    """Whole forests, for the disk graph and the complete graph: through
+    `sdg_msf` and `Space.mst`, then by `dense_msf` on each of its paths, from
+    scratch and seeded with the MST edges the radii keep."""
+    msf, mst = kruskal_msf(build_sdg(m, r)), kruskal_msf(complete_graph(m))
+    assert sdg_msf(m, r) == msf
+    assert m.mst == mst
+    disk = sdg_matrix(m.matrix, r)
+    kept = [e for e in mst.edges if min(r[e[0]], r[e[1]]) >= e[2]]
+    for _ in support.kernel_paths():
+        assert dense_msf(disk) == msf == dense_msf(disk, kept)
+        assert dense_msf(m.matrix) == mst
 
 
 @given(metric_range_pairs(max_n=40))
@@ -103,8 +114,9 @@ def test_dense_msf_one_and_two_points():
     two = Metric.euclidean([[0.0], [0.25]])
     for radius in (0.0, 0.25):
         _assert_prim_equals_kruskal(two, RangeAssignment.constant(2, radius))
-    assert dense_msf(np.zeros((0, 0))) == Forest(n=0, edges=())
-    assert dense_msf(np.array([[0.0, 3.0], [3.0, 0.0]])).edges == ((0, 1, 3.0),)
+    for _ in support.kernel_paths():
+        assert dense_msf(np.zeros((0, 0))) == Forest(n=0, edges=())
+        assert dense_msf(np.array([[0.0, 3.0], [3.0, 0.0]])).edges == ((0, 1, 3.0),)
 
 
 def _with_absent_edges(d, rng, frac):
@@ -142,6 +154,7 @@ def _tied_graphs() -> tuple[tuple[WeightedGraph, ...], tuple[WeightedGraph, ...]
     return tuple(small), tuple(sparse)
 
 
+@support.on_both_kernel_paths
 def test_dense_msf_equals_kruskal_on_tied_graphs():
     # Weights from {1, 2, 3}: ties between edges from different tree vertices
     # to one outside vertex are common, so the endpoint tie-break decides.
@@ -165,6 +178,7 @@ def test_dense_msf_equals_kruskal_on_tied_graphs():
     assert spanning_restarts > 100
 
 
+@support.on_both_kernel_paths
 def test_dense_msf_with_known_edges_equals_kruskal_on_tied_graphs():
     # Known MSF edges merge the nearest-neighbour fragments before Prim: none,
     # all of them (Prim only restarts), and random subsets in random order,
@@ -188,6 +202,7 @@ def _assert_dense_equals_kruskal(d):
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+@support.on_both_kernel_paths
 def test_dense_msf_on_nearest_neighbour_chains(n):
     # Gaps shrink strictly from left to right, so each point's nearest neighbour
     # is the next point: the lightest edges chain 0 -> 1 -> ... -> n-1, end in
@@ -201,6 +216,7 @@ def test_dense_msf_on_nearest_neighbour_chains(n):
         assert m.mst == kruskal_msf(complete_graph(m))
 
 
+@support.on_both_kernel_paths
 def test_dense_msf_mutual_nearest_pairs_under_ties():
     # Every lightest edge is the first minimum of its row, so a vertex whose
     # lightest weight ties hooks to its smallest such neighbour. Here 1 and 2
@@ -224,6 +240,7 @@ def test_dense_msf_mutual_nearest_pairs_under_ties():
         _assert_dense_equals_kruskal(_with_absent_edges(np.minimum(w, w.T), rng, rng.uniform(0, 0.7)).matrix)
 
 
+@support.on_both_kernel_paths
 def test_dense_msf_isolated_vertices_and_empty_graphs():
     for n in range(0, 6):
         d = np.full((n, n), np.inf)
@@ -281,6 +298,7 @@ def _hub_with_pairs(n, metric):
 
 
 @pytest.mark.parametrize("n", [5, 9, 64, 301, 1024])
+@support.on_both_kernel_paths
 def test_dense_msf_on_many_fragments_tied_to_one_vertex(n):
     # Every pair is its own fragment and all of them tie at weight 2, so each
     # choice weighs n // 4 candidates, whose sources were read at earlier ties.
@@ -295,6 +313,7 @@ def test_dense_msf_on_many_fragments_tied_to_one_vertex(n):
     "y, partner, kept, dropped",
     [(6, 2, (3, 6, 2.0), (5, 6, 2.0)), (2, 6, (2, 3, 2.0), (2, 5, 2.0))],
 )
+@support.on_both_kernel_paths
 def test_dense_msf_rereads_a_vertex_that_ties_again(y, partner, kept, dropped):
     # Fragments {0,5} {1,partner} {3,4} {y,8} {7,9}. Prim takes (0,4) from the
     # tie {4, y, 9} at weight 2, then (partner,3) at 1.5; when y and 9 tie
@@ -325,6 +344,47 @@ def test_dense_msf_memory_is_linear():
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
 
 
+@support.on_both_kernel_paths
+@support.on_both_kernel_paths
+def test_kernels_at_every_n_to_one_past_each_cutoff():
+    # Weights from {1, 2, 3} with absent edges, at every n that either cutoff
+    # separates; the cutoffs are the module's own, whichever path runs.
+    rng = np.random.default_rng(53)
+    for n in range(1, max(PRIM_LIST_CUTOFF, CHECK_LIST_CUTOFF) + 2):
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        g = _with_absent_edges(np.minimum(w, w.T), rng, 0.3)
+        f = kruskal_msf(g)
+        known = tuple(e for e in f.edges if rng.random() < 0.5)
+        assert dense_msf(g.matrix) == f == dense_msf(g.matrix, known)
+        everything = np.full(n, np.inf)
+        assert is_msf(g.matrix, everything, f)
+        assert not f.edges or not is_msf(g.matrix, everything, Forest(n, f.edges[1:]))
+        radii = rng.integers(0, 4, size=n).astype(float)
+        disk = kruskal_msf(build_sdg(g, RangeAssignment(radii)))
+        assert is_msf(g.matrix, radii, disk) and (disk == f or not is_msf(g.matrix, radii, f))
+
+
+def test_kernels_take_their_list_paths_up_to_their_cutoffs(monkeypatch):
+    taken = []
+
+    def counted(name):
+        real = getattr(graph, name)
+        return lambda rows, *rest: taken.append((name, len(rows))) or real(rows, *rest)
+
+    for name in ("_prim_on_lists", "_kruskal_check_on_lists"):
+        monkeypatch.setattr(graph, name, counted(name))
+    expected = []
+    for n in sorted({PRIM_LIST_CUTOFF, PRIM_LIST_CUTOFF + 1, CHECK_LIST_CUTOFF, CHECK_LIST_CUTOFF + 1}):
+        m = gen_random_euclidean(n, 2, 2.0, n)
+        assert m.mst == kruskal_msf(complete_graph(m))
+        assert is_msf(m.matrix, np.full(n, np.inf), m.mst)
+        expected += [("_prim_on_lists", n)] * (n <= PRIM_LIST_CUTOFF)
+        expected += [("_kruskal_check_on_lists", n)] * (n <= CHECK_LIST_CUTOFF)
+    assert taken == expected
+
+
+@support.on_both_kernel_paths
 def test_is_msf_agrees_with_kruskal_on_tied_graphs_and_swaps():
     # Weights from {1, 2, 3}, so the endpoint tie-break decides many path maxima.
     rng = np.random.default_rng(37)
@@ -383,6 +443,7 @@ _TIED_MSF = ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 2.0))
         "cycle", "tie-lost", "cross-edge-dropped", "repeated-edge", "wrong-n",
     ],
 )
+@support.on_both_kernel_paths
 def test_is_msf_rejects_what_kruskal_rejects(n, edges):
     msf = kruskal_msf(_TIED)
     assert msf == Forest(5, _TIED_MSF) and is_msf(_TIED.matrix, np.full(5, np.inf), msf)
@@ -390,6 +451,7 @@ def test_is_msf_rejects_what_kruskal_rejects(n, edges):
     assert msf != f and not is_msf(_TIED.matrix, np.full(5, np.inf), f)
 
 
+@support.on_both_kernel_paths
 def test_is_msf_rejects_an_infinite_tree_edge():
     # +inf marks an absent edge, so it equals the matrix entry of a missing pair.
     g = WeightedGraph.from_edges(2, ())
@@ -406,6 +468,7 @@ def test_is_msf_rejects_an_infinite_tree_edge():
     ],
     ids=["row-outside-largest", "row-inside-largest"],
 )
+@support.on_both_kernel_paths
 def test_is_msf_rejects_a_heavy_edge_between_two_components(trees, cross, radius):
     # The edge between the two trees is heavier than every tree edge, so a cap
     # on either component would drop it. The lower endpoint of the pair lies
@@ -415,6 +478,7 @@ def test_is_msf_rejects_a_heavy_edge_between_two_components(trees, cross, radius
     assert kruskal_msf(g) != f and not is_msf(g.matrix, np.full(5, radius), f)
 
 
+@support.on_both_kernel_paths
 def test_is_msf_accepts_absent_pairs_between_components():
     # Two trees on interleaved vertices and no pair between them: unbounded
     # radii reach every +inf entry across, and none of them is an edge.
@@ -424,6 +488,7 @@ def test_is_msf_accepts_absent_pairs_between_components():
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 33])
+@support.on_both_kernel_paths
 def test_is_msf_rejects_a_tied_pair_below_its_path_maximum(n):
     # Every pair weighs 1, as does every radius, so Kruskal keeps the star at
     # vertex 0 and every other spanning tree has some pair (u, v) that ties its
@@ -443,6 +508,7 @@ def test_is_msf_rejects_a_tied_pair_below_its_path_maximum(n):
         assert is_msf(g.matrix, radii, f) == (f == star)
 
 
+@support.on_both_kernel_paths
 def test_is_msf_agrees_with_kruskal_on_tied_forests_of_many_components():
     # Up to 64 vertices in 2-5 groups, weights from {1, 2, 3} inside a group.
     # Pairs across groups are absent under unbounded radii, and weigh 4 under
