@@ -345,7 +345,6 @@ def test_dense_msf_memory_is_linear():
 
 
 @support.on_both_kernel_paths
-@support.on_both_kernel_paths
 def test_kernels_at_every_n_to_one_past_each_cutoff():
     # Weights from {1, 2, 3} with absent edges, at every n that either cutoff
     # separates; the cutoffs are the module's own, whichever path runs.
@@ -370,7 +369,12 @@ def test_kernels_take_their_list_paths_up_to_their_cutoffs(monkeypatch):
 
     def counted(name):
         real = getattr(graph, name)
-        return lambda rows, *rest: taken.append((name, len(rows))) or real(rows, *rest)
+
+        def call(rows, *rest):
+            taken.append((name, len(rows)))
+            return real(rows, *rest)
+
+        return call
 
     for name in ("_prim_on_lists", "_kruskal_check_on_lists"):
         monkeypatch.setattr(graph, name, counted(name))
