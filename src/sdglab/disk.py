@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Forest, Space, WeightedGraph, dense_msf, row_blocks
+from .graph import Forest, Space, WeightedGraph, dense_msf
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,14 @@ class RangeAssignment:
 def build_sdg(space: Space, r: RangeAssignment) -> WeightedGraph:
     """Symmetric disk graph of a space: edge (u,v) iff min(r(u), r(v)) >= d(u,v),
     +inf elsewhere. It serves the CLI `sdg` command, the benchmark tracer and
-    the tests' Kruskal oracle, with a threshold of its own: the builders mask
-    with `sdg_matrix`, and the verifier tests the radii itself in `graph.is_msf`."""
+    the tests' Kruskal oracle, with a threshold of its own: the builder
+    `graph.dense_msf` and the checker `graph.is_msf` each take the radii and
+    test them themselves."""
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
     d = space.matrix
     radii = np.asarray(r.radii, dtype=float)
     return WeightedGraph(np.where(np.minimum(radii[:, None], radii[None, :]) >= d, d, np.inf))
-
-
-def sdg_matrix(d: np.ndarray, r: RangeAssignment) -> np.ndarray:
-    """Dense disk graph of a weight matrix: d(u,v) where min(r(u), r(v)) >= d(u,v),
-    +inf elsewhere. Absent (+inf) entries stay absent, since radii are finite.
-    It is filled one row block at a time, so it is the only n x n array made."""
-    if len(r) != d.shape[0]:
-        raise ValueError(f"range assignment has {len(r)} radii for {d.shape[0]} vertices")
-    radii = np.asarray(r.radii, dtype=float)
-    out = np.full(d.shape, np.inf)
-    for rows in row_blocks(len(radii)):
-        block = d[rows]
-        np.copyto(out[rows], block, where=(radii[rows, None] >= block) & (radii >= block))
-    return out
 
 
 def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
@@ -77,25 +64,23 @@ def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     no MST of its own, and computing one only to start from it made the
     benchmark's rounds 4-39 % slower than the masked Prim alone.
 
-    An MST edge e = (u, v) with min(r(u), r(v)) >= w(e), the test of
-    `sdg_matrix`, is the lightest edge of the space, in the total order,
-    between the two sides that removing e splits its tree into. The disk
-    graph has a subset of those edges and keeps e, so e is its lightest there
-    too and, by the cut property, an edge of the disk graph's MSF. If the
-    radii keep every MST edge, that MSF therefore contains the MST, and it
-    has no more edges (a subgraph has at least as many components), so the
-    MST itself is returned: no masked copy and no second Prim. This holds for
-    every biased range assignment, whose radii reach each vertex's heaviest
-    MST edge. Otherwise, or without the MST, `dense_msf` runs on the masked
-    matrix, with any kept edges as known MSF edges.
+    An MST edge e = (u, v) with min(r(u), r(v)) >= w(e) is the lightest edge
+    of the space, in the total order, between the two sides that removing e
+    splits its tree into. The disk graph has a subset of those edges and
+    keeps e, so e is its lightest there too and, by the cut property, an edge
+    of the disk graph's MSF. If the radii keep every MST edge, that MSF
+    therefore contains the MST, and it has no more edges (a subgraph has at
+    least as many components), so the MST itself is returned: no masked copy
+    and no second Prim. This holds for every biased range assignment, whose
+    radii reach each vertex's heaviest MST edge. Otherwise `dense_msf` builds
+    the disk graph's MSF from the space's matrix and the radii, with the kept
+    edges (none without the MST) as known MSF edges.
     """
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")
     mst = vars(space).get("mst")  # `Space.mst` if it was computed; never computed here
-    if mst is None:
-        return dense_msf(sdg_matrix(space.matrix, r))
     radii = r.radii
-    kept = [e for e in mst.edges if radii[e[0]] >= e[2] and radii[e[1]] >= e[2]]
-    if len(kept) == len(mst.edges):
+    kept = [] if mst is None else [e for e in mst.edges if radii[e[0]] >= e[2] and radii[e[1]] >= e[2]]
+    if mst is not None and len(kept) == len(mst.edges):
         return mst
-    return dense_msf(sdg_matrix(space.matrix, r), kept)
+    return dense_msf(space.matrix, kept, radii=radii)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdglab import graph
-from sdglab.disk import RangeAssignment, build_sdg, sdg_matrix, sdg_msf
+from sdglab.disk import RangeAssignment, build_sdg, sdg_msf
 from sdglab.graph import (
     CHECK_LIST_CUTOFF,
     PRIM_LIST_CUTOFF,
@@ -72,15 +72,15 @@ def test_kruskal_deterministic_under_permutation():
 
 def _assert_prim_equals_kruskal(m, r):
     """Whole forests, for the disk graph and the complete graph: through
-    `sdg_msf` and `Space.mst`, then by `dense_msf` on each of its paths, from
+    `sdg_msf` and `Space.mst`, then by `dense_msf` on each of its paths, on
+    the metric's matrix with and without the radii, for the disk graph from
     scratch and seeded with the MST edges the radii keep."""
     msf, mst = kruskal_msf(build_sdg(m, r)), kruskal_msf(complete_graph(m))
     assert sdg_msf(m, r) == msf
     assert m.mst == mst
-    disk = sdg_matrix(m.matrix, r)
     kept = [e for e in mst.edges if min(r[e[0]], r[e[1]]) >= e[2]]
     for _ in support.kernel_paths():
-        assert dense_msf(disk) == msf == dense_msf(disk, kept)
+        assert dense_msf(m.matrix, radii=r.radii) == msf == dense_msf(m.matrix, kept, radii=r.radii)
         assert dense_msf(m.matrix) == mst
 
 
@@ -330,25 +330,34 @@ def test_dense_msf_rereads_a_vertex_that_ties_again(y, partner, kept, dropped):
     assert kept in f.edges and dropped not in f.edges
 
 
+def _traced_peak(build):
+    """build()'s result and the most `tracemalloc` saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_msf_memory_is_linear():
     m = gen_random_euclidean(1024, 2, 2.0, 7)
-    disk = sdg_matrix(m.matrix, gen_random_ranges(m, "uniform", 8))
+    r = gen_random_ranges(m, "uniform", 8)
+    disk = build_sdg(m, r).matrix
     assert np.isinf(disk).any()
     for d in (m.matrix, disk, _hub_with_pairs(1024, True), _hub_with_pairs(1024, False)):
-        tracemalloc.start()
-        try:
-            dense_msf(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(lambda: dense_msf(d))
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
+    # With radii it makes the disk graph's one n x n float64 array (8 MiB) and nothing more of that size.
+    f, peak = _traced_peak(lambda: dense_msf(m.matrix, radii=r.radii))
+    assert f == dense_msf(disk)
+    assert peak < 10 * 2**20
 
 
 @support.on_both_kernel_paths
 def test_kernels_at_every_n_to_one_past_each_cutoff():
     # Weights from {1, 2, 3} with absent edges, at every n that either cutoff
     # separates; the cutoffs are the module's own, whichever path runs.
-    rng = np.random.default_rng(53)
+    rng, masks = np.random.default_rng(53), np.random.default_rng(59)
     for n in range(1, max(PRIM_LIST_CUTOFF, CHECK_LIST_CUTOFF) + 2):
         w = rng.integers(1, 4, size=(n, n)).astype(float)
         np.fill_diagonal(w, 0.0)
@@ -362,6 +371,14 @@ def test_kernels_at_every_n_to_one_past_each_cutoff():
         radii = rng.integers(0, 4, size=n).astype(float)
         disk = kruskal_msf(build_sdg(g, RangeAssignment(radii)))
         assert is_msf(g.matrix, radii, disk) and (disk == f or not is_msf(g.matrix, radii, f))
+        # The builder on disk graphs of the same matrix: radii from {0, .., 3}
+        # on its tied weights; each vertex's heaviest MSF edge, which keeps the
+        # whole MSF, some of its edges only by d(u, v) == min(r_u, r_v); and
+        # radii below every weight, which cut every edge.
+        some = tuple(e for e in disk.edges if masks.random() < 0.5)
+        assert dense_msf(g.matrix, radii=radii) == disk == dense_msf(g.matrix, some, radii=radii)
+        assert dense_msf(g.matrix, radii=f.heaviest_incident()) == f
+        assert dense_msf(g.matrix, radii=masks.random(n)) == Forest(n, ())
 
 
 def test_kernels_take_their_list_paths_up_to_their_cutoffs(monkeypatch):

@@ -1,11 +1,12 @@
 """`verify_certificate` re-derives the disk-graph forest on its own.
 
 Each certificate is prepared first, through the builder's path (`sdg_msf`,
-which runs `dense_msf` on `sdg_matrix`; up to `graph.PRIM_LIST_CUTOFF`
-vertices `dense_msf` runs `_prim_on_lists`). Then every `sdglab` module's
-binding of those four functions is replaced by one that raises (modules
-import by name, so patching the defining module alone would miss calls), and
-`verify_certificate` must still accept the certificate: it tests the radii
+which runs `dense_msf` on the metric's matrix and the radii; up to
+`graph.PRIM_LIST_CUTOFF` vertices `dense_msf` runs `_prim_on_lists`). Then
+every `sdglab` module's binding of those three functions is replaced by one
+that raises (modules import by name, so patching the defining module alone
+would miss calls), and `verify_certificate` must still accept the
+certificate: it tests the radii
 min(r_u, r_v) >= d(u, v) itself, for the path edges and inside `is_msf`,
 which checks the forest, so it shares no shortcut with the builder that a bug
 could hide behind. SPECS span n = 5 to 128, on both sides of
@@ -19,7 +20,7 @@ import pytest
 from sdglab.decomposition import Prepared, verify_certificate
 from sdglab.sweep import build_instance, standard_suite
 
-BUILDER_SHORTCUTS = ("dense_msf", "_prim_on_lists", "sdg_matrix", "sdg_msf")
+BUILDER_SHORTCUTS = ("dense_msf", "_prim_on_lists", "sdg_msf")
 SPECS = [s for s in standard_suite(1, trials=1) if s.n > 4][::6]
 
 
