@@ -5,12 +5,14 @@ refactor of the builders or the driver that changes one output byte fails here.
 The `gen` digests of chain and star were re-measured once, when their
 `reference` payload shrank to the weight coefficient alone.
 """
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from sdglab import assignment, decomposition, sweep
 from sdglab.cli import cli
 from sdglab.hamiltonian import EXACT_LIMIT, exact_min_ham_path
 from sdglab.instances import read_instance
@@ -174,3 +176,68 @@ def test_sweep_rejects_graph_family_parameters(flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert not out.exists()
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+# Exit 1: each failure is forced by replacing one bound or check, with the
+# rest of the command left to run as it would.
+
+
+def _sweep_violations(monkeypatch, tmp_path, capsys, target, replacement):
+    """Runs the pinned Euclidean sweep (16 rows) with target replaced; returns
+    its stderr error, its summary, its CSV rows and the rows that fail."""
+    monkeypatch.setattr(*target, replacement)
+    out = tmp_path / "sweep.csv"
+    args, _ = SWEEP_ARGS["euclidean"]
+    assert cli(["sweep", "--seed", "3", "--workers", "1", *args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    bad = [row for row in rows if float(row["coefficient"]) > float(row["bound_2log"]) or row["cert_ok"] != "true"]
+    assert len(rows) == 16 and len(bad) > 10  # more than the error lists
+    assert json.loads(captured.err) == {"error": "bound violations", "ids": [row["id"] for row in bad[:10]]}
+    return captured.out, rows, bad
+
+
+def test_sweep_over_its_bound_exits_1(monkeypatch, tmp_path, capsys):
+    summary, rows, bad = _sweep_violations(monkeypatch, tmp_path, capsys, (sweep, "lightness_bound"), lambda n: 0.5)
+    assert all(row["bound_2log"] == "0.5" and row["cert_ok"] == "true" for row in rows)
+    assert f"bound violations: {len(bad)}" in summary
+    assert [line.split()[1] for line in summary.splitlines() if "VIOLATION" in line] == [f"id={row['id']}" for row in bad]
+
+
+def test_sweep_with_a_failed_certificate_exits_1(monkeypatch, tmp_path, capsys):
+    summary, rows, bad = _sweep_violations(
+        monkeypatch, tmp_path, capsys, (sweep, "verify_certificate"), lambda *args: ["forced"]
+    )
+    assert all(row["cert_ok"] == "false" for row in rows) and bad == rows
+    # The summary counts only coefficients over their bound.
+    assert "bound violations: 0" in summary and "VIOLATION" not in summary
+
+
+@pytest.mark.parametrize("command", ["msf", "trace"])
+def test_coefficient_over_its_bound_exits_1_without_output(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(decomposition, "lightness_bound", lambda n: 0.5)
+    out = tmp_path / "out.json"
+    assert cli([command, _fixture("chain_n5"), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "weight coefficient 1.0 exceeds 2*log_(5/4) n = 0.5", "type": "BoundViolationError"}
+
+
+def test_assignment_over_its_cost_ratio_bound_exits_1(monkeypatch, tmp_path):
+    monkeypatch.setattr(assignment, "lightness_bound", lambda n: 0.25)
+    out = tmp_path / "assign.json"
+    assert cli(["assign", _fixture("chain_n5"), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["connected_input"] and report["feasible"]
+    assert report["cost_ratio_bound"] == 0.5 < report["cost_ratio"]
+
+
+def test_decompose_of_a_failing_certificate_exits_1(monkeypatch, tmp_path):
+    real = decomposition.decompose
+    monkeypatch.setattr(decomposition, "decompose", lambda p, h: dataclasses.replace(real(p, h), isolated=()))
+    out = tmp_path / "cert.json"
+    assert cli(["decompose", _fixture("chain_n5"), "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verified"] is False and payload["violations"]
+    assert payload["certificate"]["isolated"] == []
