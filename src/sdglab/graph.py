@@ -529,7 +529,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     return Forest(n=n, edges=tuple(edges))
 
 
-def _prim_on_lists(rows: list[list[float]], rad: Sequence[float] | None = None) -> Forest:
+def _prim_on_lists(rows: list[list[float]], rad: Sequence[float] | None) -> Forest:
     """`dense_msf`'s list path: Prim a vertex at a time on the matrix rows,
     over the edges with d(x, y) <= min(rad[x], rad[y]), or all of them
     without radii.
@@ -540,9 +540,7 @@ def _prim_on_lists(rows: list[list[float]], rad: Sequence[float] | None = None) 
     compare as their other endpoints; the radii are tested only then, as few
     row entries pass that test. The same pass finds the next vertex, the
     least in (weight, min endpoint, max endpoint), and with no finite edge
-    left a new tree starts at the smallest vertex not reached. Both tests
-    open with a <= that most entries fail, so without radii this runs 0-10 %
-    faster than the loop that tested < and == apart and read no radii.
+    left a new tree starts at the smallest vertex not reached.
     """
     n = len(rows)
     inf = math.inf  # a local: read for every vertex

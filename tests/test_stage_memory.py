@@ -7,13 +7,11 @@ counted, and a build's peak includes the matrix it returns (1.0). Every n x n
 pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
   * either metric build holds its matrix plus one block or two: 1.09;
   * `Prepared.msf` under uniform ranges holds the disk graph's one masked
-    copy, which `dense_msf` writes in its first row pass, plus two boolean
+    copy, which `dense_msf` writes in its first row pass, plus a few boolean
     blocks there and Prim's O(n) arrays later: 1.041 as a trace round runs
     it, with no MST, and 1.040 as an evaluation does, from the MST built
-    before (1.066 and 1.067 while `disk.sdg_matrix` filled the copy before
-    `dense_msf` copied each block again). Under biased ranges, whose
-    generator builds the MST, it returns the MST and allocates next to
-    nothing: 0.001;
+    before. Under biased ranges, whose generator builds the MST, it returns
+    the MST and allocates next to nothing: 0.001;
   * `verify_certificate` holds `is_msf`'s O(n log n) sparse table and one
     row block of radius limits (0.0625) with the pairs it keeps, and no n x n
     array of any type: 0.13 under either range mode.
