@@ -3,7 +3,7 @@
 Subcommands: gen, sdg, msf, decompose, trace, assign, sweep, verify.
 Results are JSON on stdout (or --out); errors are machine-readable JSON on
 stderr. Exit status 0 means every check passed, 1 a violated bound or failed
-verification, 2 invalid input.
+verification, 2 invalid input, including one too large for memory.
 """
 from __future__ import annotations
 
@@ -227,12 +227,12 @@ def _cmd_sweep(args) -> int:
     if args.svg:
         emit_svg(max_coefficient_by(records, lambda rec: rec.n), args.svg)
     print(emit_summary(records))
-    bad = [r for r in records if not (r.within_bound() and r.cert_ok)]
-    if bad:
-        print(
-            json.dumps({"error": "bound violations", "ids": [r.id for r in bad[:10]]}),
-            file=sys.stderr,
-        )
+    over = [r.id for r in records if not r.within_bound()]
+    failed = [r.id for r in records if not r.cert_ok]
+    if over or failed:
+        error = {"error": f"{len(over)} bound violations, {len(failed)} failed certificates"}
+        error.update(bound_violations=over[:10], failed_certificates=failed[:10])  # the first ten ids of each
+        print(json.dumps(error), file=sys.stderr)
         return 1
     return 0
 
@@ -312,7 +312,7 @@ def cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, MetricError, ValueError, OSError) as exc:
+    except (InstanceFormatError, MetricError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
     except BoundViolationError as exc:

@@ -228,7 +228,9 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
 def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:
     """Random radii: "uniform" draws in [min distance, diameter]; "biased"
     additionally lifts each radius to the heaviest incident MST edge, which
-    forces the disk graph to contain the MST and hence be connected.
+    forces the disk graph to contain the MST and hence be connected. Both
+    bounds come from the row extremes that the metric's constructor stored
+    (`Metric.row_extremes`), so uniform radii read no n x n array.
 
     A one-point metric gets the radius 0.0 in both modes, before any random
     draw: there is no distance to draw between and no MST edge to lift to.

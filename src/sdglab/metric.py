@@ -14,11 +14,17 @@ fl(a - b) = -fl(b - a) and a - a = 0, every plane is exactly symmetric with a
 zero diagonal, so the sum needs no mirror.
 Every n x n pass here, the checks included, runs over row blocks
 (`graph.row_blocks`), so building a metric allocates no n x n array beside its
-matrix.
+matrix. Each constructor reads its matrix once for the row extremes: every
+row's least off-diagonal entry (`nearest`) and largest entry (`farthest`), which
+an l_p build takes from each block while it is in cache. The positivity and
+finiteness checks, the triangle check's row filter, `min_distance` and
+`diameter` all read these; a scan for the first bad pair runs only when they
+show that one exists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,34 +89,54 @@ def _non_finite(d: np.ndarray, rows: slice) -> np.ndarray:
     return ~np.isfinite(d[rows, rows.start :])
 
 
-def _nearest(d: np.ndarray) -> np.ndarray:
-    """min_{y != x} d(x, y) for every row x (+inf for one point), by row blocks."""
+def _block_extremes(block: np.ndarray, rows: slice, nearest: np.ndarray, farthest: np.ndarray) -> None:
+    """Sets nearest[rows] and farthest[rows] from block, the writable rows `rows`
+    of a matrix with a zero diagonal: each row's least entry off the diagonal
+    (+inf for one point) and its largest entry. NaN propagates to both. The
+    block's diagonal entries are +inf while the minimum is taken, then 0 again."""
+    farthest[rows] = block.max(axis=1)
+    diagonal = block.ravel()[rows.start :: block.shape[1] + 1]  # its entries (u, u)
+    diagonal[:] = np.inf
+    block.min(axis=1, out=nearest[rows])
+    diagonal[:] = 0.0
+
+
+def _row_extremes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest, farthest) of a square matrix with a zero diagonal (see
+    `_block_extremes`), from a copy of one row block at a time."""
     n = len(d)
-    out = np.empty(n)
+    nearest, farthest = np.empty(n), np.empty(n)
     for rows in row_blocks(n):
-        block = d[rows].copy()
-        block.ravel()[rows.start :: n + 1] = np.inf  # its entries (u, u)
-        out[rows] = block.min(axis=1)
-        del block  # so the next block's copy is the only one held
-    return out
+        _block_extremes(d[rows].copy(), rows, nearest, farthest)
+    return nearest, farthest
 
 
-def validate_metric(matrix) -> MetricViolation | None:
+def validate_metric(matrix, extremes: list | None = None) -> MetricViolation | None:
     """Check a square matrix against the metric axioms.
 
     Returns None if the matrix is a metric, otherwise the first violation:
     asymmetric pair, nonzero diagonal, nonpositive or non-finite off-diagonal
     entry, or the lexicographically first triple (u, v, w) with
     d(u,w) > d(u,v) + d(v,w). Comparisons are exact; no epsilon slack is applied.
+    If `extremes` is a list, the row extremes (nearest, farthest) are appended
+    to it once the entries pass, before the triangle check, so a caller that
+    keeps a metric need not read its matrix again for them.
 
-    Only rows u that can hold a violation are scanned for triples. Let
-    nearest[x] = min_{y != x} d(x,y). Every middle point v outside {u, w} has
-    d(u,v) >= nearest[u] and d(v,w) >= nearest[w], and rounded addition is
-    monotone, so fl(d(u,v) + d(v,w)) >= fl(nearest[u] + nearest[w]): a pair
-    with d(u,w) <= fl(nearest[u] + nearest[w]) has no violating v (and v in
-    {u, w} adds a zero diagonal entry, which never violates). The scanned rows
-    keep their ascending order, so the reported triple is the one an exhaustive
-    scan reports. A matrix with entries in [a, 2a] scans no row at all.
+    After the symmetry and diagonal checks, one pass takes each row's least
+    off-diagonal entry nearest[x] = min_{y != x} d(x,y) and its largest entry
+    farthest[x]. Only if some nearest[x] <= 0 or some farthest[x] is not finite
+    (NaN included) do the scans for the first such pair run.
+
+    Only rows u that can hold a violation are scanned for triples. Every middle
+    point v outside {u, w} has d(u,v) >= nearest[u] and d(v,w) >= nearest[w],
+    and rounded addition is monotone, so fl(d(u,v) + d(v,w)) >=
+    fl(nearest[u] + nearest[w]): a pair with d(u,w) <= fl(nearest[u] + nearest[w])
+    has no violating v (and v in {u, w} adds a zero diagonal entry, which never
+    violates). A row u with farthest[u] <= fl(nearest[u] + min(nearest)) has
+    d(u,w) <= farthest[u] <= fl(nearest[u] + nearest[w]) for every w, again by
+    monotone rounding, so the pair test runs only on the other rows. The
+    scanned rows keep their ascending order, so the reported triple is the one
+    an exhaustive scan reports. A matrix with entries in [a, 2a] tests no pair.
     """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -126,23 +152,25 @@ def validate_metric(matrix) -> MetricViolation | None:
     if diag.size:
         u = int(diag[0][0])
         return MetricViolation("diagonal", (u,), f"nonzero diagonal entry d({u},{u})={d[u, u]}")
-    # d is symmetric from here on, so each check reads the upper triangle only.
-    bad = _first_upper(d, _nonpositive_off_diagonal)
-    if bad is not None:
-        u, v = bad
-        return MetricViolation(
-            "positivity", (u, v), f"off-diagonal distance d({u},{v})={d[u, v]} is not positive"
-        )
-    bad = _first_upper(d, _non_finite)
-    if bad is not None:
-        u, v = bad
+    nearest, farthest = _row_extremes(d)
+    if not ((nearest > 0.0).all() and (farthest < np.inf).all()):
+        # d is symmetric from here on, so each scan reads the upper triangle only.
+        bad = _first_upper(d, _nonpositive_off_diagonal)
+        if bad is not None:
+            u, v = bad
+            return MetricViolation(
+                "positivity", (u, v), f"off-diagonal distance d({u},{v})={d[u, v]} is not positive"
+            )
+        u, v = _first_upper(d, _non_finite)
         return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
+    if extremes is not None:
+        extremes += nearest, farthest
     if n < 3:
         return None  # a violating triple needs three distinct points
-    nearest = _nearest(d)
-    rows = np.flatnonzero(
-        np.concatenate([(d[blk] > nearest[blk, None] + nearest).any(axis=1) for blk in row_blocks(n)])
-    )
+    rows = np.flatnonzero(farthest > nearest + nearest.min())
+    if rows.size:
+        picks = [rows[blk] for blk in row_blocks(rows.size, n)]
+        rows = rows[np.concatenate([(d[us] > nearest[us, None] + nearest).any(axis=1) for us in picks])]
     # d[u,w] <= d[u,v] + d[v,w] for every triple of the rows left, checked over
     # blocks of them in ascending order, so memory stays O(n^2) and the first
     # violating triple in lexicographic order is found in the first block that
@@ -181,15 +209,19 @@ def as_vertex_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
     return subset
 
 
-def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
+def _pairwise_lp(points: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The l_p distance matrix of the points and its row extremes (nearest,
+    farthest), taken from each row block as soon as it is filled."""
     n, dim = points.shape
     d = np.zeros((n, n))
+    nearest, farthest = np.empty(n), np.empty(n)
     blocks = row_blocks(n)
     term = np.empty((blocks[0].stop, n))
     for rows in blocks:
         out = d[rows]
         if dim == 1:  # 1-D distances are plain absolute differences for every p
             np.abs(np.subtract.outer(points[rows, 0], points[:, 0], out=out), out=out)
+            _block_extremes(out, rows, nearest, farthest)
             continue
         t = term[: out.shape[0]]
         for x in points.T:
@@ -205,7 +237,8 @@ def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
             np.sqrt(out, out=out)
         elif p not in (1.0, np.inf):
             np.power(out, 1.0 / p, out=out)
-    return d
+        _block_extremes(out, rows, nearest, farthest)
+    return d, nearest, farthest
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,16 +280,16 @@ class Metric(Space):
             u = int(np.argwhere(~np.isfinite(pts))[0][0])
             raise ValueError(f"point {u} has a non-finite coordinate")
         with np.errstate(over="ignore"):
-            d = _pairwise_lp(pts, float(p))
+            d, nearest, farthest = _pairwise_lp(pts, float(p))
         # d is exactly symmetric, so its upper triangle holds the first bad pair,
         # and nonnegative, so a nonpositive distance is a zero one.
-        bad = _first_upper(d, _non_finite)
-        if bad is not None:
-            raise ValueError(f"distance between points {bad[0]} and {bad[1]} overflows")
-        bad = _first_upper(d, _nonpositive_off_diagonal)
-        if bad is not None:
-            raise ValueError(f"points {bad[0]} and {bad[1]} coincide; distances must be positive")
-        return Metric(kind=EUCLIDEAN_LP, p=float(p), points=pts, matrix=d)
+        if not farthest.max() < np.inf:
+            u, v = _first_upper(d, _non_finite)
+            raise ValueError(f"distance between points {u} and {v} overflows")
+        if not nearest.min() > 0.0:
+            u, v = _first_upper(d, _nonpositive_off_diagonal)
+            raise ValueError(f"points {u} and {v} coincide; distances must be positive")
+        return Metric(kind=EUCLIDEAN_LP, p=float(p), points=pts, matrix=d)._keeping(nearest, farthest)
 
     @staticmethod
     def from_matrix(matrix) -> "Metric":
@@ -267,10 +300,24 @@ class Metric(Space):
     def adopt_matrix(d: np.ndarray) -> "Metric":
         """`from_matrix` without the copy: d, a float64 array that the caller
         built and hands over, is checked and becomes the read-only matrix."""
-        violation = validate_metric(d)
+        extremes: list = []
+        violation = validate_metric(d, extremes)
         if violation is not None:
             raise MetricError(violation)
-        return Metric(kind=EXPLICIT_MATRIX, p=None, points=None, matrix=d)
+        return Metric(kind=EXPLICIT_MATRIX, p=None, points=None, matrix=d)._keeping(*extremes)
+
+    def _keeping(self, nearest: np.ndarray, farthest: np.ndarray) -> "Metric":
+        """self, with the row extremes its constructor took from the matrix."""
+        vars(self)["row_extremes"] = nearest, farthest
+        return self
+
+    @cached_property
+    def row_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest, farthest): each point's least distance to another point
+        (+inf for one point) and its largest distance. The constructors store
+        them from the pass that checks the matrix; a sub-metric from `induce`
+        reads its matrix for them on first use."""
+        return _row_extremes(self.matrix)
 
     def __eq__(self, other) -> bool:
         if not getattr(other, "is_metric", False):
@@ -285,13 +332,13 @@ class Metric(Space):
         """Largest pairwise distance; requires at least two points."""
         if self.n < 2:
             raise ValueError("diameter needs at least two points")
-        return float(self.matrix.max())
+        return float(self.row_extremes[1].max())
 
     def min_distance(self) -> float:
         """Smallest positive pairwise distance; requires at least two points."""
         if self.n < 2:
             raise ValueError("min_distance needs at least two points")
-        return float(_nearest(self.matrix).min())
+        return float(self.row_extremes[0].min())
 
     def induce(self, subset: Sequence[int]) -> tuple["Metric", tuple[int, ...]]:
         """Sub-metric on `subset`, plus the new-index -> old-index relabeling.

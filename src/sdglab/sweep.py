@@ -244,7 +244,8 @@ def max_coefficient_by(records: list[ExperimentRecord], key) -> dict:
 
 
 def emit_summary(records: list[ExperimentRecord]) -> str:
-    """Text table: maximum coefficient per n and per family."""
+    """Text table: maximum coefficient per n and per family, then the records
+    over their bound and, if any, those whose certificate failed."""
     by_n = max_coefficient_by(records, lambda rec: rec.n)
     by_family = max_coefficient_by(records, lambda rec: rec.family)
     lines = [f"instances: {len(records)}"]
@@ -258,6 +259,10 @@ def emit_summary(records: list[ExperimentRecord]) -> str:
     lines.append(f"bound violations: {len(violations)}")
     for rec in violations:
         lines.append(f"  VIOLATION id={rec.id} seed={rec.seed}")
+    failed = [r for r in records if not r.cert_ok]
+    if failed:
+        lines.append(f"failed certificates: {len(failed)}")
+        lines.extend(f"  FAILED id={rec.id} seed={rec.seed}" for rec in failed)
     return "\n".join(lines)
 
 

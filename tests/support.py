@@ -290,6 +290,37 @@ def exhaustive_triangle_violation(d: np.ndarray) -> MetricViolation | None:
     return None
 
 
+def scanned_metric_violation(matrix) -> MetricViolation | None:
+    """`validate_metric`'s contract as plain scans, one per axiom in its order:
+    symmetry, then the diagonal, then every pair for positivity, then every
+    pair for finiteness, then every triple. Each scan reads the pairs (u, v)
+    with u <= v in row-major order and reports the first that fails it.
+
+    The reference for `validate_metric`, which reads its row extremes in place
+    of the positivity and finiteness scans and runs them only on a matrix that
+    fails one, and skips triangle rows that those extremes clear.
+    """
+    d = np.asarray(matrix, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        return MetricViolation("shape", (), f"expected a square matrix, got shape {d.shape}")
+    n = len(d)
+    upper = [(u, v) for u in range(n) for v in range(u, n)]
+    for u, v in upper:  # a NaN pair counts as symmetric; the finiteness scan names it
+        a, b = float(d[u, v]), float(d[v, u])
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            return MetricViolation("symmetry", (u, v), f"asymmetric entries: d({u},{v})={d[u, v]} != d({v},{u})={d[v, u]}")
+    for u in range(n):
+        if d[u, u] != 0.0:
+            return MetricViolation("diagonal", (u,), f"nonzero diagonal entry d({u},{u})={d[u, u]}")
+    for u, v in upper:
+        if u != v and d[u, v] <= 0.0:
+            return MetricViolation("positivity", (u, v), f"off-diagonal distance d({u},{v})={d[u, v]} is not positive")
+    for u, v in upper:
+        if not math.isfinite(d[u, v]):
+            return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")
+    return exhaustive_triangle_violation(d)
+
+
 def trailing_axis_lp(points: np.ndarray, p: float) -> np.ndarray:
     """l_p distances reduced over the trailing axis of an n x n x d difference
     array, then mirrored from the upper triangle.

@@ -184,7 +184,8 @@ def test_sweep_rejects_graph_family_parameters(flag, value, tmp_path, capsys):
 
 def _sweep_violations(monkeypatch, tmp_path, capsys, target, replacement):
     """Runs the pinned Euclidean sweep (16 rows) with target replaced; returns
-    its stderr error, its summary, its CSV rows and the rows that fail."""
+    its summary, its CSV rows, the ids over their bound and the ids whose
+    certificate failed, after checking its stderr error against them."""
     monkeypatch.setattr(*target, replacement)
     out = tmp_path / "sweep.csv"
     args, _ = SWEEP_ARGS["euclidean"]
@@ -192,26 +193,39 @@ def _sweep_violations(monkeypatch, tmp_path, capsys, target, replacement):
     captured = capsys.readouterr()
     header, *lines = out.read_text().splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-    bad = [row for row in rows if float(row["coefficient"]) > float(row["bound_2log"]) or row["cert_ok"] != "true"]
-    assert len(rows) == 16 and len(bad) > 10  # more than the error lists
-    assert json.loads(captured.err) == {"error": "bound violations", "ids": [row["id"] for row in bad[:10]]}
-    return captured.out, rows, bad
+    over = [row["id"] for row in rows if float(row["coefficient"]) > float(row["bound_2log"])]
+    failed = [row["id"] for row in rows if row["cert_ok"] != "true"]
+    assert len(rows) == 16 and len(over + failed) > 10  # more than the error lists
+    assert json.loads(captured.err) == {
+        "error": f"{len(over)} bound violations, {len(failed)} failed certificates",
+        "bound_violations": over[:10],
+        "failed_certificates": failed[:10],
+    }
+    return captured.out, rows, over, failed
+
+
+def _listed(summary: str, tag: str) -> list[str]:
+    return [line.split()[1] for line in summary.splitlines() if line.startswith(f"  {tag} ")]
 
 
 def test_sweep_over_its_bound_exits_1(monkeypatch, tmp_path, capsys):
-    summary, rows, bad = _sweep_violations(monkeypatch, tmp_path, capsys, (sweep, "lightness_bound"), lambda n: 0.5)
-    assert all(row["bound_2log"] == "0.5" and row["cert_ok"] == "true" for row in rows)
-    assert f"bound violations: {len(bad)}" in summary
-    assert [line.split()[1] for line in summary.splitlines() if "VIOLATION" in line] == [f"id={row['id']}" for row in bad]
+    summary, rows, over, failed = _sweep_violations(
+        monkeypatch, tmp_path, capsys, (sweep, "lightness_bound"), lambda n: 0.5
+    )
+    assert all(row["bound_2log"] == "0.5" and row["cert_ok"] == "true" for row in rows) and not failed
+    assert f"bound violations: {len(over)}" in summary and "failed certificates" not in summary
+    assert _listed(summary, "VIOLATION") == [f"id={i}" for i in over]
 
 
 def test_sweep_with_a_failed_certificate_exits_1(monkeypatch, tmp_path, capsys):
-    summary, rows, bad = _sweep_violations(
+    summary, rows, over, failed = _sweep_violations(
         monkeypatch, tmp_path, capsys, (sweep, "verify_certificate"), lambda *args: ["forced"]
     )
-    assert all(row["cert_ok"] == "false" for row in rows) and bad == rows
-    # The summary counts only coefficients over their bound.
-    assert "bound violations: 0" in summary and "VIOLATION" not in summary
+    assert all(row["cert_ok"] == "false" for row in rows) and failed == [row["id"] for row in rows]
+    # Failed certificates are counted apart from coefficients over their bound.
+    assert not over and "bound violations: 0" in summary and not _listed(summary, "VIOLATION")
+    assert f"failed certificates: {len(failed)}" in summary
+    assert _listed(summary, "FAILED") == [f"id={i}" for i in failed]
 
 
 @pytest.mark.parametrize("command", ["msf", "trace"])

@@ -160,3 +160,24 @@ def test_sweep_rejects_an_unwritable_output_before_evaluating(
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == error_type and message in err["error"] and path in err["error"]
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--family", "euclidean", "--n", "200000"], ["sweep", "--family", "euclidean", "--n", "200000", "--workers", "1"]],
+    ids=["gen", "sweep"],
+)
+def test_an_input_too_large_for_memory_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # The l_p build allocates the n x n matrix first; numpy's error for an array
+    # it cannot allocate subclasses MemoryError. The fake raises before any
+    # allocation, so no large array is made.
+    message = "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"
+
+    def out_of_memory(points, p):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sdglab.metric._pairwise_lp", out_of_memory)
+    out = tmp_path / "out"
+    assert cli([*argv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "MemoryError"}
+    assert not out.exists()

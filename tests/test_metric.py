@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdglab.instances import gen_chain_metric, gen_random_euclidean, gen_random_matrix_metric
+from sdglab.instances import gen_chain_metric, gen_random_euclidean, gen_random_matrix_metric, gen_star_metric
 from sdglab import metric as metric_module
 from sdglab.metric import Metric, MetricError, validate_metric
 from sdglab.sweep import SWEEP_DIMS, SWEEP_PS
@@ -57,11 +57,28 @@ def test_diameter_matches_pair_scan():
     assert m.diameter() == brute
 
 
+def _pair_extremes(m):
+    """The least and largest distance over every pair, by a plain scan."""
+    d = m.matrix.tolist()
+    pairs = [d[u][v] for u in range(m.n) for v in range(u + 1, m.n)]
+    return min(pairs), max(pairs)
+
+
 def test_min_distance_matches_pair_scan():
-    rng = np.random.default_rng(21)
-    for n in (2, 3, 16):
-        m = Metric.euclidean(rng.random((n, 3)), p=1.0)
-        assert m.min_distance() == min(m.matrix[u, v] for u in range(n) for v in range(u + 1, n))
+    rng = np.random.default_rng(22)
+    built = [gen_star_metric(7).space, gen_chain_metric(6).space, Metric.from_matrix([[0.0, 3.0], [3.0, 0.0]])]
+    for n in (2, 3, 12):
+        built.append(gen_random_matrix_metric(n, n))
+        built.append(Metric.from_matrix(np.array(gen_random_matrix_metric(n, n + 1).matrix) * 0.1))
+        built += [gen_random_euclidean(n, d, p, n) for d in SWEEP_DIMS for p in SWEEP_PS + (1.5,)]
+    for m in built:
+        # Each constructor stores the extremes of the pass that checked it.
+        assert "row_extremes" in vars(m)
+        assert (m.min_distance(), m.diameter()) == _pair_extremes(m)
+        for size in {2, max(2, m.n // 2), m.n}:
+            sub, _ = m.induce(rng.choice(m.n, size=size, replace=False))
+            assert "row_extremes" not in vars(sub)  # read from its matrix on first use
+            assert (sub.min_distance(), sub.diameter()) == _pair_extremes(sub)
 
 
 LP_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -79,8 +96,19 @@ def test_pairwise_lp_equals_the_trailing_axis_reduction(dim, p):
     rng = np.random.default_rng(dim)
     for n in (1, 2, 3, 64):
         for pts in _lp_points(rng, n, dim):
-            got = metric_module._pairwise_lp(pts, p)
+            got = metric_module._pairwise_lp(pts, p)[0]
             assert np.array_equal(got.view(np.int64), support.trailing_axis_lp(pts, p).view(np.int64))
+
+
+@pytest.mark.parametrize("p", LP_PS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_pairwise_lp_row_extremes_match_its_matrix(dim, p):
+    rng = np.random.default_rng(dim + 30)
+    for n in (1, 2, 5, 300):  # 300 rows span two row blocks
+        for pts in _lp_points(rng, n, dim):
+            d, nearest, farthest = metric_module._pairwise_lp(pts, p)
+            off = d + np.diag(np.full(n, np.inf))
+            assert np.array_equal(nearest, off.min(axis=1)) and np.array_equal(farthest, d.max(axis=1))
 
 
 @pytest.mark.parametrize("p", LP_PS)
@@ -88,7 +116,7 @@ def test_pairwise_lp_equals_the_trailing_axis_reduction(dim, p):
 def test_pairwise_lp_sums_in_coordinate_order(dim, p):
     rng = np.random.default_rng(dim)
     for pts in _lp_points(rng, 24, dim):
-        got = metric_module._pairwise_lp(pts, p)
+        got = metric_module._pairwise_lp(pts, p)[0]
         assert np.array_equal(got.view(np.int64), support.in_order_lp(pts, p).view(np.int64))
 
 
@@ -273,6 +301,36 @@ def test_from_matrix_rejects_non_metric():
     assert err.value.violation.indices == (1, 0, 2)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_euclidean_names_the_first_overflowing_or_coincident_pair(p):
+    # The first pair in row-major order whose distance overflows, else the first
+    # whose points coincide, found by a pair scan of the reference matrix.
+    rng = np.random.default_rng(59)
+    outcomes = set()
+    for _ in range(300):
+        n, dim = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float)  # coincide often
+        for u in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
+            pts[u, rng.integers(dim)] = rng.choice([1e308, -1e308, 1e200])
+        with np.errstate(over="ignore"):
+            d = support.trailing_axis_lp(pts, p)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        over = next(((u, v) for u, v in pairs if not np.isfinite(d[u, v])), None)
+        same = next(((u, v) for u, v in pairs if d[u, v] == 0.0), None)
+        if over is None and same is None:
+            assert np.array_equal(Metric.euclidean(pts, p).matrix, d)
+            outcomes.add("ok")
+            continue
+        with pytest.raises(ValueError) as err:
+            Metric.euclidean(pts, p)
+        if over is not None:
+            assert str(err.value) == f"distance between points {over[0]} and {over[1]} overflows"
+        else:
+            assert str(err.value) == f"points {same[0]} and {same[1]} coincide; distances must be positive"
+        outcomes.add("overflow" if over is not None else "coincide")
+    assert outcomes == {"ok", "overflow", "coincide"}
+
+
 def test_euclidean_rejects_duplicate_points():
     with pytest.raises(ValueError, match="points 0 and 1 coincide"):
         Metric.euclidean([[0.5, 0.5], [0.5, 0.5]])
@@ -288,6 +346,74 @@ def test_validate_reports_the_first_nonpositive_off_diagonal_entry():
     bad = validate_metric(d)
     assert (bad.kind, bad.indices) == ("positivity", (1, 3))
     assert bad.message == "off-diagonal distance d(1,3)=0.0 is not positive"
+
+
+FAULT_VALUES = (0.0, -0.0, -1.0, 4.5, 9.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def faulty_matrices(draw):
+    """Small symmetric matrices with a zero diagonal and entries from a set that
+    makes near-ties and triangle faults common, with up to three planted
+    faults: a symmetric pair, a one-sided entry or a diagonal entry."""
+    n = draw(st.integers(0, 8))
+    values = draw(st.sampled_from([(1.0, 2.0), (1.0, 2.0, 3.0, 5.0), (0.1, 0.2, 0.3, 0.1 + 0.2, 0.5)]))
+    d = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            d[u, v] = d[v, u] = draw(st.sampled_from(values))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        where = draw(st.sampled_from(["pair", "one-sided", "diagonal"]))
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x = draw(st.sampled_from(FAULT_VALUES + (1.0,)))
+        if where == "diagonal":
+            d[u, u] = x
+        else:
+            d[u, v] = x
+            if where == "pair":
+                d[v, u] = x
+    return d
+
+
+def _one_row_blocks(count, width=None):
+    return tuple(slice(i, i + 1) for i in range(count))
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_matrices())
+def test_validate_matches_the_axiom_by_axiom_scan(d):
+    expected = support.scanned_metric_violation(d)
+    before = d.copy()
+    for blocks in (metric_module.row_blocks, _one_row_blocks):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric_module, "row_blocks", blocks)
+            extremes = []
+            assert validate_metric(d, extremes) == expected
+        assert np.array_equal(d, before, equal_nan=True)  # read, never written
+        if expected is None and len(d):
+            off = d + np.diag(np.full(len(d), np.inf))
+            assert [a.tolist() for a in extremes] == [off.min(axis=1).tolist(), d.max(axis=1).tolist()]
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        ("symmetry", {(1, 2): 3.0}),
+        ("diagonal", {(2, 2): 1.0}),
+        ("positivity", {(1, 3): -1.0, (3, 1): -1.0}),
+        ("positivity", {(0, 2): math.nan, (2, 0): math.nan}),
+        ("positivity", {(2, 3): math.inf, (3, 2): math.inf}),
+        ("triangle", {(0, 3): 4.5, (3, 0): 4.5}),
+    ],
+    ids=["symmetry", "diagonal", "negative", "nan", "inf", "triangle"],
+)
+def test_validate_reports_each_kind_of_fault_as_the_scan_does(kind, entries):
+    d = np.full((4, 4), 2.0)
+    np.fill_diagonal(d, 0.0)
+    for (u, v), x in entries.items():
+        d[u, v] = x
+    got = validate_metric(d)
+    assert got == support.scanned_metric_violation(d) and got.kind == kind
 
 
 @given(metrics(max_n=12))

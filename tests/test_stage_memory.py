@@ -6,6 +6,9 @@ stage ran; memory already live when it began, such as the metric, is not
 counted, and a build's peak includes the matrix it returns (1.0). Every n x n
 pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
   * either metric build holds its matrix plus one block or two: 1.09;
+  * uniform radii on a built metric read the row extremes that its
+    constructor stored, and hold only O(n) arrays and floats: 0.006, where
+    one row block would take 0.0625;
   * `Prepared.msf` under uniform ranges holds the disk graph's one masked
     copy, which `dense_msf` writes in its first row pass, plus a few boolean
     blocks there and Prim's O(n) arrays later: 1.041 as a trace round runs
@@ -39,15 +42,26 @@ def _peak(stage):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize(
+BUILDS = pytest.mark.parametrize(
     "build",
     [lambda: gen_random_euclidean(N, 2, 2.0, 1), lambda: gen_random_matrix_metric(N, 1)],
     ids=["euclidean-d2p2", "matrix"],
 )
+
+
+@BUILDS
 def test_metric_build_holds_only_its_matrix(build):
     m, peak = _peak(build)
     assert m.n == N
     assert peak < 1.25
+
+
+@BUILDS
+def test_uniform_radii_read_no_row_block(build):
+    m = build()
+    ranges, peak = _peak(lambda: gen_random_ranges(m, "uniform", 2))
+    assert len(ranges) == N
+    assert peak < 0.04
 
 
 INSTANCES = pytest.mark.parametrize(
