@@ -212,13 +212,16 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _rng(seed)
-    scale = float(1 << MATRIX_GRID_BITS)
     cells = rng.integers(0, (1 << MATRIX_GRID_BITS) + 1, size=(n, n))
-    # The upper triangle's draws become distances in place, as float64 over
-    # the int64 cells a row block at a time, and the lower triangle mirrors it.
+    # The draws become distances in place. For an integer c in [0, 2^b], the
+    # float64 1 + c / 2^b has the bits of 1.0 plus c shifted to the top of the
+    # mantissa (c = 2^b carries into the exponent, giving 2.0), so integer
+    # shifts and adds give it exactly, with no float temporary. The lower
+    # triangle then mirrors the upper one a row block at a time.
+    cells <<= 52 - MATRIX_GRID_BITS
+    cells += np.float64(1.0).view(np.int64)
     d = cells.view(float)
     for rows in row_blocks(n):
-        d[rows] = 1.0 + cells[rows] / scale
         d[rows, : rows.start] = d[: rows.start, rows].T
         square = np.triu(d[rows, rows], 1)
         d[rows, rows] = square + square.T
