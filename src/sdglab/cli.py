@@ -230,8 +230,11 @@ def _cmd_sweep(args) -> int:
     over = [r.id for r in records if not r.within_bound()]
     failed = [r.id for r in records if not r.cert_ok]
     if over or failed:
-        error = {"error": f"{len(over)} bound violations, {len(failed)} failed certificates"}
-        error.update(bound_violations=over[:10], failed_certificates=failed[:10])  # the first ten ids of each
+        error = {
+            "error": f"{len(over)} bound violations, {len(failed)} failed certificates",
+            "bound_violations": over[:10],  # the first ten ids of each
+            "failed_certificates": failed[:10],
+        }
         print(json.dumps(error), file=sys.stderr)
         return 1
     return 0

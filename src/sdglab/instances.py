@@ -213,11 +213,12 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _rng(seed)
     cells = rng.integers(0, (1 << MATRIX_GRID_BITS) + 1, size=(n, n))
-    # The draws become distances in place. For an integer c in [0, 2^b], the
-    # float64 1 + c / 2^b has the bits of 1.0 plus c shifted to the top of the
-    # mantissa (c = 2^b carries into the exponent, giving 2.0), so integer
-    # shifts and adds give it exactly, with no float temporary. The lower
-    # triangle then mirrors the upper one a row block at a time.
+    # The draws become distances in place. With b = MATRIX_GRID_BITS and an
+    # integer c in [0, 2^b], the float64 1 + c / 2^b has the bits of 1.0 plus
+    # c shifted to the top of the 52-bit mantissa (c = 2^b carries into the
+    # exponent, giving 2.0), so an integer shift and add give it exactly, with
+    # no float temporary. The lower triangle then mirrors the upper one a row
+    # block at a time.
     cells <<= 52 - MATRIX_GRID_BITS
     cells += np.float64(1.0).view(np.int64)
     d = cells.view(float)
