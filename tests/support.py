@@ -308,13 +308,15 @@ def scanned_metric_violation(matrix) -> MetricViolation | None:
     for u, v in upper:  # a NaN pair counts as symmetric; the finiteness scan names it
         a, b = float(d[u, v]), float(d[v, u])
         if a != b and not (math.isnan(a) and math.isnan(b)):
-            return MetricViolation("symmetry", (u, v), f"asymmetric entries: d({u},{v})={d[u, v]} != d({v},{u})={d[v, u]}")
+            message = f"asymmetric entries: d({u},{v})={d[u, v]} != d({v},{u})={d[v, u]}"
+            return MetricViolation("symmetry", (u, v), message)
     for u in range(n):
         if d[u, u] != 0.0:
             return MetricViolation("diagonal", (u,), f"nonzero diagonal entry d({u},{u})={d[u, u]}")
     for u, v in upper:
         if u != v and d[u, v] <= 0.0:
-            return MetricViolation("positivity", (u, v), f"off-diagonal distance d({u},{v})={d[u, v]} is not positive")
+            message = f"off-diagonal distance d({u},{v})={d[u, v]} is not positive"
+            return MetricViolation("positivity", (u, v), message)
     for u, v in upper:
         if not math.isfinite(d[u, v]):
             return MetricViolation("positivity", (u, v), f"non-finite distance d({u},{v})={d[u, v]}")

@@ -164,7 +164,10 @@ def test_sweep_rejects_an_unwritable_output_before_evaluating(
 
 @pytest.mark.parametrize(
     "argv",
-    [["gen", "--family", "euclidean", "--n", "200000"], ["sweep", "--family", "euclidean", "--n", "200000", "--workers", "1"]],
+    [
+        ["gen", "--family", "euclidean", "--n", "200000"],
+        ["sweep", "--family", "euclidean", "--n", "200000", "--workers", "1"],
+    ],
     ids=["gen", "sweep"],
 )
 def test_an_input_too_large_for_memory_exits_2(argv, tmp_path, capsys, monkeypatch):
