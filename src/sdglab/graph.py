@@ -18,12 +18,14 @@ it has n minus its edge count components.
 
 `dense_msf` computes the unique forest on a matrix for the builders (`mst`,
 and given radii the disk graph's, masked by itself, for `disk.sdg_msf`):
-one pass gives every vertex its lightest edge, which joins the vertices
-into fragments, together with any edges the caller already knows to be in
-the forest, and Prim then grows its trees a fragment at a time. Edges
-sharing an endpoint compare as their other endpoints do, so it keeps no
-code matrix: a vertex's least edge is looked up when it is chosen, and
-kept as a code only while it ties with others at the least weight.
+the edges the caller already knows to be in the forest join into
+fragments, and Prim starts from the largest, L, reading only the rows of
+the vertices outside it. One pass over those rows gives each of them its
+lightest edge, which joins the vertices into fragments, and Prim then grows
+its trees a fragment at a time. Edges sharing an endpoint compare as their
+other endpoints do, so it keeps no code matrix: a vertex's least edge is
+looked up when it is chosen, and kept as a code only while it ties with
+others at the least weight.
 `is_msf` checks a given forest against the disk graph of a matrix and radii
 by the cycle property in O(n^2) array work, for `verify_certificate`, which
 thus checks every forest it is given (`sdglab verify` passes the builder's)
@@ -48,14 +50,18 @@ edges in the same total order, so they return the same forest and the same
 verdict.
 
 Every n x n pass of an evaluation, apart from Prim's row reads, runs over
-`row_blocks`, so its only n x n float64 arrays are the metric's own and the
-disk graph that `dense_msf`'s first pass writes for Prim, which is made
-unless the space holds its MST and the radii keep every edge of it. The list
-paths hold at most cutoff^2 Python floats, and test the radii as they read.
+`row_blocks`, so its only n x n float64 array is the metric's own. The one
+other large array is the disk graph's rows that `dense_msf`'s first pass
+writes for Prim, (n - |L|) x n: all but one row of n x n in a trace round,
+whose induced metric holds no MST, and about half of them in an evaluation,
+which starts from the MST the radii keep in part (none when they keep it
+all). The list paths hold at most cutoff^2 Python floats, and test the
+radii as they read.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -76,6 +82,32 @@ BLOCK_ENTRIES = 1 << 16
 # and 32 for the checker (BENCH_24.json).
 PRIM_LIST_CUTOFF = 48
 CHECK_LIST_CUTOFF = 24
+
+# Entries per chunk that `_mask_disk` masks at a time: its one float64
+# temporary then stays in cache (2^14 was fastest of 2^12..2^16 at n = 512
+# and 2048).
+MASK_ENTRIES = 1 << 14
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_planned_peak(n: int) -> None:
+    """Raises ValueError before an n x n float64 array is made for n points
+    if the planned peak, 2 * 8 * n^2 bytes (the space's matrix and at most
+    n x n disk-graph rows in `dense_msf`), exceeds physical memory: refused
+    with a message rather than granted and then killed for lack of memory."""
+    planned, limit = 2 * 8 * n * n, physical_memory()
+    if limit is not None and planned > limit:
+        raise ValueError(
+            f"n = {n} plans a peak of {planned} bytes (two n x n float64 arrays), "
+            f"more than the {limit} bytes of physical memory"
+        )
 
 
 @lru_cache(maxsize=1024)
@@ -130,6 +162,7 @@ class WeightedGraph(Space):
         repeated or non-finite edge in input order raises ValueError."""
         if n < 0:
             raise ValueError(f"graph n must be >= 0, got {n}")
+        check_planned_peak(n)
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
         for u, v, w in edges:
@@ -162,28 +195,39 @@ def complete_graph(m: Metric) -> WeightedGraph:
 
 
 class UnionFind:
+    """Disjoint sets of 0..n-1 as a forest of parent links, with path halving."""
+
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.rank = [0] * n
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        self.parent[ra] = rb
         return True
+
+    def join(self, edges: Iterable[Sequence]) -> list:
+        """The edges (u, v, ...) that join two sets, in order, each joining
+        them: `union` over the edges, in one loop, as `dense_msf` joins
+        hundreds of edges per call."""
+        parent, kept = self.parent, []
+        for e in edges:
+            a, b = e[0], e[1]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                kept.append(e)
+        return kept
 
 
 @dataclass(frozen=True)
@@ -354,6 +398,34 @@ def _kruskal_check_on_lists(rows: list[list[float]], rad: list[float], edges: Se
     return tuple(kept) == tuple(edges)
 
 
+def _mask_disk(block: np.ndarray, rows_radii: np.ndarray, radii: np.ndarray) -> None:
+    """Sets to +inf, in place, the entries of block outside the disk graph:
+    those with min(r_u, r_v) < d(u, v), for rows with rows_radii and columns
+    with radii. Branch-free: the test writes 1.0 (cut) or 0.0 (kept) into a
+    block of radius minima, which times +inf is +inf or NaN, and `np.fmax`
+    keeps d(u, v) against NaN. For radii that are not NaN it cuts exactly
+    what (r_u < d) | (r_v < d) cuts, in 0.16 ms per 2^16 entries against
+    0.40 ms for `np.copyto(..., where=)` on that test (n = 512)."""
+    step = max(1, MASK_ENTRIES // block.shape[1])
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, on purpose
+        for start in range(0, len(block), step):
+            part = block[start : start + step]
+            cut = np.minimum(rows_radii[start : start + step, None], radii)
+            np.less(cut, part, out=cut)  # 1.0 where cut, 0.0 where kept
+            cut *= np.inf  # +inf where cut, NaN where kept
+            np.fmax(cut, part, out=part)  # d(u, v) against NaN
+
+
+def _jump(pointers: np.ndarray) -> np.ndarray:
+    """The root of each element of a forest of pointers (a root points to
+    itself), by pointer jumping."""
+    while True:
+        jumped = pointers[pointers]
+        if (jumped == pointers).all():
+            return pointers
+        pointers = jumped
+
+
 def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[float] | None = None) -> Forest:
     """Minimum spanning forest of a dense symmetric weight matrix, or with
     radii, of its disk graph: the entries with d(u, v) <= min(r_u, r_v).
@@ -365,24 +437,34 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     `known` lists edges (u, v, d(u, v)) that the caller knows to be in that
     MSF (`disk.sdg_msf` passes the space's MST edges that its radii keep);
     they are taken unchecked, and a wrong one gives a wrong forest.
-    Two steps, each O(n^2) array work in all:
+    Three steps, each O(n^2) array work in all:
 
-    (1) Fragments. Each vertex's lightest edge is the first minimum of its row
-    (with radii, of its row of the disk graph, which this pass writes one
-    row block at a time into the one n x n array it makes, for Prim to read):
-    edges (v, x) of equal weight compare as their other endpoints x do. It is
-    the lightest edge across the cut ({v}, rest), so it is an MSF edge. Since
-    no two edges tie in the total order, the only cycles of these hooks are
-    mutual pairs, which keep the larger index's hook and are rooted at the
-    smaller; pointer jumping then labels every vertex with its fragment's
-    root. The known edges then join fragments by union-find, each one that
-    joins two being kept (one inside a fragment can only be a hook, as both
-    lie in the MSF), so Prim starts from fewer, larger fragments.
+    (1) The start. Union-find joins the known edges into fragments, and L,
+    the largest, is where Prim starts; with no known edge, L is vertex 0,
+    where Prim would start anyway. No row of L is read from here on: only
+    the n - |L| vertices outside L have rows, and with radii only theirs are
+    written, into one (n - |L|) x n disk-graph array.
 
-    (2) Prim over fragments. A tree grows a whole fragment at a time, with
+    (2) Fragments. One pass over the outside rows, a row block at a time
+    (with radii, `_mask_disk` masks each block as it is written), takes each
+    outside vertex's least weight to L and its lightest edge, the first
+    minimum of its row: edges (v, x) of equal weight compare as their other
+    endpoints x do. That edge is the lightest across the cut ({v}, rest), so
+    it is an MSF edge. Since no two edges tie in the total order, the only
+    cycles of these hooks are mutual pairs, which keep the larger index's
+    hook and are rooted at the smaller; L's vertices point to its root, and
+    pointer jumping labels every vertex with its fragment's root. A hook is
+    kept as an edge unless it repeats a known edge (both ends in one known
+    fragment: as all lie in the MSF, any other edge there would close a
+    cycle). The known fragments outside L then merge the hook fragments
+    they meet, by union-find over the roots, and the fragment that holds L
+    is the first tree.
+
+    (3) Prim over fragments. A tree grows a whole fragment at a time, with
     one `np.minimum` per member row, and each outside vertex keeps only
     best_w, its lightest edge weight from the tree (NaN once it has joined,
-    so it is never lowered again). The lightest edge across the cut
+    so it is never lowered again): at the start, its least weight to L and
+    to the first tree's outside members. The lightest edge across the cut
     (tree, rest) has the least weight w, and its endpoints are found only
     when it is chosen. If one vertex x has best_w == w, the edge is (s, x)
     with s the smallest tree vertex at weight w from x, since edges sharing
@@ -393,15 +475,17 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     only falls, so code[y] still counts if best_w[y] == seen_w[y], and only
     the vertices joined since are read (the whole row, the first time y
     ties). No pair (y, joined vertex) is read twice, and no row is scanned
-    twice, so all ties together cost O(n^2). With no finite edge left, Prim
-    restarts at the smallest vertex not reached.
+    twice, so all ties together cost O(n^2). A vertex not yet joined lies
+    outside L, so every read is from its own row: by symmetry, its entry
+    for a joined vertex is that vertex's entry for it. With no finite edge
+    left, Prim restarts at the smallest vertex not reached.
 
     Memory is O(n) arrays plus one block: about 2^16 entries for the row
-    pass and a first tie's row scan, 2^14 for the other tie reads. With
-    radii add the disk graph's n x n array: masking every row as Prim reads
-    it instead would cost more than the one masked copy (at n = 512, 512 row
-    reads took 0.4 ms plain and 3.3 ms masked on both radii; writing the
-    masked copy took 1.9 ms).
+    pass and a first tie's row scan, 2^14 for the other tie reads and the
+    mask. With radii add the disk graph's (n - |L|) x n array: masking every
+    row as Prim reads it instead would cost more than the one masked copy
+    (at n = 512, 512 row reads took 0.4 ms plain and 3.3 ms masked on both
+    radii).
 
     Up to PRIM_LIST_CUTOFF vertices, where these steps' set-up and per-step
     numpy calls cost more than their O(n^2) work (crossover measured between
@@ -412,61 +496,69 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    if n <= PRIM_LIST_CUTOFF:
+    if n <= PRIM_LIST_CUTOFF or n == 0:  # the arrays below need a vertex to start from
         return _prim_on_lists(d.tolist(), radii)
     idx = np.arange(n)
-    hook, light = np.empty(n, dtype=idx.dtype), np.empty(n)
-    gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
-    if radii is not None:
+    uf = UnionFind(n)
+    edges = uf.join(known)
+    comp = _jump(np.array(uf.parent)) if edges else idx  # the known fragments, each labelled by its root
+    top = int(np.bincount(comp).argmax())  # the root of L (vertex 0 if no edge is known)
+    in_l = (comp == top).nonzero()[0]
+    outside = (comp != top).nonzero()[0]
+    count = outside.size
+    if radii is None:
+        rows_of = idx  # Prim reads d's own rows
+    else:
         radii = np.asarray(radii, dtype=float)
-        d, source = np.empty_like(d), d  # the disk graph, written below a block at a time
-    for rows in row_blocks(n):
+        rows_of = np.zeros(n, dtype=outside.dtype)  # L's vertices have no row
+        rows_of[outside] = np.arange(count)
+        d, source = np.empty((count, n)), d  # the disk graph's outside rows, written below a block at a time
+    hook, light, to_l = np.where(comp == top, top, idx), np.full(n, np.inf), np.empty(count)
+    for rows in row_blocks(count, n):
+        vs = outside[rows]
         if radii is None:
-            block = d[rows].copy()
-        else:  # the disk graph's own block: Prim never reads the diagonal set to +inf below
+            block = d.take(vs, axis=0)
+        else:  # Prim never reads the diagonal set to +inf below
             block = d[rows]
-            np.copyto(block, source[rows])
-            np.copyto(block, np.inf, where=(radii[rows, None] < block) | (radii < block))
+            source.take(vs, axis=0, out=block, mode="clip")  # "raise" would buffer a copy
+            _mask_disk(block, radii[vs], radii)
+        to_l[rows] = block.take(in_l, axis=1).min(axis=1)
         diag = np.arange(block.shape[0])
-        block[diag, diag + rows.start] = np.inf
+        block[diag, vs] = np.inf
         first = block.argmin(axis=1)
-        light[rows] = block[diag, first]
-        hook[rows] = first
+        light[vs] = least = block[diag, first]
+        hook[vs] = np.where(least < np.inf, first, vs)  # an isolated vertex is its own root
         del block  # so the next block's copy is the only one held
-    hook = np.where(light < np.inf, hook, idx)  # an isolated vertex is its own root
     mutual = (hook[hook] == idx) & (idx < hook)
     hook[mutual] = idx[mutual]  # a mutual pair is rooted at its smaller vertex
-    hooked = (hook != idx).nonzero()[0]
-    edges = list(
-        zip(
-            np.minimum(hooked, hook[hooked]).tolist(),
-            np.maximum(hooked, hook[hooked]).tolist(),
-            light[hooked].tolist(),
-        )
-    )
-    root = hook
-    while True:
-        jumped = root[root]
-        if (jumped == root).all():
-            break
-        root = jumped
-    if known:
-        uf, tops = UnionFind(n), root.tolist()
-        for e in known:
-            if uf.union(tops[e[0]], tops[e[1]]):
-                edges.append(e)
-        root = np.array([uf.find(t) for t in tops], dtype=idx.dtype)
+    new = outside[(hook[outside] != outside) & (comp[outside] != comp[hook[outside]])]  # not a known edge
+    edges += zip(np.minimum(new, hook[new]).tolist(), np.maximum(new, hook[new]).tolist(), light[new].tolist())
+    root = _jump(hook)
+    here, there = root[outside], root[comp[outside]]
+    apart = (here != there).nonzero()[0]
+    if apart.size:  # known edges outside L join hook fragments
+        uf = UnionFind(n)
+        uf.join(zip(here[apart].tolist(), there[apart].tolist()))
+        root = _jump(np.array(uf.parent))[root]
+    top = root[top]  # the first tree: L and the fragments that joined it
+    start = (root == top).nonzero()[0]
+
+    best_w = np.full(n, np.inf)
+    best_w[outside] = to_l
+    best_w[start] = np.nan
+    for row in rows_of[outside[root[outside] == top]].tolist():
+        np.minimum(best_w, d[row], out=best_w)
+    joined_order = np.empty(n, dtype=outside.dtype)
+    joined_order[: start.size] = start
+    joined = size = start.size
     order = np.argsort(root, kind="stable")
     fragment_start = np.searchsorted(root[order], idx).tolist()
     fragment_size = np.bincount(root, minlength=n).tolist()
-    order, root = order.tolist(), root.tolist()
-
-    best_w = np.full(n, np.inf)
-    joined_order = np.empty(n, dtype=idx.dtype)
+    order, order_rows, root = order.tolist(), rows_of[order].tolist(), root.tolist()
     # code[y]: y's least edge, as min * n + max, to the first seen[y] joined vertices at weight seen_w[y].
     none = n * n
-    code, seen, seen_w = np.full(n, none, dtype=idx.dtype), np.zeros(n, dtype=idx.dtype), np.full(n, np.inf)
-    joined = size = 0
+    code, seen, seen_w = np.full(n, none, dtype=outside.dtype), np.zeros(n, dtype=outside.dtype), np.full(n, np.inf)
+    gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
     while joined < n:
         w = np.fmin.reduce(best_w)
         tied = (best_w == w).nonzero()[0]
@@ -474,7 +566,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         if w == np.inf:
             pass  # no edge leaves the trees: a new one starts at x, the smallest vertex not reached
         elif tied.size == 1:
-            s = int(((d[x] == w) & np.isnan(best_w)).argmax())
+            s = int(((d[rows_of[x]] == w) & np.isnan(best_w)).argmax())
             edges.append((min(s, x), max(s, x), float(w)))
         else:
             # Read the vertices joined since each tied vertex was last tied: the
@@ -483,20 +575,21 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
             code[tied[seen_w[tied] != w]] = none
             before = seen[tied]
             span = joined - before
+            tied_rows = rows_of[tied]
             if size * tied.size <= gather:
                 last = joined_order[joined - size : joined]
-                hit = d[last[:, None], tied] == w
+                hit = d[tied_rows[:, None], last] == w
                 if hit.any():
-                    a, b = hit.nonzero()
+                    b, a = hit.nonzero()
                     y = tied[b]
                     np.minimum.at(code, y, np.minimum(last[a], y) * n + np.maximum(last[a], y))
                 span -= size
             never = before == 0
             span[never] = 0
-            fresh = tied[never]
+            fresh = never.nonzero()[0]
             for rows in row_blocks(fresh.size, n):
-                t = fresh[rows]
-                src = ((d[t] == w) & np.isnan(best_w)).argmax(axis=1)
+                t = tied[fresh[rows]]
+                src = ((d[tied_rows[fresh[rows]]] == w) & np.isnan(best_w)).argmax(axis=1)
                 code[t] = np.minimum(src, t) * n + np.maximum(src, t)
             if span.any():
                 rest = span.nonzero()[0]
@@ -507,7 +600,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
                     t, k = tied[part], span[part]
                     first = k.cumsum() - k
                     cols = joined_order[np.arange(first[-1] + k[-1]) - (first - seen[t]).repeat(k)]
-                    src = np.minimum.reduceat(np.where(d[t.repeat(k), cols] == w, cols, n), first)
+                    src = np.minimum.reduceat(np.where(d[tied_rows[part].repeat(k), cols] == w, cols, n), first)
                     found = np.where(src < n, np.minimum(src, t) * n + np.maximum(src, t), none)
                     code[t] = np.minimum(code[t], found)
             seen[tied], seen_w[tied] = joined, w
@@ -517,14 +610,15 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
             s = int(c[i]) // n + int(c[i]) % n - x
             edges.append((min(s, x), max(s, x), float(w)))
         r = root[x]
-        members = order[fragment_start[r] : fragment_start[r] + fragment_size[r]]
+        lo, hi = fragment_start[r], fragment_start[r] + fragment_size[r]
+        members = order[lo:hi]
         best_w[members] = np.nan
         joined_order[joined : joined + len(members)] = members
-        for m in members:
-            np.minimum(best_w, d[m], out=best_w)
+        for row in order_rows[lo:hi]:
+            np.minimum(best_w, d[row], out=best_w)
         size = len(members)
         joined += size
-    del d  # with radii the disk graph, freed before the edges are sorted
+    del d  # with radii the disk graph's rows, freed before the edges are sorted
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges))
 

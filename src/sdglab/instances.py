@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .disk import RangeAssignment
-from .graph import Space, WeightedGraph, row_blocks
+from .graph import Space, WeightedGraph, check_planned_peak, row_blocks
 from .metric import EUCLIDEAN_LP, EXPLICIT_MATRIX, Metric
 
 GRID_BITS = 26  # coordinate grid: multiples of 2^-26 in [0, 1]
@@ -211,6 +211,7 @@ def gen_random_matrix_metric(n: int, seed: int) -> Metric:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_planned_peak(n)
     rng = _rng(seed)
     cells = rng.integers(0, (1 << MATRIX_GRID_BITS) + 1, size=(n, n))
     # The draws become distances in place. With b = MATRIX_GRID_BITS and an
@@ -249,7 +250,7 @@ def gen_random_ranges(m: Metric, mode: str, seed: int) -> RangeAssignment:
     radii = rng.uniform(lo, hi, size=m.n)
     if mode == "biased":
         radii = np.maximum(radii, m.mst.heaviest_incident())
-    return RangeAssignment(radii=tuple(float(r) for r in radii))
+    return RangeAssignment(radii=tuple(radii.tolist()))
 
 
 # ---------------------------------------------------------------------------

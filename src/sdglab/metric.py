@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Space, row_blocks
+from .graph import Space, check_planned_peak, row_blocks
 
 EUCLIDEAN_LP = "euclidean_lp"
 EXPLICIT_MATRIX = "matrix"
@@ -213,6 +213,7 @@ def _pairwise_lp(points: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
     """The l_p distance matrix of the points and its row extremes (nearest,
     farthest), taken from each row block as soon as it is filled."""
     n, dim = points.shape
+    check_planned_peak(n)
     d = np.zeros((n, n))
     nearest, farthest = np.empty(n), np.empty(n)
     blocks = row_blocks(n)
@@ -294,6 +295,7 @@ class Metric(Space):
     @staticmethod
     def from_matrix(matrix) -> "Metric":
         """The metric of a copy of `matrix`, checked by `validate_metric`."""
+        check_planned_peak(len(matrix) if hasattr(matrix, "__len__") else 0)
         return Metric.adopt_matrix(np.array(matrix, dtype=float))
 
     @staticmethod

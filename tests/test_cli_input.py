@@ -8,9 +8,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdglab.cli import cli
+from sdglab.graph import WeightedGraph, physical_memory
+from sdglab.instances import gen_random_euclidean, gen_random_matrix_metric
+from sdglab.metric import Metric
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CHAIN = str(DATA / "chain_n5.json")
@@ -183,4 +187,59 @@ def test_an_input_too_large_for_memory_exits_2(argv, tmp_path, capsys, monkeypat
     out = tmp_path / "out"
     assert cli([*argv, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": message, "type": "MemoryError"}
+    assert not out.exists()
+
+
+# With physical memory of 2 * 8 * 100^2 bytes, the planned peak of two n x n
+# float64 arrays admits n = 100 and refuses n = 101, before any n x n array is
+# made; no array here is larger than 101 x 101.
+FITS = 100
+TOO_LARGE = (
+    f"n = {FITS + 1} plans a peak of {16 * (FITS + 1) ** 2} bytes (two n x n float64 arrays), "
+    f"more than the {16 * FITS**2} bytes of physical memory"
+)
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    monkeypatch.setattr("sdglab.graph.physical_memory", lambda: 16 * FITS**2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: gen_random_euclidean(n, 2, 2.0, 1),
+        lambda n: gen_random_matrix_metric(n, 1),
+        lambda n: Metric.from_matrix(1.0 - np.eye(n)),
+        lambda n: WeightedGraph.from_edges(n, ()),
+    ],
+    ids=["lp", "random-matrix", "from-matrix", "from-edges"],
+)
+def test_each_n_by_n_allocator_checks_the_planned_peak(build, small_memory, monkeypatch):
+    assert build(FITS).n == FITS
+    with pytest.raises(ValueError) as refused:
+        build(FITS + 1)
+    assert str(refused.value) == TOO_LARGE
+    monkeypatch.setattr("sdglab.graph.physical_memory", lambda: None)  # unknown: nothing is checked
+    assert build(FITS + 1).n == FITS + 1
+
+
+def test_the_machine_reports_its_memory():
+    limit = physical_memory()
+    assert limit is None or limit > 0
+
+
+@pytest.mark.parametrize("kind", ["gen", "sweep", "graph-file"])
+def test_an_input_over_the_planned_peak_exits_2(kind, small_memory, tmp_path, capsys):
+    argv = {
+        "gen": ["gen", "--family", "euclidean", "--n", str(FITS + 1)],
+        "sweep": ["sweep", "--family", "euclidean", "--n", str(FITS + 1), "--workers", "1"],
+    }.get(kind)
+    if argv is None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"graph": {"n": FITS + 1, "edges": []}, "ranges": [1.0] * (FITS + 1)}))
+        argv = ["msf", str(path)]
+    out = tmp_path / "out"
+    assert cli([*argv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": TOO_LARGE, "type": "ValueError"}
     assert not out.exists()

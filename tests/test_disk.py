@@ -108,6 +108,32 @@ def test_range_assignment_validation():
         build_sdg(m, RangeAssignment.constant(3, 1.0))
 
 
+def test_range_assignment_converts_to_floats():
+    # ints, numpy floats and -0.0 are accepted and stored as Python floats,
+    # in one tuple of the caller's order; -0.0 keeps its sign.
+    r = RangeAssignment((1, np.float64(0.25), -0.0, True))
+    assert r.radii == (1.0, 0.25, 0.0, 1.0)
+    assert all(type(x) is float for x in r.radii)
+    assert str(r.radii[2]) == "-0.0"
+    assert RangeAssignment(np.array([0.5, 2.0])).radii == (0.5, 2.0)
+    assert RangeAssignment(()).radii == ()
+
+
+@pytest.mark.parametrize(
+    "radii, message",
+    [
+        ((0.5, float("nan")), "radius nan at vertex 1"),
+        ((float("inf"),), "radius inf at vertex 0"),
+        ((0.0, 1.0, float("-inf")), "radius -inf at vertex 2"),
+        ((2, -1.0, float("nan")), "radius -1.0 at vertex 1"),
+        (np.array([0.0, np.nan]), "radius nan at vertex 1"),
+    ],
+)
+def test_range_assignment_reports_the_first_bad_radius(radii, message):
+    with pytest.raises(ValueError, match=f"^{message} must be finite and >= 0$"):
+        RangeAssignment(radii)
+
+
 def test_sdg_weights_equal_distances():
     m = gen_random_euclidean(9, 3, 1.0, 2)
     r = RangeAssignment.constant(9, 0.8)

@@ -274,6 +274,125 @@ def test_dense_msf_on_coarse_grids(p):
             _assert_prim_equals_kruskal(m, r)
 
 
+def _largest_fragment(n, known):
+    """The vertices of the largest tree that the edges `known` form."""
+    uf = UnionFind(n)
+    for u, v, _ in known:
+        uf.union(u, v)
+    roots = [uf.find(v) for v in range(n)]
+    top = max(set(roots), key=roots.count)
+    return {v for v in range(n) if roots[v] == top}
+
+
+def _subtree(f, start, size):
+    """The edges of f that a breadth-first search from start takes, in f's
+    order, until the tree holds `size` vertices."""
+    adj, seen, queue, taken = f.adjacency(), {start}, [start], set()
+    while queue and len(seen) < size:
+        u = queue.pop(0)
+        for v in sorted(adj[u]):
+            if v not in seen and len(seen) < size:
+                seen.add(v)
+                queue.append(v)
+                taken.add((min(u, v), max(u, v)))
+    return tuple(e for e in f.edges if (e[0], e[1]) in taken)
+
+
+def _pair_matrix(n):
+    """Weight 1 within the pairs (2i, 2i + 1) and 2 between any two others: a
+    metric whose hooks are the n / 2 mutual pairs, after which every vertex
+    outside Prim's tree ties at weight 2 at every step."""
+    d = np.full((n, n), 2.0)
+    even = np.arange(0, n - 1, 2)
+    d[even, even + 1] = d[even + 1, even] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@support.on_both_kernel_paths
+def test_dense_msf_seeded_from_each_size_of_largest_fragment(n):
+    # Known edges of the disk graph's MSF, whose largest tree L is where Prim
+    # starts: all but one vertex, half of them, one edge. On the pair matrix
+    # every step of Prim ties; under uniform radii on the plane, the vertices
+    # next to L hook into it.
+    rng = np.random.default_rng(n)
+    m = gen_random_euclidean(n, 2, 2.0, n)
+    cases = [
+        (_pair_matrix(n), np.full(n, 2.0)),
+        (_pair_matrix(n), rng.choice([1.0, 2.0], size=n, p=[0.2, 0.8])),
+        (m.matrix, np.array(gen_random_ranges(m, "biased", n).radii)),
+        (m.matrix, np.array(gen_random_ranges(m, "uniform", n).radii)),
+    ]
+    hooked_into = 0
+    for d, radii in cases:
+        f = kruskal_msf(build_sdg(WeightedGraph(d), RangeAssignment(radii)))
+        degree = np.bincount(np.array([e[:2] for e in f.edges]).ravel(), minlength=n)
+        leaf = int(np.flatnonzero(degree == 1)[0])
+        start = f.edges[0][0]
+        for known, size in (
+            (tuple(e for e in f.edges if leaf not in e[:2]), None),
+            (_subtree(f, start, n // 2), n // 2),
+            (f.edges[:1], 2),
+        ):
+            inside = _largest_fragment(n, known)
+            assert size is None or len(inside) == size
+            assert dense_msf(d, known, radii=radii) == f
+            assert dense_msf(d, known[::-1], radii=radii) == f
+            disk = np.where(np.minimum(radii[:, None], radii) >= d, d, np.inf)
+            np.fill_diagonal(disk, np.inf)
+            outside = [v for v in range(n) if v not in inside and disk[v].min() < np.inf]
+            hooked_into += any(int(disk[v].argmin()) in inside for v in outside)
+    assert hooked_into >= 6
+
+
+@pytest.mark.parametrize("n, side", [(64, 16), (200, 48)])
+def test_dense_msf_seeded_on_tied_and_grid_instances(n, side):
+    # Star and chain metrics under radii from {0.5, 1, 2}, which drop some of
+    # their weight-1 MST edges and keep weight-2 pairs among the vertices of
+    # radius 2, and integer grids under p = 1 and p = inf with uniform radii,
+    # sparse enough that MST edges outweigh the least radius: the kept MST
+    # edges seed Prim, through `sdg_msf` and `dense_msf`.
+    rng = np.random.default_rng(n + 1)
+    seeded = 0
+    for bundle in (gen_star_metric(n), gen_chain_metric(n)):
+        radii = rng.choice([0.5, 1.0, 2.0], size=n, p=[0.1, 0.3, 0.6])
+        _assert_prim_equals_kruskal(bundle.space, RangeAssignment(radii))
+        kept = [e for e in bundle.space.mst.edges if min(radii[e[0]], radii[e[1]]) >= e[2]]
+        seeded += 2 < len(_largest_fragment(n, kept)) < n
+    for p in (1.0, math.inf):
+        cells = rng.choice(side, size=(3 * n, 2))
+        m = Metric.euclidean(rng.permutation(np.unique(cells, axis=0)[:n]).astype(float), p=p)
+        r = gen_random_ranges(m, "uniform", n)
+        _assert_prim_equals_kruskal(m, r)
+        kept = [e for e in m.mst.edges if min(r[e[0]], r[e[1]]) >= e[2]]
+        seeded += 2 < len(_largest_fragment(n, kept)) < n
+    assert seeded >= 3
+
+
+def test_mask_disk_cuts_what_either_radius_cuts():
+    # Entries on a grid of quarters, some +inf, against radii equal to an
+    # entry (kept: d <= r), just below one (cut), zero, or +inf; in a block
+    # wider than one chunk of MASK_ENTRIES, so several chunks and a partial
+    # last one are masked. The old test (r_u < d) | (r_v < d) is the oracle.
+    rng = np.random.default_rng(61)
+    rows, n = 70, 300
+    d = rng.integers(1, 9, size=(rows, n)) / 4
+    d[rng.random((rows, n)) < 0.1] = np.inf
+    grid = np.arange(1, 9) / 4
+    choices = np.concatenate([grid, np.nextafter(grid, 0), [0.0, np.inf]])
+    r_rows, r = rng.choice(choices, size=rows), rng.choice(choices, size=n)
+    expected = np.where((r_rows[:, None] < d) | (r < d), np.inf, d)
+    block = d.copy()
+    graph._mask_disk(block, r_rows, r)
+    assert np.array_equal(block, expected)
+    low = np.minimum(r_rows[:, None], r)
+    assert ((low == d) & (block == d)).sum() > 100  # a radius equal to the distance keeps it
+    assert ((low == np.nextafter(d, 0)) & np.isinf(block)).sum() > 100  # one ulp below cuts it
+    assert (np.isinf(d) & np.isinf(low)).any()
+    assert rows * n > graph.MASK_ENTRIES and rows % (graph.MASK_ENTRIES // n)
+
+
 def _hub_with_pairs(n, metric):
     """A weight-1 path 0..h with n // 4 pairs (a, a + 1) of weight 1 hung off h,
     each a at weight 2 from h: every a ties at once, as Prim's next vertex,
@@ -347,7 +466,8 @@ def test_dense_msf_memory_is_linear():
     for d in (m.matrix, disk, _hub_with_pairs(1024, True), _hub_with_pairs(1024, False)):
         _, peak = _traced_peak(lambda: dense_msf(d))
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
-    # With radii it makes the disk graph's one n x n float64 array (8 MiB) and nothing more of that size.
+    # With radii and no known edge it writes the disk graph's rows for all
+    # but vertex 0 (8 MiB less one row) and nothing more of that size.
     f, peak = _traced_peak(lambda: dense_msf(m.matrix, radii=r.radii))
     assert f == dense_msf(disk)
     assert peak < 10 * 2**20
