@@ -13,7 +13,9 @@ first when i is even and the change first when it is odd.
   pairs    `bench/run.py --trace 0` once per side per pair, for each workload
            and seed. For every end-to-end metric it records every value, the
            medians, the inclusive quartiles and the pairs the change won (ties
-           count for neither), under "pairs" -> "<workload>/seed<S>".
+           count for neither), under "pairs" -> "<workload>/seed<S>", and the
+           same for the unscaled setup_s and instances_per_s that run.py
+           prints, under "unscaled" there.
   trace    `bench/run.py --trace 1` once per side for each workload, at the
            first seed; every per-layer metric goes under "trace".
   snippet  runs the Python file --file in each checkout, with that checkout's
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -39,13 +42,20 @@ from pathlib import Path
 
 WORKLOADS = ("sweep-std", "large-n512", "exact-auto")
 SIDES = ("parent", "change")
+# The line in which bench/run.py prints its rates before speed scaling.
+UNSCALED = re.compile(r"^unscaled: setup_s = (\S+) s, instances_per_s = (\S+) 1/s", re.MULTILINE)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench/run.py run; its last output line is the result."""
+    """One bench/run.py run; its last output line is the result, to which the
+    unscaled figures it prints beside it are added under "unscaled"."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    result = json.loads(out.splitlines()[-1])
+    unscaled = UNSCALED.search(out)
+    if unscaled:
+        result["unscaled"] = {"setup_s": float(unscaled[1]), "instances_per_s": float(unscaled[2])}
+    return result
 
 
 def run_snippet(checkout: Path, path: Path) -> dict:
@@ -105,6 +115,10 @@ def cmd_pairs(args, doc: dict, save) -> None:
         for name, direction in better.items():
             values = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in SIDES}
             entry[name] = summary(values["parent"], values["change"], direction)
+        if all("unscaled" in r[side] for r in runs for side in SIDES):
+            for name, direction in (("setup_s", "lower"), ("instances_per_s", "higher")):
+                values = {side: [r[side]["unscaled"][name] for r in runs] for side in SIDES}
+                entry.setdefault("unscaled", {})[name] = summary(values["parent"], values["change"], direction)
         doc.setdefault("pairs", {})[f"{workload}/seed{seed}"] = entry
         save()
         print(f"{workload} seed {seed}: " + ", ".join(
