@@ -370,6 +370,54 @@ def test_dense_msf_seeded_on_tied_and_grid_instances(n, side):
     assert seeded >= 3
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_dense_msf_boruvka_round_on_tied_graphs(n, monkeypatch):
+    # Integer weights up to 3 or 63 with absent edges, and radii up to the
+    # largest weight: fragments often tie with their members' bounds (and are
+    # left to Prim), and many rows run out of disk-graph edges before
+    # NEAREST, also where the first edge goes to vertex 0, whose entry the
+    # row pass must put back. Known edges from a tree away from vertex 0 keep
+    # it outside L. Every forest must equal Kruskal's, and the round must have
+    # added edges.
+    added = []
+    real = graph._merge_by_nearest
+
+    def counted(*args):
+        edges = real(*args)
+        added.append(len(edges))
+        return edges
+
+    monkeypatch.setattr(graph, "_merge_by_nearest", counted)
+    rng = np.random.default_rng(n + 3)
+    for top, frac in ((3, 0.0), (3, 0.5), (63, 0.0), (63, 0.5), (63, 0.9)):
+        w = rng.integers(1, top + 1, size=(n, n)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        g = _with_absent_edges(np.minimum(w, w.T), rng, frac)
+        assert dense_msf(g.matrix) == kruskal_msf(g)
+        for radii in (rng.integers(0, top + 1, size=n).astype(float), np.full(n, float(top))):
+            f = kruskal_msf(build_sdg(g, RangeAssignment(radii)))
+            far = max(range(n), key=lambda v: (g.matrix[0, v], v))
+            for known in ((), _subtree(f, far, n // 4), f.edges[1::3]):
+                assert dense_msf(g.matrix, known, radii=radii) == f
+    assert len(added) > 6 and sum(added) > 100
+
+
+@support.on_both_kernel_paths
+def test_dense_msf_puts_back_a_row_that_runs_out():
+    # Vertex 5 has two disk-graph edges, to 4 and to 0, fewer than NEAREST:
+    # its row runs out, and its last pass finds column 0 again at +inf. The
+    # entry d(5, 0) must come back, as Prim reads it when {4, 5} joins the
+    # tree L = {1, 2, 3} before {0, 6}, and (0, 5) is the MSF edge to them.
+    d = np.full((7, 7), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0), (0, 6, 1.0), (0, 5, 2.0), (1, 4, 3.0), (3, 6, 9.0)):
+        d[u, v] = d[v, u] = w
+    radii = np.full(7, 10.0)
+    f = kruskal_msf(WeightedGraph(d))
+    assert (0, 5, 2.0) in f.edges
+    assert dense_msf(d, ((1, 2, 1.0), (2, 3, 1.0)), radii=radii) == f
+
+
 def test_mask_disk_cuts_what_either_radius_cuts():
     # Entries on a grid of quarters, some +inf, against radii equal to an
     # entry (kept: d <= r), just below one (cut), zero, or +inf; in a block
