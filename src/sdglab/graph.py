@@ -473,14 +473,14 @@ def _merge_by_nearest(root: np.ndarray, outside: np.ndarray, near_c: np.ndarray,
     own = root[outside]
     w, x = np.full(outside.size, np.inf), outside.copy()
     bound = near_w[:, -1].copy()
-    for j in range(NEAREST - 1, -1, -1):  # the last write is the first recorded edge that leaves
+    for j in range(near_c.shape[1] - 1, -1, -1):  # the last write is the first recorded edge that leaves
         leaves = (root[near_c[:, j]] != own) & (near_w[:, j] < np.inf)
         w[leaves], x[leaves], bound[leaves] = near_w[leaves, j], near_c[leaves, j], np.inf
     order = np.lexsort((np.minimum(outside, x) * root.size + np.maximum(outside, x), w, own))
     starts = np.flatnonzero(np.r_[True, own[order[1:]] != own[order[:-1]]])  # each fragment's least candidate
     best = order[starts]
     best = best[(w[best] < np.minimum.reduceat(bound[order], starts)) & (own[best] != top)]
-    del order, starts, bound
+    del order, starts, bound  # this round sets dense_msf's peak when L is one vertex
     idx = np.arange(root.size)
     pointer = idx.copy()
     pointer[own[best]] = root[x[best]]
@@ -582,7 +582,10 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         rows_of[outside] = np.arange(count)
         d, source = np.empty((count, n)), d  # the disk graph's outside rows, written below a block at a time
     hook, to_l = np.where(comp == top, top, idx), np.empty(count)
-    near_c, near_w = np.empty((count, NEAREST), dtype=np.int32), np.empty((count, NEAREST))  # columns fit in int32
+    # Hooks only merge the known trees outside L, so with too few of them no
+    # Borůvka round can run, and each row keeps its lightest edge alone.
+    nearest = NEAREST if np.count_nonzero(comp[outside] == outside) > BORUVKA_MIN else 1
+    near_c, near_w = np.empty((count, nearest), dtype=np.int32), np.empty((count, nearest))  # columns fit in int32
     for rows in row_blocks(count, n):
         vs = outside[rows]
         if radii is None:
@@ -595,7 +598,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         diag = np.arange(block.shape[0])
         block[diag, vs] = np.inf
         cols, weights = near_c[rows], near_w[rows]
-        for j in range(NEAREST):  # each row's first minima, taken out one by one
+        for j in range(nearest):  # each row's first minima, taken out one by one
             cols[:, j] = block.argmin(axis=1)
             weights[:, j] = block[diag, cols[:, j]]
             block[diag, cols[:, j]] = np.inf

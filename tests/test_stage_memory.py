@@ -15,7 +15,7 @@ pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
     and Prim's O(n) arrays later. As a trace round runs it, with no MST, L
     is one vertex: 1.038. As an evaluation does, from the MST built before,
     L is the largest tree of the MST edges that the radii keep, and 48 % of
-    the vertices lie outside it: 0.522. Under biased ranges, whose
+    the vertices lie outside it: 0.520. Under biased ranges, whose
     generator builds the MST, it returns the MST and allocates next to
     nothing: 0.001;
   * `verify_certificate` holds `is_msf`'s O(n log n) sparse table and one
