@@ -96,7 +96,7 @@ MASK_ENTRIES = 1 << 14
 # benchmark's n = 512 matrices NEAREST = 3 decides the lightest leaving edge
 # of 80-95 % of the fragments (156 -> 59 on one), and the extra minima and
 # the round take 0.2 ms (9 %) off the plain MST and a disk graph without
-# known edges, but add 0.17 ms where known edges leave few fragments.
+# known edges.
 NEAREST = 3
 BORUVKA_MIN = 32
 
@@ -441,7 +441,7 @@ def _trees(n: int, edges: Iterable[Sequence]) -> tuple[list, np.ndarray]:
     0..n-1, in order, and each vertex's tree root."""
     uf = UnionFind(n)
     kept = uf.join(edges)
-    return kept, _jump(np.array(uf.parent))
+    return kept, (_jump(np.array(uf.parent)) if kept else np.arange(n))
 
 
 def _jump(pointers: np.ndarray) -> np.ndarray:
@@ -523,11 +523,12 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     kept as an edge unless it repeats a known edge (both ends in one known
     fragment: as all lie in the MSF, any other edge there would close a
     cycle). The known fragments outside L then merge the hook fragments
-    they meet, by union-find over the roots. The same pass keeps each
-    outside row's NEAREST first minima, and when more than BORUVKA_MIN
-    fragments remain, one Borůvka round (`_merge_by_nearest`) joins each
-    fragment whose lightest leaving edge these decide. The fragment that
-    holds L is the first tree.
+    they meet, by union-find over the roots. When more than 3 * BORUVKA_MIN
+    known trees (single vertices included) lie outside L, the same pass
+    keeps each outside row's NEAREST first minima, and if more than
+    BORUVKA_MIN fragments remain, one Borůvka round (`_merge_by_nearest`)
+    joins each fragment whose lightest leaving edge these decide. The
+    fragment that holds L is the first tree.
 
     (3) Prim over fragments. A tree grows a whole fragment at a time, with
     one `np.minimum` per member row, and each outside vertex keeps only
@@ -582,9 +583,11 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         rows_of[outside] = np.arange(count)
         d, source = np.empty((count, n)), d  # the disk graph's outside rows, written below a block at a time
     hook, to_l = np.where(comp == top, top, idx), np.empty(count)
-    # Hooks only merge the known trees outside L, so with too few of them no
-    # Borůvka round can run, and each row keeps its lightest edge alone.
-    nearest = NEAREST if np.count_nonzero(comp[outside] == outside) > BORUVKA_MIN else 1
+    # Hooks only merge the known trees outside L (single vertices included),
+    # to about a third as many fragments where none is known (0.26-0.32 of
+    # the vertices at n = 512): with fewer trees than three rounds' worth,
+    # each row keeps its lightest edge alone.
+    nearest = NEAREST if np.count_nonzero(comp[outside] == outside) > 3 * BORUVKA_MIN else 1
     near_c, near_w = np.empty((count, nearest), dtype=np.int32), np.empty((count, nearest))  # columns fit in int32
     for rows in row_blocks(count, n):
         vs = outside[rows]
@@ -602,8 +605,9 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
             cols[:, j] = block.argmin(axis=1)
             weights[:, j] = block[diag, cols[:, j]]
             block[diag, cols[:, j]] = np.inf
-        i, j = (weights < np.inf).nonzero()  # put back for Prim; these columns are distinct
-        block[i, cols[i, j]] = weights[i, j]
+        if radii is not None:  # put back for Prim, which reads the disk graph's rows; these columns are distinct
+            i, j = (weights < np.inf).nonzero()
+            block[i, cols[i, j]] = weights[i, j]
         hook[vs] = np.where(weights[:, 0] < np.inf, cols[:, 0], vs)  # an isolated vertex is its own root
         del block, cols, weights  # the next block's copy is the only one held, and no view outlives near_*
     mutual = (hook[hook] == idx) & (idx < hook)

@@ -404,15 +404,19 @@ def test_dense_msf_boruvka_round_on_tied_graphs(n, monkeypatch):
 
 @support.on_both_kernel_paths
 def test_dense_msf_puts_back_a_row_that_runs_out():
-    # Vertex 5 has two disk-graph edges, to 4 and to 0, fewer than NEAREST:
-    # its row runs out, and its last pass finds column 0 again at +inf. The
-    # entry d(5, 0) must come back, as Prim reads it when {4, 5} joins the
-    # tree L = {1, 2, 3} before {0, 6}, and (0, 5) is the MSF edge to them.
-    d = np.full((7, 7), np.inf)
+    # Vertex 5 hooks into L = {1, 2, 3} and has one more disk-graph edge,
+    # (0, 5) of weight 2, the only one to F = {0, 6, 7, 8}. A hundred isolated
+    # vertices make enough fragments for 5's row to keep NEAREST edges, so it
+    # runs out and its last pass finds column 0 again at +inf; the Borůvka
+    # round leaves F to Prim, as 6 and 8 have all their recorded edges in F,
+    # the last at weight 2. Prim reads d(5, 0) when the first tree starts.
+    n = 109
+    d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
-    for u, v, w in ((1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0), (0, 6, 1.0), (0, 5, 2.0), (1, 4, 3.0), (3, 6, 9.0)):
+    for u, v, w in ((1, 2, 1.0), (2, 3, 1.0), (3, 5, 1.0), (0, 5, 2.0), (0, 6, 1.0), (6, 7, 1.0), (7, 8, 1.0),
+                    (0, 8, 2.0), (6, 8, 2.0)):
         d[u, v] = d[v, u] = w
-    radii = np.full(7, 10.0)
+    radii = np.full(n, 10.0)
     f = kruskal_msf(WeightedGraph(d))
     assert (0, 5, 2.0) in f.edges
     assert dense_msf(d, ((1, 2, 1.0), (2, 3, 1.0)), radii=radii) == f
