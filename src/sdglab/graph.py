@@ -654,22 +654,22 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
             edges.append((min(s, x), max(s, x), float(w)))
         else:
             # Read the vertices joined since each tied vertex was last tied: the
-            # whole row of one never tied before, the fragment joined last in one
-            # block when it is small, the rest in chunks.
+            # whole row of one never tied before, and for the others the fragment
+            # joined last in one block when it is small, the rest in chunks.
             code[tied[seen_w[tied] != w]] = none
             before = seen[tied]
-            span = joined - before
+            never = before == 0
+            span = np.where(never, 0, joined - before)
             tied_rows = rows_of[tied]
-            if size * tied.size <= gather:
+            again = (~never).nonzero()[0]
+            if again.size and size * again.size <= gather:
                 last = joined_order[joined - size : joined]
-                hit = d[tied_rows[:, None], last] == w
+                hit = d[tied_rows[again, None], last] == w
                 if hit.any():
                     b, a = hit.nonzero()
-                    y = tied[b]
+                    y = tied[again[b]]
                     np.minimum.at(code, y, np.minimum(last[a], y) * n + np.maximum(last[a], y))
-                span -= size
-            never = before == 0
-            span[never] = 0
+                span[again] -= size
             fresh = never.nonzero()[0]
             for rows in row_blocks(fresh.size, n):
                 t = tied[fresh[rows]]

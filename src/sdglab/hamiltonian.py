@@ -9,6 +9,10 @@ Three providers:
     are the sets of layer k-1 lacking v, with v added and in the same order,
     so each row is one column minimum over the last-but-one vertex u, read
     from layer k-1 expanded to n x C(n, k-1) with +inf where u is not in T.
+    Which vertices lie in which set depends on n alone: the first solve at
+    each n builds these membership masks for every layer, packed to one bit
+    per entry (n * 2^n bits, 128 KiB at n = 16), and keeps them for the
+    process; each solve unpacks one layer at a time.
     No parent table is kept: the path is rebuilt from the full set backward,
     the vertex before v in T being the first (smallest) u whose sum
     dp[T - v, u] + d[u, v] attains the minimum, the forward pass's own sums;
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +37,9 @@ from .metric import Metric, as_vertex_subset
 
 # At n = 18 the kept layers hold 18 * 2^17 float64 values (18 MiB) in all,
 # the expanded layer at most 18 * C(18, 9) (6.7 MiB) and one endpoint's
-# candidates 18 * C(17, 8) (3.3 MiB); the traced peak is 25.2 MiB.
+# candidates 18 * C(17, 8) (3.3 MiB), and the membership bits kept per n take
+# 576 KiB. A solve's traced peak is 25.2 MiB when it builds those bits and
+# 24.6 MiB when an earlier solve did; at n = 16, 5.76 and 5.63 MiB.
 EXACT_LIMIT = 18
 EXACT_CUTOFF = 16  # mode "auto" solves exactly up to this many vertices
 HAM_MODES = ("exact", "approx", "auto")
@@ -80,16 +87,11 @@ def exact_min_ham_path(space: Space) -> HamPath:
     n = d.shape[0]
     if not 2 <= n <= EXACT_LIMIT:
         raise ValueError(f"exact solver supports 2 <= n <= {EXACT_LIMIT}, got n={n}")
-    popcount = np.zeros(1, dtype=np.int8)  # of every mask below 2^n
-    for _ in range(n):
-        popcount = np.concatenate([popcount, popcount + 1])
     kept = [None, np.zeros(n)]  # kept[k]: row v is dp[T, v] over the k-sets T that hold v
-    for k in range(2, n + 1):
-        layer = np.flatnonzero(popcount == k - 1)
-        inside = np.empty((n, layer.size), dtype=bool)
-        for u in range(n):
-            inside[u] = layer & (1 << u)
-        dp = np.full((n, layer.size), np.inf)  # dp[u, i]: lightest path over layer[i] ending at u
+    for k, packed in enumerate(_membership(n), 2):
+        size = math.comb(n, k - 1)
+        inside = np.unpackbits(packed, axis=1, count=size).view(bool)
+        dp = np.full((n, size), np.inf)  # dp[u, i]: lightest path over the i-th (k-1)-set ending at u
         dp[inside] = kept[k - 1]
         rows = np.empty((n, math.comb(n - 1, k - 1)))
         cand = np.empty_like(rows)
@@ -106,14 +108,36 @@ def exact_min_ham_path(space: Space) -> HamPath:
         raise ValueError("graph has no Hamiltonian path")
     order = [last]
     rest = ((1 << n) - 1) ^ (1 << last)
+    weights = d.tolist()
     while rest:
         # the vertex before order[-1]: the u with the lightest dp[rest, u] + d[u, order[-1]],
         # the forward pass's own sums; min keeps the first, so ties go to the smallest u
         members = [w for w in range(n) if rest >> w & 1]
-        order.append(min(members, key=lambda u: _kept_value(kept, n, members, u) + d[u, order[-1]]))
+        order.append(min(members, key=lambda u: _kept_value(kept, n, members, u) + weights[u][order[-1]]))
         rest ^= 1 << order[-1]
     order = _canonical(order[::-1])
     return HamPath(order=order, weight=path_weight(space, order))
+
+
+@lru_cache(maxsize=EXACT_LIMIT)  # n ranges over 2..EXACT_LIMIT
+def _membership(n: int) -> tuple[np.ndarray, ...]:
+    """The part of `exact_min_ham_path` that depends on n alone, built once per
+    n: for each layer k = 2..n in turn, inside[u, i], whether vertex u lies in
+    the i-th of the C(n, k-1) sets of k-1 vertices in ascending mask order,
+    packed along each row by np.packbits and read-only. n * 2^n bits in all."""
+    popcount = np.zeros(1, dtype=np.int8)  # of every mask below 2^n
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    tables = []
+    for k in range(2, n + 1):
+        layer = np.flatnonzero(popcount == k - 1)
+        inside = np.empty((n, layer.size), dtype=bool)
+        for u in range(n):
+            inside[u] = layer & (1 << u)
+        packed = np.packbits(inside, axis=1)
+        packed.flags.writeable = False
+        tables.append(packed)
+    return tuple(tables)
 
 
 def _kept_value(kept: list, n: int, members: list[int], u: int) -> float:

@@ -72,33 +72,30 @@ def mix_seed(base: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _unit_radii(family: str, d: np.ndarray) -> InstanceBundle:
-    """The matrix metric d, zeroed on the diagonal, with unit radii; for star
+def _unit_radii(family: str, n: int, u, v) -> InstanceBundle:
+    """The n-point matrix metric with distance 1 between u[i] and v[i] and 2
+    between all other pairs, built in one array, with unit radii; for star
     and chain the disk graph is an MST, so the weight coefficient is 1."""
+    check_planned_peak(n)
+    d = np.full((n, n), 2.0)
+    d[u, v] = d[v, u] = 1.0
     np.fill_diagonal(d, 0.0)
-    ranges = RangeAssignment.constant(len(d), 1.0)
-    return InstanceBundle(family, Metric.from_matrix(d), ranges, reference={"weight_coefficient": 1.0})
+    ranges = RangeAssignment.constant(n, 1.0)
+    return InstanceBundle(family, Metric.adopt_matrix(d), ranges, reference={"weight_coefficient": 1.0})
 
 
 def gen_star_metric(n: int) -> InstanceBundle:
     """Hub star metric with unit radii; n >= 3."""
     if n < 3:
         raise ValueError(f"star family needs n >= 3, got {n}")
-    d = np.full((n, n), 2.0)
-    d[0, :] = d[:, 0] = 1.0
-    return _unit_radii("star", d)
-
-
-def _chain_matrix(n: int) -> np.ndarray:
-    """Distance 1 between consecutive points, 2 between all other pairs."""
-    return 2.0 - np.eye(n, k=1) - np.eye(n, k=-1)
+    return _unit_radii("star", n, 0, np.arange(1, n))
 
 
 def gen_chain_metric(n: int) -> InstanceBundle:
     """Chain metric with unit radii; the disk graph is the unit path."""
     if n < 3:
         raise ValueError(f"chain family needs n >= 3, got {n}")
-    return _unit_radii("chain", _chain_matrix(n))
+    return _unit_radii("chain", n, np.arange(n - 1), np.arange(1, n))
 
 
 def gen_c3(w: float = 1000.0) -> InstanceBundle:
@@ -336,7 +333,8 @@ def bundle_from_dict(data: dict) -> InstanceBundle:
             if set(spec) != {"kind", "matrix"}:
                 raise InstanceFormatError("matrix metric needs exactly kind, matrix")
             rows = [_floats(row, "a matrix row") for row in _list(spec["matrix"], "'matrix'")]
-            space = Metric.from_matrix(np.asarray(rows, dtype=float))
+            check_planned_peak(len(rows))
+            space = Metric.adopt_matrix(np.asarray(rows, dtype=float))
         else:
             raise InstanceFormatError(f"unknown metric kind {kind!r}")
     else:

@@ -501,6 +501,27 @@ def test_dense_msf_rereads_a_vertex_that_ties_again(y, partner, kept, dropped):
     assert kept in f.edges and dropped not in f.edges
 
 
+def test_dense_msf_takes_a_tie_from_the_fragment_joined_last():
+    # Above the list cutoff, fragments {0,5} {1,2} {3,4} {6,10} {8,11} {7,9}
+    # and a weight-1 path on the rest, joined by (9, 12) at weight 3. Prim
+    # takes (0,4) from the tie {4, 8, 9} at weight 2, then (2,3) at 1.5; when
+    # 6 (for the first time), 8 and 9 tie, 8's least edge is (1,8), to {1,2},
+    # the fragment joined last, which only the block read of 8's row finds,
+    # not (5,8) from its first tie. 6, tied for the first time and ahead of 8,
+    # has no block read: its whole-row scan finds (2,6).
+    n = PRIM_LIST_CUTOFF + 16
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in ((0, 5, 1), (1, 2, 1), (3, 4, 1), (6, 10, 1), (8, 11, 1), (7, 9, 1), (2, 3, 1.5),
+                    (0, 4, 2), (1, 8, 2), (2, 6, 2), (5, 8, 2), (5, 9, 2), (9, 12, 3)):
+        d[u, v] = d[v, u] = w
+    for u in range(12, n - 1):
+        d[u, u + 1] = d[u + 1, u] = 1.0
+    f = dense_msf(d)
+    assert f == kruskal_msf(WeightedGraph(d))
+    assert (1, 8, 2.0) in f.edges and (5, 8, 2.0) not in f.edges
+
+
 def _traced_peak(build):
     """build()'s result and the most `tracemalloc` saw allocated while it ran."""
     tracemalloc.start()

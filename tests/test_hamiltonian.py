@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sdglab.decomposition import Prepared
 from sdglab.disk import RangeAssignment
 from sdglab.graph import WeightedGraph, complete_graph, kruskal_msf
+from sdglab import hamiltonian
 from sdglab.hamiltonian import (
     EXACT_CUTOFF,
     EXACT_LIMIT,
@@ -220,14 +221,17 @@ def test_exact_matches_layered_argmin_star_and_chain(n):
     _same_as_layered_argmin(gen_chain_metric(n).space)
 
 
+def _123_weights(n, seed):
+    """A complete graph on n vertices with weights drawn from {1, 2, 3}."""
+    w = np.random.default_rng(seed).integers(1, 4, size=(n, n))
+    return WeightedGraph.from_edges(n, ((u, v, float(w[u, v])) for u in range(n) for v in range(u + 1, n)))
+
+
 @pytest.mark.parametrize("n", range(12, EXACT_LIMIT + 1))
 def test_exact_matches_layered_argmin_123_weights(n):
     # complete graphs with weights in {1, 2, 3}: at n = 14, 57147 states tie and
     # 6812 of them first at u >= 8
-    rng = np.random.default_rng(n)
-    w = rng.integers(1, 4, size=(n, n))
-    edges = tuple((u, v, float(w[u, v])) for u in range(n) for v in range(u + 1, n))
-    _same_as_layered_argmin(WeightedGraph.from_edges(n, edges))
+    _same_as_layered_argmin(_123_weights(n, n))
 
 
 @pytest.mark.parametrize("n", range(12, EXACT_LIMIT + 1))
@@ -286,8 +290,30 @@ def test_exact_matches_layered_argmin_bench_kinds_at_the_cutoff(kind):
     assert _same_as_layered_argmin(_bench_kind_metric(kind, EXACT_CUTOFF)) is not None
 
 
+def test_exact_matches_layered_argmin_on_cold_and_warm_tables():
+    # the per-n membership tables, built by the first solve at each n and read
+    # by every later one, give the reference's path both times
+    for n in range(2, EXACT_LIMIT + 1):
+        g = _123_weights(n, 300 + n)
+        expected = support.layered_argmin_min_ham_path(g)
+        hamiltonian._membership.cache_clear()
+        assert exact_min_ham_path(g) == expected
+        assert exact_min_ham_path(g) == expected
+        assert hamiltonian._membership.cache_info().hits == 1
+
+
+def test_membership_tables_are_read_only():
+    tables = hamiltonian._membership(EXACT_CUTOFF)
+    assert len(tables) == EXACT_CUTOFF - 1
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+
 def test_exact_memory_at_the_auto_cutoff():
     m = gen_chain_metric(16).space
+    hamiltonian._membership.cache_clear()  # a cold solve builds the tables too
     tracemalloc.start()
     try:
         h = exact_min_ham_path(m)
@@ -300,6 +326,7 @@ def test_exact_memory_at_the_auto_cutoff():
 
 def test_exact_memory_stays_under_the_full_table():
     m = gen_chain_metric(EXACT_LIMIT).space
+    hamiltonian._membership.cache_clear()
     tracemalloc.start()
     try:
         h = exact_min_ham_path(m)

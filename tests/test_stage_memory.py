@@ -5,7 +5,12 @@ A stage's peak is the most that `tracemalloc` saw allocated at once while the
 stage ran; memory already live when it began, such as the metric, is not
 counted, and a build's peak includes the matrix it returns (1.0). Every n x n
 pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
-  * either metric build holds its matrix plus one block or two: 1.09;
+  * either metric build holds its matrix plus one block or two: 1.09; the
+    star and chain families, built in place and adopted, 1.07;
+  * loading a parsed n = 512 matrix instance file holds the rows that
+    `bundle_from_dict` checks, one list per row (1.0, n^2 pointers, the
+    floats being the parser's), and the matrix built from them: 2.29 in
+    units of 512^2 * 8 bytes;
   * uniform radii on a built metric read the row extremes that its
     constructor stored, and hold only O(n) arrays and floats: 0.006, where
     one row block would take 0.0625;
@@ -29,18 +34,28 @@ import tracemalloc
 import pytest
 
 from sdglab.decomposition import Prepared, verify_certificate
-from sdglab.instances import gen_random_euclidean, gen_random_matrix_metric, gen_random_ranges
+from sdglab.instances import (
+    InstanceBundle,
+    bundle_from_dict,
+    gen_chain_metric,
+    gen_random_euclidean,
+    gen_random_matrix_metric,
+    gen_random_ranges,
+    gen_star_metric,
+    read_json,
+    write_instance,
+)
 
 N = 1024
 UNIT = N * N * 8
 
 
-def _peak(stage):
+def _peak(stage, unit=UNIT):
     """The stage's result and its traced peak in units of n^2 * 8 bytes."""
     tracemalloc.start()
     try:
         result = stage()
-        return result, tracemalloc.get_traced_memory()[1] / UNIT
+        return result, tracemalloc.get_traced_memory()[1] / unit
     finally:
         tracemalloc.stop()
 
@@ -57,6 +72,24 @@ def test_metric_build_holds_only_its_matrix(build):
     m, peak = _peak(build)
     assert m.n == N
     assert peak < 1.25
+
+
+@pytest.mark.parametrize("build", [gen_star_metric, gen_chain_metric])
+def test_unit_radii_families_hold_only_their_matrix(build):
+    bundle, peak = _peak(lambda: build(N))
+    assert bundle.space.n == N
+    assert peak < 1.10
+
+
+def test_matrix_instance_file_loads_into_one_matrix(tmp_path):
+    n = 512
+    m = gen_random_matrix_metric(n, 1)
+    path = tmp_path / "matrix.json"
+    write_instance(InstanceBundle("matrix", m, gen_random_ranges(m, "biased", 2)), path)
+    data = read_json(path)
+    bundle, peak = _peak(lambda: bundle_from_dict(data), n * n * 8)
+    assert bundle.space == m
+    assert peak < 2.35  # a copy of the matrix would add 1.0
 
 
 @BUILDS
