@@ -207,6 +207,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, count in (("--trials", args.trials), ("--workers", args.workers)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     for path in filter(None, (args.out, args.svg)):  # fail as writing would, but before the sweep runs
         if Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -300,10 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dim", default="2")
     sweep.add_argument("--p", default="2")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--trials", type=int, default=1)
+    sweep.add_argument("--trials", type=int, default=1, help="seeded instances per grid cell (at least 1)")
     sweep.add_argument("--ranges", choices=["uniform", "biased", "both"], default="both")
     sweep.add_argument("--ham", choices=HAM_MODES, default="approx")
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument(
+        "--workers", type=int, default=None, help="evaluation processes (at least 1; default: up to one per CPU)"
+    )
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--svg", default=None)
     sweep.set_defaults(func=_cmd_sweep)

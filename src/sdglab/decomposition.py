@@ -51,7 +51,11 @@ LOG_BASE = 5.0 / 4.0
 
 
 class BoundViolationError(RuntimeError):
-    """A proven inequality failed at run time; indicates a bug or bad input."""
+    """A proven inequality failed at run time; indicates a bug or bad input.
+
+    The message names the inequality, then its numbers: both sides, the
+    round (counted from 1) and its n for a check within a round, and the
+    edge for `decompose`."""
 
 
 def log_rounds_bound(n: int) -> int:
@@ -219,7 +223,9 @@ def decompose(p: Prepared, h: HamPath) -> DecompositionCertificate:
     for i, (u, v, w) in enumerate(e2):
         climbs = _climb_to_meet(parent, mark, 2 * i, u, v)
         if climbs is None:
-            raise BoundViolationError("disk-graph edge spans two forest components")
+            raise BoundViolationError(
+                f"disk-graph edge spans two forest components: edge ({u}, {v}, {w}), n = {n}"
+            )
         best = None
         for side, climb in enumerate(climbs):
             for k in range(len(climb) - 1):
@@ -574,7 +580,10 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         isolated = set(cert.isolated)
         survivors = tuple(v for v in range(n) if v not in isolated)
         if len(survivors) > (4 * n) // 5:
-            raise BoundViolationError("round isolated fewer than a fifth of the vertices")
+            raise BoundViolationError(
+                "round isolated fewer than a fifth of the vertices: "
+                f"round {len(rounds) + 1}, n = {n}, survivors {len(survivors)} > 4n // 5 = {(4 * n) // 5}"
+            )
 
         removed_pairs = _pairs(cert.tilde_e)
         w_kept = _fsum_edges([e for e in cur.msf.edges if (e[0], e[1]) not in removed_pairs])
@@ -588,7 +597,10 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
             next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight)
         w_next_forest = 0.0 if nxt is None else nxt.msf.weight
         if w_kept > w_next_forest:
-            raise BoundViolationError("kept forest weight exceeds the induced MSF weight")
+            raise BoundViolationError(
+                "kept forest weight exceeds the induced MSF weight: "
+                f"round {len(rounds) + 1}, n = {n}, w_kept {w_kept} > w_next_forest {w_next_forest}"
+            )
 
         rounds.append(
             TraceRound(
@@ -601,7 +613,10 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
             )
         )
         if h.weight > rounds[0].w_ham:
-            raise BoundViolationError("path weight exceeded the first round's weight")
+            raise BoundViolationError(
+                "path weight exceeded the first round's weight: "
+                f"round {len(rounds)}, n = {n}, w(H) {h.weight} > w(H_1) {rounds[0].w_ham}"
+            )
         cur, labels, h = nxt, tuple(labels[v] for v in survivors), next_h
 
     # Basis: at most 4 vertices, and none when a round isolated everything.
@@ -610,7 +625,10 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
     w_ham_last = 0.0 if h is None else h.weight
     basis_weight = _fsum_edges(basis_edges)
     if basis_weight > 3.0 * w_ham_last:
-        raise BoundViolationError("basis forest outweighs three times its path")
+        raise BoundViolationError(
+            "basis forest outweighs three times its path: "
+            f"basis weight {basis_weight} > 3 * w(H_last) {3.0 * w_ham_last}"
+        )
     telescoped = math.fsum(removed_weights + [w for _, _, w in basis_edges])
     w_ham_first = rounds[0].w_ham if rounds else w_ham_last
 
@@ -627,13 +645,25 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         telescoped=telescoped,
     )
     if trace.round_count > trace.max_round_bound:
-        raise BoundViolationError("round count exceeds ceil(log_{5/4} n)")
+        raise BoundViolationError(
+            "round count exceeds ceil(log_{5/4} n): "
+            f"{trace.round_count} > {trace.max_round_bound}, n = {p.space.n}"
+        )
     if w_msf > telescoped:
-        raise BoundViolationError("telescoped removal weights fall short of the forest weight")
+        raise BoundViolationError(
+            "telescoped removal weights fall short of the forest weight: "
+            f"w(MSF) {w_msf} > telescoped {telescoped}"
+        )
     if telescoped > trace.coarse_bound:
-        raise BoundViolationError("telescoped weights exceed rounds * w(H) + 3 * w(H_last)")
+        raise BoundViolationError(
+            "telescoped weights exceed rounds * w(H) + 3 * w(H_last): "
+            f"telescoped {telescoped} > coarse bound {trace.coarse_bound}"
+        )
     if p.space.n >= 2 and trace.coarse_bound > trace.log_bound:
-        raise BoundViolationError("coarse bound exceeds log_{5/4} n * w(H)")
+        raise BoundViolationError(
+            "coarse bound exceeds log_{5/4} n * w(H): "
+            f"coarse bound {trace.coarse_bound} > log bound {trace.log_bound}"
+        )
     return trace
 
 

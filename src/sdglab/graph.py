@@ -26,7 +26,8 @@ at each vertex, then one Borůvka round), and Prim then grows its trees a
 fragment at a time. Edges sharing an endpoint compare as their
 other endpoints do, so it keeps no code matrix: a vertex's least edge is
 looked up when it is chosen, and kept as a code only while it ties with
-others at the least weight.
+others at the least weight. Each tie reads, for every tied vertex, only the
+vertices joined since it last tied, through one chunked gather.
 `is_msf` checks a given forest against the disk graph of a matrix and radii
 by the cycle property in O(n^2) array work, for `verify_certificate`, which
 thus checks every forest it is given (`sdglab verify` passes the builder's)
@@ -84,9 +85,9 @@ BLOCK_ENTRIES = 1 << 16
 PRIM_LIST_CUTOFF = 48
 CHECK_LIST_CUTOFF = 24
 
-# Entries per chunk that `_mask_disk` masks at a time: its one float64
-# temporary then stays in cache (2^14 was fastest of 2^12..2^16 at n = 512
-# and 2048).
+# Entries per chunk that `_mask_disk` masks at a time, and pairs per chunk of
+# `dense_msf`'s one tie read: their few temporaries then stay in cache (for
+# the mask, 2^14 was fastest of 2^12..2^16 at n = 512 and 2048).
 MASK_ENTRIES = 1 << 14
 
 # `dense_msf` keeps each outside vertex's NEAREST lightest edges from its row
@@ -543,17 +544,19 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     least edge at weight w. Each y keeps code[y] from its last tie, when the
     first seen[y] joined vertices had been read at weight seen_w[y]; best_w
     only falls, so code[y] still counts if best_w[y] == seen_w[y], and only
-    the vertices joined since are read (the whole row, the first time y
-    ties). No pair (y, joined vertex) is read twice, and no row is scanned
-    twice, so all ties together cost O(n^2). A vertex not yet joined lies
+    the vertices joined since are read (all of them, the first time y ties).
+    One gather reads these pairs for every tied y, in joined order, a chunk
+    of about MASK_ENTRIES pairs at a time. No pair (y, joined vertex) is
+    read twice, so all ties together cost O(n^2). A vertex not yet joined lies
     outside L, so every read is from its own row: by symmetry, its entry
     for a joined vertex is that vertex's entry for it. With no finite edge
     left, Prim restarts at the smallest vertex not reached.
 
     Memory is O(n) arrays (NEAREST entries per vertex for the Borůvka
     round, freed before Prim) plus one block: about 2^16 entries for the row
-    pass and a first tie's row scan, 2^14 for the other tie reads and the
-    mask. With radii add the disk graph's (n - |L|) x n array: masking every
+    pass, and for the mask and a chunk of tie reads MASK_ENTRIES (2^14); a
+    chunk exceeds that by at most one vertex's span, under n pairs. With
+    radii add the disk graph's (n - |L|) x n array: masking every
     row as Prim reads it instead would cost more than the one masked copy
     (at n = 512, 512 row reads took 0.4 ms plain and 3.3 ms masked on both
     radii).
@@ -634,7 +637,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         np.minimum(best_w, d[row], out=best_w)
     joined_order = np.empty(n, dtype=outside.dtype)
     joined_order[: start.size] = start
-    joined = size = start.size
+    joined = start.size
     order = np.argsort(root, kind="stable")  # the vertices fragment by fragment
     fragment_start = np.searchsorted(root[order], idx)
     fragment_end = np.searchsorted(root[order], idx, side="right")
@@ -642,7 +645,6 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     # code[y]: y's least edge, as min * n + max, to the first seen[y] joined vertices at weight seen_w[y].
     none = n * n
     code, seen, seen_w = np.full(n, none, dtype=outside.dtype), np.zeros(n, dtype=outside.dtype), np.full(n, np.inf)
-    gather = 1 << 14  # entries read per tie chunk, each held in about five arrays
     while joined < n:
         w = np.fmin.reduce(best_w)
         tied = (best_w == w).nonzero()[0]
@@ -653,40 +655,20 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
             s = int(((d[rows_of[x]] == w) & np.isnan(best_w)).argmax())
             edges.append((min(s, x), max(s, x), float(w)))
         else:
-            # Read the vertices joined since each tied vertex was last tied: the
-            # whole row of one never tied before, and for the others the fragment
-            # joined last in one block when it is small, the rest in chunks.
+            # Read the vertices joined since each tied vertex was last tied (all
+            # of them the first time), about MASK_ENTRIES pairs per chunk.
             code[tied[seen_w[tied] != w]] = none
-            before = seen[tied]
-            never = before == 0
-            span = np.where(never, 0, joined - before)
-            tied_rows = rows_of[tied]
-            again = (~never).nonzero()[0]
-            if again.size and size * again.size <= gather:
-                last = joined_order[joined - size : joined]
-                hit = d[tied_rows[again, None], last] == w
-                if hit.any():
-                    b, a = hit.nonzero()
-                    y = tied[again[b]]
-                    np.minimum.at(code, y, np.minimum(last[a], y) * n + np.maximum(last[a], y))
-                span[again] -= size
-            fresh = never.nonzero()[0]
-            for rows in row_blocks(fresh.size, n):
-                t = tied[fresh[rows]]
-                src = ((d[tied_rows[fresh[rows]]] == w) & np.isnan(best_w)).argmax(axis=1)
-                code[t] = np.minimum(src, t) * n + np.maximum(src, t)
-            if span.any():
-                rest = span.nonzero()[0]
-                total = span[rest].cumsum()
-                bounds = np.unique(np.r_[0, total.searchsorted(np.arange(gather, total[-1], gather)), rest.size])
-                for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                    part = rest[begin:end]
-                    t, k = tied[part], span[part]
-                    first = k.cumsum() - k
-                    cols = joined_order[np.arange(first[-1] + k[-1]) - (first - seen[t]).repeat(k)]
-                    src = np.minimum.reduceat(np.where(d[tied_rows[part].repeat(k), cols] == w, cols, n), first)
-                    found = np.where(src < n, np.minimum(src, t) * n + np.maximum(src, t), none)
-                    code[t] = np.minimum(code[t], found)
+            span = joined - seen[tied]  # at least 1: the last step joined a vertex
+            total = span.cumsum()
+            cuts = total.searchsorted(np.arange(MASK_ENTRIES, total[-1], MASK_ENTRIES))
+            bounds = np.unique(np.r_[0, cuts, tied.size])
+            for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                t, k = tied[begin:end], span[begin:end]
+                first = k.cumsum() - k
+                cols = joined_order[np.arange(first[-1] + k[-1]) - (first - seen[t]).repeat(k)]
+                src = np.minimum.reduceat(np.where(d[rows_of[t].repeat(k), cols] == w, cols, n), first)
+                found = np.where(src < n, np.minimum(src, t) * n + np.maximum(src, t), none)
+                code[t] = np.minimum(code[t], found)
             seen[tied], seen_w[tied] = joined, w
             c = code[tied]
             i = int(c.argmin())
@@ -700,8 +682,7 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
         joined_order[joined : joined + len(members)] = members
         for row in order_rows[lo:hi].tolist():
             np.minimum(best_w, d[row], out=best_w)
-        size = len(members)
-        joined += size
+        joined += len(members)
     del d  # with radii the disk graph's rows, freed before the edges are sorted
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges))

@@ -166,6 +166,22 @@ def test_sweep_rejects_an_unwritable_output_before_evaluating(
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--trials", "0"), ("--trials", "-1")])
+def test_sweep_rejects_a_count_below_one_before_evaluating(flag, value, tmp_path, capsys, monkeypatch):
+    # `--workers -2` would run serially and `--trials 0` would sweep nothing
+    # and exit 0; both are input errors, raised before any spec runs.
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("sweep evaluated its specs before checking its counts")
+
+    monkeypatch.setattr("sdglab.cli.run_sweep", run_sweep)
+    out = tmp_path / "s.csv"
+    assert cli(["sweep", "--family", "star", "--n", "5", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err == {"error": f"{flag} must be at least 1, got {value}", "type": "ValueError"}
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

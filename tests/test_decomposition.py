@@ -377,6 +377,44 @@ def test_trace_rejects_more_rounds_than_the_bound(monkeypatch):
         lightness_trace(_prepared_n45())
 
 
+def test_bound_violations_show_their_numbers(monkeypatch):
+    # Each failed check ends its message with its numbers: the round and n
+    # within a round, both sides of the inequality, and decompose's edge.
+    trace = lightness_trace(_prepared_n45())
+    first, second = trace.rounds[:2]
+    p = _prepared_n45()
+    p.__dict__["certificate"] = dataclasses.replace(p.certificate, isolated=())
+    with pytest.raises(BoundViolationError) as info:
+        lightness_trace(p)
+    assert str(info.value).endswith(": round 1, n = 45, survivors 45 > 4n // 5 = 36")
+
+    shortcut = decomposition.shortcut_path
+
+    def scaled(space, h, subset):
+        sub = shortcut(space, h, subset)
+        return HamPath(order=sub.order, weight=4.0 * sub.weight)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decomposition, "shortcut_path", scaled)
+        with pytest.raises(BoundViolationError) as info:
+            lightness_trace(_prepared_n45())
+    n = len(second.labels)
+    assert str(info.value).endswith(f": round 2, n = {n}, w(H) {4.0 * second.w_ham} > w(H_1) {first.w_ham}")
+
+    monkeypatch.setattr(decomposition, "log_rounds_bound", lambda n: 0)
+    with pytest.raises(BoundViolationError) as info:
+        lightness_trace(_prepared_n45())
+    assert str(info.value).endswith(f": {trace.round_count} > 0, n = 45")
+
+    m, r, forest, h = _star4_with_full_range()
+    cert = decompose(Prepared(m, r), h)
+    p = Prepared(m, r)
+    p.__dict__["msf"] = Forest(4, tuple(e for e in forest.edges if e != cert.tilde_e2[0]))
+    with pytest.raises(BoundViolationError) as info:
+        decompose(p, h)
+    assert str(info.value).endswith(f": edge {cert.e2[0]}, n = 4")
+
+
 def test_prepared_rejects_bad_mode_and_radii_count():
     m = gen_random_euclidean(8, 2, 2.0, 5)
     with pytest.raises(ValueError, match="unknown ham_mode 'fast'"):

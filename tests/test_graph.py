@@ -506,9 +506,10 @@ def test_dense_msf_takes_a_tie_from_the_fragment_joined_last():
     # and a weight-1 path on the rest, joined by (9, 12) at weight 3. Prim
     # takes (0,4) from the tie {4, 8, 9} at weight 2, then (2,3) at 1.5; when
     # 6 (for the first time), 8 and 9 tie, 8's least edge is (1,8), to {1,2},
-    # the fragment joined last, which only the block read of 8's row finds,
-    # not (5,8) from its first tie. 6, tied for the first time and ahead of 8,
-    # has no block read: its whole-row scan finds (2,6).
+    # the fragment joined last, found only if 8's read of the vertices joined
+    # since its first tie runs to the end of the joined order; (5,8), from
+    # that first tie, must lose to it. 6, tied for the first time and ahead
+    # of 8 in the same read, reads every joined vertex and finds (2,6).
     n = PRIM_LIST_CUTOFF + 16
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
@@ -520,6 +521,31 @@ def test_dense_msf_takes_a_tie_from_the_fragment_joined_last():
     f = dense_msf(d)
     assert f == kruskal_msf(WeightedGraph(d))
     assert (1, 8, 2.0) in f.edges and (5, 8, 2.0) not in f.edges
+
+
+@pytest.mark.parametrize("entries", [1, 3, 7])
+def test_dense_msf_tie_reads_across_chunk_boundaries(entries, monkeypatch):
+    # With chunks of 1, 3 or 7 pairs, one tied vertex's read of the vertices
+    # joined since its last tie spans several chunks, and a chunk holds the
+    # end of one vertex's read and the start of the next, on first ties and
+    # on re-ties: the pair matrix ties every outside vertex at every step,
+    # the hub ties n // 4 pairs at once, and integer weights up to 3 or 63
+    # tie often. Each runs plain, under radii that cut some edges, and with
+    # every third MSF edge known.
+    monkeypatch.setattr(graph, "MASK_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    inputs = [_pair_matrix(128), _hub_with_pairs(301, False), _hub_with_pairs(301, True)]
+    for top in (3, 63):
+        w = rng.integers(1, top + 1, size=(200, 200)).astype(float)
+        np.fill_diagonal(w, 0.0)
+        inputs.append(np.minimum(w, w.T))
+    for d in inputs:
+        g = WeightedGraph(d)
+        n, weights = g.n, np.unique(d[np.isfinite(d) & (d > 0)])
+        for radii in (None, np.where(rng.random(n) < 0.2, weights[0], weights[-1])):
+            f = kruskal_msf(g if radii is None else build_sdg(g, RangeAssignment(radii)))
+            assert dense_msf(d, radii=radii) == f
+            assert dense_msf(d, f.edges[::3], radii=radii) == f
 
 
 def _traced_peak(build):
