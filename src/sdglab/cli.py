@@ -36,7 +36,6 @@ from .instances import (
     read_json,
     write_instance,
 )
-from .metric import MetricError
 from .sweep import (
     RANGE_MODES,
     InstanceSpec,
@@ -320,12 +319,9 @@ def cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, MetricError, ValueError, OSError, MemoryError) as exc:
+    except (BoundViolationError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 2
-    except BoundViolationError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, BoundViolationError) else 2
 
 
 def main() -> None:

@@ -548,6 +548,14 @@ class LightnessTrace:
         }
 
 
+def _at_most(lhs: float, rhs: float, claim: str, sides: str, **where: int) -> None:
+    """Raise BoundViolationError unless lhs <= rhs, with the message
+    "<claim>: <sides>", sides' fields filled from lhs, rhs and `where`
+    (round, n). Formats only on failure; a NaN side raises nothing."""
+    if lhs > rhs:
+        raise BoundViolationError(f"{claim}: " + sides.format(lhs=lhs, rhs=rhs, **where))
+
+
 def lightness_trace(p: Prepared) -> LightnessTrace:
     """Peel the disk-graph forest until at most 4 vertices survive.
 
@@ -579,11 +587,9 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         cert = p.certificate if cur is p else decompose(cur, h)
         isolated = set(cert.isolated)
         survivors = tuple(v for v in range(n) if v not in isolated)
-        if len(survivors) > (4 * n) // 5:
-            raise BoundViolationError(
-                "round isolated fewer than a fifth of the vertices: "
-                f"round {len(rounds) + 1}, n = {n}, survivors {len(survivors)} > 4n // 5 = {(4 * n) // 5}"
-            )
+        where = {"round": len(rounds) + 1, "n": n}
+        _at_most(len(survivors), (4 * n) // 5, "round isolated fewer than a fifth of the vertices",
+                 "round {round}, n = {n}, survivors {lhs} > 4n // 5 = {rhs}", **where)
 
         removed_pairs = _pairs(cert.tilde_e)
         w_kept = _fsum_edges([e for e in cur.msf.edges if (e[0], e[1]) not in removed_pairs])
@@ -596,11 +602,8 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
             sub = shortcut_path(cur.space, h, survivors)
             next_h = HamPath(order=tuple(position[v] for v in sub.order), weight=sub.weight)
         w_next_forest = 0.0 if nxt is None else nxt.msf.weight
-        if w_kept > w_next_forest:
-            raise BoundViolationError(
-                "kept forest weight exceeds the induced MSF weight: "
-                f"round {len(rounds) + 1}, n = {n}, w_kept {w_kept} > w_next_forest {w_next_forest}"
-            )
+        _at_most(w_kept, w_next_forest, "kept forest weight exceeds the induced MSF weight",
+                 "round {round}, n = {n}, w_kept {lhs} > w_next_forest {rhs}", **where)
 
         rounds.append(
             TraceRound(
@@ -612,11 +615,8 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
                 w_next_forest=w_next_forest,
             )
         )
-        if h.weight > rounds[0].w_ham:
-            raise BoundViolationError(
-                "path weight exceeded the first round's weight: "
-                f"round {len(rounds)}, n = {n}, w(H) {h.weight} > w(H_1) {rounds[0].w_ham}"
-            )
+        _at_most(h.weight, rounds[0].w_ham, "path weight exceeded the first round's weight",
+                 "round {round}, n = {n}, w(H) {lhs} > w(H_1) {rhs}", **where)
         cur, labels, h = nxt, tuple(labels[v] for v in survivors), next_h
 
     # Basis: at most 4 vertices, and none when a round isolated everything.
@@ -624,11 +624,8 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
     basis_edges = tuple(canonical_edge(labels[u], labels[v], w) for u, v, w in local_edges)
     w_ham_last = 0.0 if h is None else h.weight
     basis_weight = _fsum_edges(basis_edges)
-    if basis_weight > 3.0 * w_ham_last:
-        raise BoundViolationError(
-            "basis forest outweighs three times its path: "
-            f"basis weight {basis_weight} > 3 * w(H_last) {3.0 * w_ham_last}"
-        )
+    _at_most(basis_weight, 3.0 * w_ham_last, "basis forest outweighs three times its path",
+             "basis weight {lhs} > 3 * w(H_last) {rhs}")
     telescoped = math.fsum(removed_weights + [w for _, _, w in basis_edges])
     w_ham_first = rounds[0].w_ham if rounds else w_ham_last
 
@@ -644,26 +641,14 @@ def lightness_trace(p: Prepared) -> LightnessTrace:
         w_ham_last=w_ham_last,
         telescoped=telescoped,
     )
-    if trace.round_count > trace.max_round_bound:
-        raise BoundViolationError(
-            "round count exceeds ceil(log_{5/4} n): "
-            f"{trace.round_count} > {trace.max_round_bound}, n = {p.space.n}"
-        )
-    if w_msf > telescoped:
-        raise BoundViolationError(
-            "telescoped removal weights fall short of the forest weight: "
-            f"w(MSF) {w_msf} > telescoped {telescoped}"
-        )
-    if telescoped > trace.coarse_bound:
-        raise BoundViolationError(
-            "telescoped weights exceed rounds * w(H) + 3 * w(H_last): "
-            f"telescoped {telescoped} > coarse bound {trace.coarse_bound}"
-        )
-    if p.space.n >= 2 and trace.coarse_bound > trace.log_bound:
-        raise BoundViolationError(
-            "coarse bound exceeds log_{5/4} n * w(H): "
-            f"coarse bound {trace.coarse_bound} > log bound {trace.log_bound}"
-        )
+    _at_most(trace.round_count, trace.max_round_bound, "round count exceeds ceil(log_{5/4} n)",
+             "{lhs} > {rhs}, n = {n}", n=p.space.n)
+    _at_most(w_msf, telescoped, "telescoped removal weights fall short of the forest weight",
+             "w(MSF) {lhs} > telescoped {rhs}")
+    _at_most(telescoped, trace.coarse_bound, "telescoped weights exceed rounds * w(H) + 3 * w(H_last)",
+             "telescoped {lhs} > coarse bound {rhs}")
+    _at_most(trace.coarse_bound, trace.log_bound, "coarse bound exceeds log_{5/4} n * w(H)",
+             "coarse bound {lhs} > log bound {rhs}")
     return trace
 
 

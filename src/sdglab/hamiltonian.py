@@ -66,8 +66,9 @@ def path_weight(space: Space, order: Sequence[int]) -> float:
     """math.fsum of the distances between consecutive vertices, read in one gather."""
     steps = np.asarray(order, dtype=np.intp)
     terms = space.matrix[steps[:-1], steps[1:]].tolist()
-    if any(math.isinf(t) for t in terms):
-        raise ValueError("order traverses a non-edge of the graph")
+    if math.inf in terms:
+        i = terms.index(math.inf)
+        raise ValueError(f"path step ({order[i]},{order[i + 1]}) is not an edge of the graph")
     return math.fsum(terms)
 
 

@@ -187,10 +187,13 @@ def standard_suite(base_seed: int, trials: int = 4) -> list[InstanceSpec]:
 
 
 def max_workers(requested: int | None, tasks: int) -> int:
-    """Pool size for `tasks` specs: the requested count (default: the CPU
+    """Pool size for `tasks` specs: the requested count (None: the CPU
     count), capped by the number of CHUNKSIZE-spec chunks, since the pool
     forks every worker up front and a worker without a chunk would sit idle.
-    Up to CHUNKSIZE specs therefore run serially."""
+    Up to CHUNKSIZE specs therefore run serially. Raises ValueError for a
+    requested count below 1."""
+    if requested is not None and requested < 1:
+        raise ValueError(f"workers must be at least 1, got {requested}")
     workers = requested or os.cpu_count() or 1
     return max(1, min(workers, math.ceil(tasks / CHUNKSIZE)))
 

@@ -415,6 +415,42 @@ def test_bound_violations_show_their_numbers(monkeypatch):
     assert str(info.value).endswith(f": edge {cert.e2[0]}, n = 4")
 
 
+# The three checks after the last round hold on every sound trace, so each
+# test breaks one side of its inequality and pins the message's numbers.
+def test_trace_rejects_a_forest_heavier_than_the_telescoped_weights():
+    trace = lightness_trace(_prepared_n45())
+    p = _prepared_n45()
+    vars(p.msf)["weight"] = 1e9
+    with pytest.raises(BoundViolationError) as info:
+        lightness_trace(p)
+    assert str(info.value) == (
+        "telescoped removal weights fall short of the forest weight: "
+        f"w(MSF) 1000000000.0 > telescoped {trace.telescoped}"
+    )
+
+
+def test_trace_rejects_telescoped_weights_above_the_coarse_bound(monkeypatch):
+    trace = lightness_trace(_prepared_n45())
+    monkeypatch.setattr(decomposition.LightnessTrace, "coarse_bound", 0.0)
+    with pytest.raises(BoundViolationError) as info:
+        lightness_trace(_prepared_n45())
+    assert str(info.value) == (
+        "telescoped weights exceed rounds * w(H) + 3 * w(H_last): "
+        f"telescoped {trace.telescoped} > coarse bound 0.0"
+    )
+
+
+def test_trace_rejects_a_coarse_bound_above_the_log_bound(monkeypatch):
+    trace = lightness_trace(_prepared_n45())
+    monkeypatch.setattr(decomposition.LightnessTrace, "log_bound", 0.0)
+    with pytest.raises(BoundViolationError) as info:
+        lightness_trace(_prepared_n45())
+    assert str(info.value) == (
+        "coarse bound exceeds log_{5/4} n * w(H): "
+        f"coarse bound {trace.coarse_bound} > log bound 0.0"
+    )
+
+
 def test_prepared_rejects_bad_mode_and_radii_count():
     m = gen_random_euclidean(8, 2, 2.0, 5)
     with pytest.raises(ValueError, match="unknown ham_mode 'fast'"):

@@ -27,6 +27,7 @@ from sdglab.instances import (
     gen_random_euclidean,
     gen_random_matrix_metric,
     gen_star_metric,
+    read_instance,
 )
 
 import support
@@ -84,6 +85,12 @@ def test_exact_on_line_graph():
     for n in range(6, 11):
         with pytest.raises(ValueError, match="^graph has no Hamiltonian path$"):
             exact_min_ham_path(gen_line_graph(n).space)
+
+
+def test_path_weight_names_the_first_step_off_the_graph():
+    space = read_instance(Path(__file__).resolve().parent.parent / "data" / "line_n5_w1000.json").space
+    with pytest.raises(ValueError, match=re.escape("path step (1,2) is not an edge of the graph")):
+        path_weight(space, [0, 1, 2, 3, 4])
 
 
 def test_approx_chain_preorder_is_the_path():

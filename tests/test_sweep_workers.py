@@ -12,6 +12,12 @@ def test_max_workers_capped_at_chunk_count(requested, tasks, expected):
     assert max_workers(requested, tasks) == expected
 
 
+@pytest.mark.parametrize("requested", [0, -2])
+def test_max_workers_rejects_counts_below_one(requested):
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {requested}$"):
+        max_workers(requested, 1000)
+
+
 def test_max_workers_defaults_to_cpu_count(monkeypatch):
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
     assert max_workers(None, 40) == 5
