@@ -63,7 +63,7 @@ def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     every evaluated instance does (w(MST), biased ranges and MST doubling all
     read it). It never builds that MST: a trace round's induced metric needs
     no MST of its own, and computing one only to start from it made the
-    benchmark's rounds 4-39 % slower than the masked Prim alone.
+    benchmark's rounds 4-39 % slower than the masked build alone.
 
     An MST edge e = (u, v) with min(r(u), r(v)) >= w(e) is the lightest edge
     of the space, in the total order, between the two sides that removing e
@@ -71,14 +71,13 @@ def sdg_msf(space: Space, r: RangeAssignment) -> Forest:
     keeps e, so e is its lightest there too and, by the cut property, an edge
     of the disk graph's MSF. If the radii keep every MST edge, that MSF
     therefore contains the MST, and it has no more edges (a subgraph has at
-    least as many components), so the MST itself is returned: no masked copy
-    and no second Prim. This holds for every biased range assignment, whose
+    least as many components), so the MST itself is returned: no masked pass
+    and no second build. This holds for every biased range assignment, whose
     radii reach each vertex's heaviest MST edge. Otherwise `dense_msf` builds
     the disk graph's MSF from the space's matrix and the radii, with the kept
-    edges (none without the MST) as known MSF edges: Prim starts from the
-    largest tree they form, and only the rows of the vertices outside it are
-    masked and copied (about half of them when uniform radii drop a few MST
-    edges).
+    edges (none without the MST) as known MSF edges: they are its first
+    components, the largest of which reads no row, and it masks each block
+    of rows as it reads it, keeping no masked copy.
     """
     if len(r) != space.n:
         raise ValueError(f"range assignment has {len(r)} radii for {space.n} points")

@@ -17,17 +17,11 @@ A `Forest` is n and its edges in edge order, nothing else: being acyclic,
 it has n minus its edge count components.
 
 `dense_msf` computes the unique forest on a matrix for the builders (`mst`,
-and given radii the disk graph's, masked by itself, for `disk.sdg_msf`):
-the edges the caller already knows to be in the forest join into
-fragments, and Prim starts from the largest, L, reading only the rows of
-the vertices outside it. One pass over those rows gives each of them its
-lightest edges, which join the vertices into fragments (the lightest one
-at each vertex, then one Borůvka round), and Prim then grows its trees a
-fragment at a time. Edges sharing an endpoint compare as their
-other endpoints do, so it keeps no code matrix: a vertex's least edge is
-looked up when it is chosen, and kept as a code only while it ties with
-others at the least weight. Each tie reads, for every tied vertex, only the
-vertices joined since it last tied, through one chunked gather.
+and given radii the disk graph's, masked by itself, for `disk.sdg_msf`) by
+Borůvka over row blocks: the edges the caller already knows to be in the
+forest join into the first components, and each pass reads, a block at a
+time, only the rows whose least leaving edge it must find again, so every
+component but the largest chooses its lightest leaving edge.
 `is_msf` checks a given forest against the disk graph of a matrix and radii
 by the cycle property in O(n^2) array work, for `verify_certificate`, which
 thus checks every forest it is given (`sdglab verify` passes the builder's)
@@ -51,13 +45,10 @@ Above the cutoffs the array code described above runs. Both paths compare
 edges in the same total order, so they return the same forest and the same
 verdict.
 
-Every n x n pass of an evaluation, apart from Prim's row reads, runs over
-`row_blocks`, so its only n x n float64 array is the metric's own. The one
-other large array is the disk graph's rows that `dense_msf`'s first pass
-writes for Prim, (n - |L|) x n: all but one row of n x n in a trace round,
-whose induced metric holds no MST, and about half of them in an evaluation,
-which starts from the MST the radii keep in part (none when they keep it
-all). The list paths hold at most cutoff^2 Python floats, and test the
+Every n x n pass of an evaluation runs a block at a time (most over
+`row_blocks`), so its only n x n float64 array is the metric's own: the
+builder masks each block of the disk graph as it reads it and keeps no
+copy. The list paths hold at most cutoff^2 Python floats, and test the
 radii as they read.
 """
 from __future__ import annotations
@@ -80,26 +71,14 @@ BLOCK_ENTRIES = 1 << 16
 
 # `dense_msf` and `is_msf` run on Python lists up to this many vertices, and
 # on arrays above, each cutoff at or below its kernel's measured crossover on
-# standard-suite inputs: between n = 45 and 64 for the builder, between 23
-# and 32 for the checker (BENCH_24.json).
+# standard-suite inputs: between n = 48 and 68 for the builder (BENCH_31.json),
+# between 23 and 32 for the checker (BENCH_24.json).
 PRIM_LIST_CUTOFF = 48
 CHECK_LIST_CUTOFF = 24
 
-# Entries per chunk that `_mask_disk` masks at a time, and pairs per chunk of
-# `dense_msf`'s one tie read: their few temporaries then stay in cache (for
-# the mask, 2^14 was fastest of 2^12..2^16 at n = 512 and 2048).
+# Entries per chunk that `_mask_disk` masks at a time: its few temporaries
+# then stay in cache (2^14 was fastest of 2^12..2^16 at n = 512 and 2048).
 MASK_ENTRIES = 1 << 14
-
-# `dense_msf` keeps each outside vertex's NEAREST lightest edges from its row
-# pass for one Borůvka round (`_merge_by_nearest`), which it runs when more
-# than BORUVKA_MIN fragments have an outside root: a round costs about as much
-# as 15 to 20 of Prim's steps and halves the fragments or better. On the
-# benchmark's n = 512 matrices NEAREST = 3 decides the lightest leaving edge
-# of 80-95 % of the fragments (156 -> 59 on one), and the extra minima and
-# the round take 0.2 ms (9 %) off the plain MST and a disk graph without
-# known edges.
-NEAREST = 3
-BORUVKA_MIN = 32
 
 
 def physical_memory() -> int | None:
@@ -112,9 +91,11 @@ def physical_memory() -> int | None:
 
 def check_planned_peak(n: int) -> None:
     """Raises ValueError before an n x n float64 array is made for n points
-    if the planned peak, 2 * 8 * n^2 bytes (the space's matrix and at most
-    n x n disk-graph rows in `dense_msf`), exceeds physical memory: refused
-    with a message rather than granted and then killed for lack of memory."""
+    if the planned peak, 2 * 8 * n^2 bytes, exceeds physical memory: refused
+    with a message rather than granted and then killed for lack of memory.
+    The space's matrix is the one n x n array an evaluation holds, as
+    `dense_msf` keeps no disk-graph copy; the second is headroom, kept until
+    the spaces give their rows on demand and hold no matrix at all."""
     planned, limit = 2 * 8 * n * n, physical_memory()
     if limit is not None and planned > limit:
         raise ValueError(
@@ -229,7 +210,7 @@ class UnionFind:
     def join(self, edges: Iterable[Sequence]) -> list:
         """The edges (u, v, ...) that join two sets, in order, each joining
         them: `union` over the edges, in one loop, as `dense_msf` joins
-        hundreds of edges per call."""
+        hundreds of known edges per call."""
         parent, kept = self.parent, []
         for e in edges:
             a, b = e[0], e[1]
@@ -455,44 +436,6 @@ def _jump(pointers: np.ndarray) -> np.ndarray:
         pointers = jumped
 
 
-def _merge_by_nearest(root: np.ndarray, outside: np.ndarray, near_c: np.ndarray, near_w: np.ndarray, top) -> list:
-    """One Borůvka round: the fragments labelled by root (relabelled in
-    place) join across their lightest leaving edges where the recorded edges
-    decide them, and those edges are returned.
-
-    Row i of near_c and near_w holds outside[i]'s NEAREST first edges in the
-    order of the edges at that vertex (weight, then other endpoint), which
-    agrees with the total order. So its first recorded edge that leaves its
-    fragment is its lightest leaving edge, and a vertex with none has only
-    leaving edges that weigh at least its last recorded weight (+inf if its
-    row ran out). A fragment's least candidate, in the total order, is then
-    its lightest leaving edge, an MSF edge by the cut property, if it weighs
-    less than every member's bound; the fragment `top`, which holds L and so
-    vertices without rows, stays as it is. Since no two edges tie, the only
-    cycles of fragment pointers are mutual pairs, whose two edges are one.
-    """
-    own = root[outside]
-    w, x = np.full(outside.size, np.inf), outside.copy()
-    bound = near_w[:, -1].copy()
-    for j in range(near_c.shape[1] - 1, -1, -1):  # the last write is the first recorded edge that leaves
-        leaves = (root[near_c[:, j]] != own) & (near_w[:, j] < np.inf)
-        w[leaves], x[leaves], bound[leaves] = near_w[leaves, j], near_c[leaves, j], np.inf
-    order = np.lexsort((np.minimum(outside, x) * root.size + np.maximum(outside, x), w, own))
-    starts = np.flatnonzero(np.r_[True, own[order[1:]] != own[order[:-1]]])  # each fragment's least candidate
-    best = order[starts]
-    best = best[(w[best] < np.minimum.reduceat(bound[order], starts)) & (own[best] != top)]
-    del order, starts, bound  # this round sets dense_msf's peak when L is one vertex
-    idx = np.arange(root.size)
-    pointer = idx.copy()
-    pointer[own[best]] = root[x[best]]
-    mutual = (pointer[pointer] == idx) & (idx < pointer)
-    pointer[mutual] = idx[mutual]  # rooted at the smaller label, keeping the larger's edge
-    best = best[pointer[own[best]] != own[best]]
-    root[:] = _jump(pointer)[root]
-    u, v = outside[best], x[best]
-    return list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist(), w[best].tolist()))
-
-
 def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[float] | None = None) -> Forest:
     """Minimum spanning forest of a dense symmetric weight matrix, or with
     radii, of its disk graph: the entries with d(u, v) <= min(r_u, r_v).
@@ -504,186 +447,83 @@ def dense_msf(d: np.ndarray, known: Sequence[Edge] = (), *, radii: Sequence[floa
     `known` lists edges (u, v, d(u, v)) that the caller knows to be in that
     MSF (`disk.sdg_msf` passes the space's MST edges that its radii keep);
     they are taken unchecked, and a wrong one gives a wrong forest.
-    Three steps, each O(n^2) array work in all:
 
-    (1) The start. Union-find joins the known edges into fragments, and L,
-    the largest, is where Prim starts; with no known edge, L is vertex 0,
-    where Prim would start anyway. No row of L is read from here on: only
-    the n - |L| vertices outside L have rows, and with radii only theirs are
-    written, into one (n - |L|) x n disk-graph array.
+    Borůvka over row blocks. Union-find joins the known edges into the first
+    components. Each pass reads rows a block at a time (with radii,
+    `_mask_disk` masks each block), sets each row's entries within its own
+    component to +inf, and records the row's first minimum: edges (v, x) of
+    equal weight compare as their other endpoints x do, so that is v's
+    lightest leaving edge. A row is read again only while three things hold:
+    its vertex lies outside the largest component, which chooses no edge in
+    that pass; its component has not retired; and the edge recorded for it
+    now lies inside its component (a row not yet read records itself). Any
+    other record is still the row's least, as components only grow. One
+    `lexsort` of the records gives each component its lightest leaving edge,
+    an MSF edge by the cut property; a component whose least is +inf has
+    none and retires for good, as no edge can reach it either. Since no two
+    edges tie in the total order, the only cycles of these hooks are mutual
+    pairs, whose two edges are one: the pair is rooted at its smaller label,
+    which drops its copy, and pointer jumping relabels every vertex. Each
+    pass merges or retires every component that chooses, so after O(log n)
+    passes no component is left outside the largest, and the forest is done.
 
-    (2) Fragments. One pass over the outside rows, a row block at a time
-    (with radii, `_mask_disk` masks each block as it is written), takes each
-    outside vertex's least weight to L and its lightest edge, the first
-    minimum of its row: edges (v, x) of equal weight compare as their other
-    endpoints x do. That edge is the lightest across the cut ({v}, rest), so
-    it is an MSF edge. Since no two edges tie in the total order, the only
-    cycles of these hooks are mutual pairs, which keep the larger index's
-    hook and are rooted at the smaller; L's vertices point to its root, and
-    pointer jumping labels every vertex with its fragment's root. A hook is
-    kept as an edge unless it repeats a known edge (both ends in one known
-    fragment: as all lie in the MSF, any other edge there would close a
-    cycle). The known fragments outside L then merge the hook fragments
-    they meet, by union-find over the roots. When more than 3 * BORUVKA_MIN
-    known trees (single vertices included) lie outside L, the same pass
-    keeps each outside row's NEAREST first minima, and if more than
-    BORUVKA_MIN fragments remain, one Borůvka round (`_merge_by_nearest`)
-    joins each fragment whose lightest leaving edge these decide. The
-    fragment that holds L is the first tree.
+    Memory is O(n) arrays plus one block of about BLOCK_ENTRIES entries, the
+    positions of its same-component entries (at most half a block, as the
+    largest component has no row) and the mask's chunk of MASK_ENTRIES: no
+    n x n array, with radii or without.
 
-    (3) Prim over fragments. A tree grows a whole fragment at a time, with
-    one `np.minimum` per member row, and each outside vertex keeps only
-    best_w, its lightest edge weight from the tree (NaN once it has joined,
-    so it is never lowered again): at the start, its least weight to L and
-    to the first tree's outside members. The lightest edge across the cut
-    (tree, rest) has the least weight w, and its endpoints are found only
-    when it is chosen. If one vertex x has best_w == w, the edge is (s, x)
-    with s the smallest tree vertex at weight w from x, since edges sharing
-    x compare as their other endpoints. If several vertices tie, the edge is
-    the least over the tied y of code[y], the code min * n + max of y's
-    least edge at weight w. Each y keeps code[y] from its last tie, when the
-    first seen[y] joined vertices had been read at weight seen_w[y]; best_w
-    only falls, so code[y] still counts if best_w[y] == seen_w[y], and only
-    the vertices joined since are read (all of them, the first time y ties).
-    One gather reads these pairs for every tied y, in joined order, a chunk
-    of about MASK_ENTRIES pairs at a time. No pair (y, joined vertex) is
-    read twice, so all ties together cost O(n^2). A vertex not yet joined lies
-    outside L, so every read is from its own row: by symmetry, its entry
-    for a joined vertex is that vertex's entry for it. With no finite edge
-    left, Prim restarts at the smallest vertex not reached.
-
-    Memory is O(n) arrays (NEAREST entries per vertex for the Borůvka
-    round, freed before Prim) plus one block: about 2^16 entries for the row
-    pass, and for the mask and a chunk of tie reads MASK_ENTRIES (2^14); a
-    chunk exceeds that by at most one vertex's span, under n pairs. With
-    radii add the disk graph's (n - |L|) x n array: masking every
-    row as Prim reads it instead would cost more than the one masked copy
-    (at n = 512, 512 row reads took 0.4 ms plain and 3.3 ms masked on both
-    radii).
-
-    Up to PRIM_LIST_CUTOFF vertices, where these steps' set-up and per-step
-    numpy calls cost more than their O(n^2) work (crossover measured between
-    n = 45 and 64), `_prim_on_lists` runs instead, on the matrix read once
-    into at most PRIM_LIST_CUTOFF^2 Python floats, testing the radii as it
-    goes. It needs no `known` edges, which seed only the steps above: the
+    Up to PRIM_LIST_CUTOFF vertices, where the passes' numpy calls cost more
+    than their O(n^2) work, `_prim_on_lists` runs instead, on the matrix read
+    once into at most PRIM_LIST_CUTOFF^2 Python floats, testing the radii as
+    it goes. It needs no `known` edges, which seed only the passes: the
     forest is the same without them.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    if n <= PRIM_LIST_CUTOFF or n == 0:  # the arrays below need a vertex to start from
+    if n <= PRIM_LIST_CUTOFF or n == 0:  # the passes need a largest component
         return _prim_on_lists(d.tolist(), radii)
-    idx = np.arange(n)
-    edges, comp = _trees(n, known)  # the known fragments, each labelled by its root
-    top = int(np.bincount(comp).argmax())  # the root of L (vertex 0 if no edge is known)
-    in_l = (comp == top).nonzero()[0]
-    outside = (comp != top).nonzero()[0]
-    count = outside.size
-    if radii is None:
-        rows_of = idx  # Prim reads d's own rows
-    else:
+    if radii is not None:
         radii = np.asarray(radii, dtype=float)
-        rows_of = np.zeros(n, dtype=outside.dtype)  # L's vertices have no row
-        rows_of[outside] = np.arange(count)
-        d, source = np.empty((count, n)), d  # the disk graph's outside rows, written below a block at a time
-    hook, to_l = np.where(comp == top, top, idx), np.empty(count)
-    # Hooks only merge the known trees outside L (single vertices included),
-    # to about a third as many fragments where none is known (0.26-0.32 of
-    # the vertices at n = 512): with fewer trees than three rounds' worth,
-    # each row keeps its lightest edge alone.
-    nearest = NEAREST if np.count_nonzero(comp[outside] == outside) > 3 * BORUVKA_MIN else 1
-    near_c, near_w = np.empty((count, nearest), dtype=np.int32), np.empty((count, nearest))  # columns fit in int32
-    for rows in row_blocks(count, n):
-        vs = outside[rows]
-        if radii is None:
-            block = d.take(vs, axis=0)
-        else:  # Prim never reads the diagonal set to +inf below
-            block = d[rows]
-            source.take(vs, axis=0, out=block, mode="clip")  # "raise" would buffer a copy
-            _mask_disk(block, radii[vs], radii)
-        to_l[rows] = block.take(in_l, axis=1).min(axis=1)
-        diag = np.arange(block.shape[0])
-        block[diag, vs] = np.inf
-        cols, weights = near_c[rows], near_w[rows]
-        for j in range(nearest):  # each row's first minima, taken out one by one
-            cols[:, j] = block.argmin(axis=1)
-            weights[:, j] = block[diag, cols[:, j]]
-            block[diag, cols[:, j]] = np.inf
-        if radii is not None:  # put back for Prim, which reads the disk graph's rows; these columns are distinct
-            i, j = (weights < np.inf).nonzero()
-            block[i, cols[i, j]] = weights[i, j]
-        hook[vs] = np.where(weights[:, 0] < np.inf, cols[:, 0], vs)  # an isolated vertex is its own root
-        del block, cols, weights  # the next block's copy is the only one held, and no view outlives near_*
-    mutual = (hook[hook] == idx) & (idx < hook)
-    hook[mutual] = idx[mutual]  # a mutual pair is rooted at its smaller vertex
-    ends = hook[outside]
-    new = (ends != outside) & (comp[outside] != comp[ends])  # not a known edge
-    lo, hi = np.minimum(outside, ends)[new], np.maximum(outside, ends)[new]
-    edges += zip(lo.tolist(), hi.tolist(), near_w[new, 0].tolist())
-    root = _jump(hook)
-    here, there = root[outside], root[comp[outside]]
-    apart = (here != there).nonzero()[0]
-    if apart.size:  # known edges outside L join hook fragments
-        root = _trees(n, zip(here[apart].tolist(), there[apart].tolist()))[1][root]
-    if np.count_nonzero(root[outside] == outside) > BORUVKA_MIN:
-        edges += _merge_by_nearest(root, outside, near_c, near_w, root[top])
-    del near_c, near_w  # O(n), but held through Prim they would set the peak
-    top = root[top]  # the first tree: L and the fragments that joined it
-    start = (root == top).nonzero()[0]
-
-    best_w = np.full(n, np.inf)
-    best_w[outside] = to_l
-    best_w[start] = np.nan
-    for row in rows_of[outside[root[outside] == top]].tolist():
-        np.minimum(best_w, d[row], out=best_w)
-    joined_order = np.empty(n, dtype=outside.dtype)
-    joined_order[: start.size] = start
-    joined = start.size
-    order = np.argsort(root, kind="stable")  # the vertices fragment by fragment
-    fragment_start = np.searchsorted(root[order], idx)
-    fragment_end = np.searchsorted(root[order], idx, side="right")
-    order_rows = rows_of[order]
-    # code[y]: y's least edge, as min * n + max, to the first seen[y] joined vertices at weight seen_w[y].
-    none = n * n
-    code, seen, seen_w = np.full(n, none, dtype=outside.dtype), np.zeros(n, dtype=outside.dtype), np.full(n, np.inf)
-    while joined < n:
-        w = np.fmin.reduce(best_w)
-        tied = (best_w == w).nonzero()[0]
-        x = int(tied[0])
-        if w == np.inf:
-            pass  # no edge leaves the trees: a new one starts at x, the smallest vertex not reached
-        elif tied.size == 1:
-            s = int(((d[rows_of[x]] == w) & np.isnan(best_w)).argmax())
-            edges.append((min(s, x), max(s, x), float(w)))
-        else:
-            # Read the vertices joined since each tied vertex was last tied (all
-            # of them the first time), about MASK_ENTRIES pairs per chunk.
-            code[tied[seen_w[tied] != w]] = none
-            span = joined - seen[tied]  # at least 1: the last step joined a vertex
-            total = span.cumsum()
-            cuts = total.searchsorted(np.arange(MASK_ENTRIES, total[-1], MASK_ENTRIES))
-            bounds = np.unique(np.r_[0, cuts, tied.size])
-            for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                t, k = tied[begin:end], span[begin:end]
-                first = k.cumsum() - k
-                cols = joined_order[np.arange(first[-1] + k[-1]) - (first - seen[t]).repeat(k)]
-                src = np.minimum.reduceat(np.where(d[rows_of[t].repeat(k), cols] == w, cols, n), first)
-                found = np.where(src < n, np.minimum(src, t) * n + np.maximum(src, t), none)
-                code[t] = np.minimum(code[t], found)
-            seen[tied], seen_w[tied] = joined, w
-            c = code[tied]
-            i = int(c.argmin())
-            x = int(tied[i])
-            s = int(c[i]) // n + int(c[i]) % n - x
-            edges.append((min(s, x), max(s, x), float(w)))
-        r = root[x]
-        lo, hi = fragment_start[r], fragment_end[r]
-        members = order[lo:hi]
-        best_w[members] = np.nan
-        joined_order[joined : joined + len(members)] = members
-        for row in order_rows[lo:hi].tolist():
-            np.minimum(best_w, d[row], out=best_w)
-        joined += len(members)
-    del d  # with radii the disk graph's rows, freed before the edges are sorted
+    edges, comp = _trees(n, known)  # the known components, each labelled by its root
+    idx = np.arange(n)
+    near, near_w = idx.copy(), np.full(n, np.inf)  # each row's least leaving edge as last read
+    retired = np.zeros(n, dtype=bool)  # by component label
+    step = max(1, BLOCK_ENTRIES // n)
+    buffer = np.empty((step, n))  # one block, reused by every read
+    while True:
+        count = np.bincount(comp)
+        out = (comp != count.argmax()) & ~retired[comp]
+        if not out.any():
+            break
+        stale = (out & (comp[near] == comp)).nonzero()[0]
+        members = np.argsort(comp, kind="stable")  # the vertices component by component
+        first, size = (count.cumsum() - count)[comp], count[comp]  # where each vertex's component lies in members
+        for start in range(0, stale.size, step):
+            vs = stale[start : start + step]
+            block = buffer[: vs.size]
+            d.take(vs, axis=0, out=block, mode="clip")  # "raise" would buffer a copy
+            if radii is not None:
+                _mask_disk(block, radii[vs], radii)
+            k = size[vs]  # entries per row within its component, at most n / 2: the largest has no row
+            ends = k.cumsum()
+            cols = members[np.arange(ends[-1]) - (ends - k - first[vs]).repeat(k)]
+            block[np.arange(vs.size).repeat(k), cols] = np.inf
+            near[vs] = cols = block.argmin(axis=1)
+            near_w[vs] = block[np.arange(vs.size), cols]
+        vs = out.nonzero()[0]
+        own, w = comp[vs], near_w[vs]
+        lo, hi = np.minimum(vs, near[vs]), np.maximum(vs, near[vs])
+        order = np.lexsort((lo * n + hi, w, own))  # (lo, hi) as one key: half the sort's time
+        best = order[np.concatenate(([True], own[order[1:]] != own[order[:-1]]))]  # each component's lightest leaving edge
+        retired[own[best[w[best] == np.inf]]] = True
+        best = best[w[best] < np.inf]
+        pointer = idx.copy()
+        pointer[own[best]] = comp[near[vs[best]]]
+        mutual = (pointer[pointer] == idx) & (idx < pointer)
+        pointer[mutual] = idx[mutual]  # rooted at the smaller label, keeping the larger's edge
+        best = best[pointer[own[best]] != own[best]]
+        edges += zip(lo[best].tolist(), hi[best].tolist(), w[best].tolist())
+        comp = _jump(pointer)[comp]
     edges.sort(key=edge_key)
     return Forest(n=n, edges=tuple(edges))
 

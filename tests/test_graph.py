@@ -312,10 +312,10 @@ def _pair_matrix(n):
 @pytest.mark.parametrize("n", [256, 512])
 @support.on_both_kernel_paths
 def test_dense_msf_seeded_from_each_size_of_largest_fragment(n):
-    # Known edges of the disk graph's MSF, whose largest tree L is where Prim
-    # starts: all but one vertex, half of them, one edge. On the pair matrix
-    # every step of Prim ties; under uniform radii on the plane, the vertices
-    # next to L hook into it.
+    # Known edges of the disk graph's MSF, whose largest tree L reads no row:
+    # all but one vertex, half of them, one edge. On the pair matrix every
+    # leaving edge of a pair ties at weight 2; under uniform radii on the
+    # plane, the vertices next to L hook into it.
     rng = np.random.default_rng(n)
     m = gen_random_euclidean(n, 2, 2.0, n)
     cases = [
@@ -352,7 +352,7 @@ def test_dense_msf_seeded_on_tied_and_grid_instances(n, side):
     # their weight-1 MST edges and keep weight-2 pairs among the vertices of
     # radius 2, and integer grids under p = 1 and p = inf with uniform radii,
     # sparse enough that MST edges outweigh the least radius: the kept MST
-    # edges seed Prim, through `sdg_msf` and `dense_msf`.
+    # edges are the first components, through `sdg_msf` and `dense_msf`.
     rng = np.random.default_rng(n + 1)
     seeded = 0
     for bundle in (gen_star_metric(n), gen_chain_metric(n)):
@@ -371,23 +371,13 @@ def test_dense_msf_seeded_on_tied_and_grid_instances(n, side):
 
 
 @pytest.mark.parametrize("n", [200, 400])
-def test_dense_msf_boruvka_round_on_tied_graphs(n, monkeypatch):
+def test_dense_msf_boruvka_round_on_tied_graphs(n):
     # Integer weights up to 3 or 63 with absent edges, and radii up to the
-    # largest weight: fragments often tie with their members' bounds (and are
-    # left to Prim), and many rows run out of disk-graph edges before
-    # NEAREST, also where the first edge goes to vertex 0, whose entry the
-    # row pass must put back. Known edges from a tree away from vertex 0 keep
-    # it outside L. Every forest must equal Kruskal's, and the round must have
-    # added edges.
-    added = []
-    real = graph._merge_by_nearest
-
-    def counted(*args):
-        edges = real(*args)
-        added.append(len(edges))
-        return edges
-
-    monkeypatch.setattr(graph, "_merge_by_nearest", counted)
+    # largest weight: a component's members often tie on their least leaving
+    # weight, and many rows run out of disk-graph edges, so their components
+    # retire, some while vertex 0, the column an all-+inf row records, lies
+    # in another component. Known edges from a tree away from vertex 0 keep
+    # it outside L. Every forest must equal Kruskal's.
     rng = np.random.default_rng(n + 3)
     for top, frac in ((3, 0.0), (3, 0.5), (63, 0.0), (63, 0.5), (63, 0.9)):
         w = rng.integers(1, top + 1, size=(n, n)).astype(float)
@@ -399,17 +389,18 @@ def test_dense_msf_boruvka_round_on_tied_graphs(n, monkeypatch):
             far = max(range(n), key=lambda v: (g.matrix[0, v], v))
             for known in ((), _subtree(f, far, n // 4), f.edges[1::3]):
                 assert dense_msf(g.matrix, known, radii=radii) == f
-    assert len(added) > 6 and sum(added) > 100
 
 
 @support.on_both_kernel_paths
 def test_dense_msf_puts_back_a_row_that_runs_out():
-    # Vertex 5 hooks into L = {1, 2, 3} and has one more disk-graph edge,
-    # (0, 5) of weight 2, the only one to F = {0, 6, 7, 8}. A hundred isolated
-    # vertices make enough fragments for 5's row to keep NEAREST edges, so it
-    # runs out and its last pass finds column 0 again at +inf; the Borůvka
-    # round leaves F to Prim, as 6 and 8 have all their recorded edges in F,
-    # the last at weight 2. Prim reads d(5, 0) when the first tree starts.
+    # Vertex 5 hooks into L = {1, 2, 3}, the tree of the known edges, in the
+    # first pass, and has one more disk-graph edge, (0, 5) of weight 2, the
+    # only one to F = {0, 6, 7, 8}, which forms in that pass; the other 101
+    # vertices are isolated and retire in it. Then 5's recorded edge lies
+    # inside its component, so its row is read again; and F, of four
+    # vertices as L is now, takes its place as the largest (it has the
+    # smaller label), so the rows of 1, 2 and 3, never read, are read too.
+    # 5's row finds (0, 5).
     n = 109
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
@@ -422,11 +413,38 @@ def test_dense_msf_puts_back_a_row_that_runs_out():
     assert dense_msf(d, ((1, 2, 1.0), (2, 3, 1.0)), radii=radii) == f
 
 
+@support.on_both_kernel_paths
+def test_dense_msf_breaks_a_components_ties_by_endpoints_and_retires_the_isolated():
+    # (a) Weight-1 edges make C = {1, 6} and D = {3, 9}, and the only edges
+    # between them, (1, 9) and (3, 6), both weigh 2 and lie in different
+    # rows of each. The total order takes (1, 9). Choosing by row order, D
+    # would take (3, 6) while C takes (1, 9), closing a cycle; choosing by
+    # max endpoint, both would take (3, 6). A weight-1 path on 10..19, the
+    # largest component, meets D at weight 3.
+    # (b) The pair {4, 5} has no edge out: it retires in the pass after it
+    # forms, in which C and D still merge, a pass before they meet the path;
+    # 0, 2, 7 and 8 are isolated. Each runs from scratch and with the path
+    # known.
+    n = 20
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    path = [(u, u + 1, 1.0) for u in range(10, n - 1)]
+    for u, v, w in ((1, 6, 1.0), (3, 9, 1.0), (1, 9, 2.0), (3, 6, 2.0), (4, 5, 1.0), (9, 10, 3.0), *path):
+        d[u, v] = d[v, u] = w
+    f = kruskal_msf(WeightedGraph(d))
+    assert (1, 9, 2.0) in f.edges and (3, 6, 2.0) not in f.edges and (4, 5, 1.0) in f.edges
+    assert f.num_components == 6
+    for known in ((), path, path[::-1]):
+        assert dense_msf(d, known) == f
+        assert dense_msf(d, known, radii=np.full(n, 3.0)) == f
+
+
 def test_mask_disk_cuts_what_either_radius_cuts():
     # Entries on a grid of quarters, some +inf, against radii equal to an
     # entry (kept: d <= r), just below one (cut), zero, or +inf; in a block
-    # wider than one chunk of MASK_ENTRIES, so several chunks and a partial
-    # last one are masked. The old test (r_u < d) | (r_v < d) is the oracle.
+    # of 70 rows, more than one chunk of MASK_ENTRIES, so several chunks and
+    # a partial last one are masked, as in a block of `dense_msf`.
+    # The plain test (r_u < d) | (r_v < d) is the oracle.
     rng = np.random.default_rng(61)
     rows, n = 70, 300
     d = rng.integers(1, 9, size=(rows, n)) / 4
@@ -502,14 +520,12 @@ def test_dense_msf_rereads_a_vertex_that_ties_again(y, partner, kept, dropped):
 
 
 def test_dense_msf_takes_a_tie_from_the_fragment_joined_last():
-    # Above the list cutoff, fragments {0,5} {1,2} {3,4} {6,10} {8,11} {7,9}
-    # and a weight-1 path on the rest, joined by (9, 12) at weight 3. Prim
-    # takes (0,4) from the tie {4, 8, 9} at weight 2, then (2,3) at 1.5; when
-    # 6 (for the first time), 8 and 9 tie, 8's least edge is (1,8), to {1,2},
-    # the fragment joined last, found only if 8's read of the vertices joined
-    # since its first tie runs to the end of the joined order; (5,8), from
-    # that first tie, must lose to it. 6, tied for the first time and ahead
-    # of 8 in the same read, reads every joined vertex and finds (2,6).
+    # Above the list cutoff, the first pass forms {0,5} {1,2} {3,4} {6,10}
+    # {8,11} {7,9} and a weight-1 path on the rest, the largest component,
+    # joined by (9, 12) at weight 3 in the last pass. In the second, row 8
+    # ties (1,8) with (5,8) at weight 2 and its first minimum, column 1,
+    # takes (1,8); {0,5} ties (0,4), (5,8) and (5,9) across its two rows and
+    # takes (0,4); {1,2} and {3,4} both take (2,3) at 1.5, and 6 finds (2,6).
     n = PRIM_LIST_CUTOFF + 16
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
@@ -525,13 +541,13 @@ def test_dense_msf_takes_a_tie_from_the_fragment_joined_last():
 
 @pytest.mark.parametrize("entries", [1, 3, 7])
 def test_dense_msf_tie_reads_across_chunk_boundaries(entries, monkeypatch):
-    # With chunks of 1, 3 or 7 pairs, one tied vertex's read of the vertices
-    # joined since its last tie spans several chunks, and a chunk holds the
-    # end of one vertex's read and the start of the next, on first ties and
-    # on re-ties: the pair matrix ties every outside vertex at every step,
-    # the hub ties n // 4 pairs at once, and integer weights up to 3 or 63
-    # tie often. Each runs plain, under radii that cut some edges, and with
-    # every third MSF edge known.
+    # With mask chunks of 1, 3 or 7 entries, every chunk of `_mask_disk` is
+    # one row, so the mask runs row by row through each block. The inputs tie
+    # often, so the first minimum of each row and the (lo, hi) order among a
+    # component's rows decide: the pair matrix ties every leaving edge of a
+    # pair at weight 2, the hub ties n // 4 pairs at once, and integer weights
+    # up to 3 or 63 tie on most rows. Each runs plain, under radii that cut
+    # some edges, and with every third MSF edge known.
     monkeypatch.setattr(graph, "MASK_ENTRIES", entries)
     rng = np.random.default_rng(entries)
     inputs = [_pair_matrix(128), _hub_with_pairs(301, False), _hub_with_pairs(301, True)]
@@ -565,11 +581,11 @@ def test_dense_msf_memory_is_linear():
     for d in (m.matrix, disk, _hub_with_pairs(1024, True), _hub_with_pairs(1024, False)):
         _, peak = _traced_peak(lambda: dense_msf(d))
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
-    # With radii and no known edge it writes the disk graph's rows for all
-    # but vertex 0 (8 MiB less one row) and nothing more of that size.
+    # With radii it masks each block as it reads it and keeps no copy of the
+    # disk graph's rows (8 MiB less one row), so the plain bound holds.
     f, peak = _traced_peak(lambda: dense_msf(m.matrix, radii=r.radii))
     assert f == dense_msf(disk)
-    assert peak < 10 * 2**20
+    assert peak < 2 * 2**20
 
 
 @support.on_both_kernel_paths

@@ -4,7 +4,8 @@
 A stage's peak is the most that `tracemalloc` saw allocated at once while the
 stage ran; memory already live when it began, such as the metric, is not
 counted, and a build's peak includes the matrix it returns (1.0). Every n x n
-pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
+pass runs a row block at a time (over `graph.row_blocks`, or in `dense_msf`
+over blocks of its own), so measured:
   * either metric build holds its matrix plus one block or two: 1.09; the
     star and chain families, built in place and adopted, 1.07;
   * loading a parsed n = 512 matrix instance file holds the rows that
@@ -14,15 +15,13 @@ pass outside Prim runs over row blocks (`graph.row_blocks`), so measured:
   * uniform radii on a built metric read the row extremes that its
     constructor stored, and hold only O(n) arrays and floats: 0.006, where
     one row block would take 0.0625;
-  * `Prepared.msf` under uniform ranges holds the disk graph's masked rows,
-    which `dense_msf` writes in its first row pass for the vertices outside
-    L, the largest tree of known MSF edges, plus one chunk of the mask there
-    and Prim's O(n) arrays later. As a trace round runs it, with no MST, L
-    is one vertex: 1.038. As an evaluation does, from the MST built before,
-    L is the largest tree of the MST edges that the radii keep, and 48 % of
-    the vertices lie outside it: 0.520. Under biased ranges, whose
-    generator builds the MST, it returns the MST and allocates next to
-    nothing: 0.001;
+  * `Prepared.msf` under uniform ranges holds one block of disk-graph rows,
+    which `dense_msf` masks as it reads them, with the positions of their
+    same-component entries, one chunk of the mask and O(n) arrays, and no
+    masked copy of the rows: 0.147 as a trace round runs it, with no MST,
+    and 0.119 as an evaluation does, from the MST built before, whose kept
+    edges are the first components. Under biased ranges, whose generator
+    builds the MST, it returns the MST and allocates next to nothing: 0.001;
   * `verify_certificate` holds `is_msf`'s O(n log n) sparse table and one
     row block of radius limits (0.0625) with the pairs it keeps, and no n x n
     array of any type: 0.13 under either range mode.
@@ -113,7 +112,7 @@ def _prepared(metric, mode) -> Prepared:
 
 
 @INSTANCES
-def test_disk_msf_holds_one_masked_copy(metric, mode):
+def test_disk_msf_holds_one_block(metric, mode):
     p = _prepared(metric, mode)
     msf, peak = _peak(lambda: p.msf)
     if mode == "biased":
@@ -121,16 +120,16 @@ def test_disk_msf_holds_one_masked_copy(metric, mode):
         assert peak < 0.10
     else:
         assert "mst" not in vars(p.space)
-        assert peak < 1.07
+        assert peak < 0.18
 
 
-def test_disk_msf_from_the_mst_holds_one_masked_copy():
-    # Uniform radii drop MST edges; Prim starts from the largest tree of the
-    # kept ones, and only the rows outside it are masked.
+def test_disk_msf_from_the_mst_holds_one_block():
+    # Uniform radii drop MST edges; the kept ones are the first components,
+    # and the largest of them reads no row.
     p = _prepared(lambda: gen_random_euclidean(N, 2, 2.0, 1), "uniform")
     p.space.mst
     _, peak = _peak(lambda: p.msf)
-    assert peak < 0.56
+    assert peak < 0.15
 
 
 @INSTANCES

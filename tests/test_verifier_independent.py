@@ -2,8 +2,9 @@
 
 Each certificate is prepared first, through the builder's path (`sdg_msf`,
 which runs `dense_msf` on the metric's matrix and the radii; up to
-`graph.PRIM_LIST_CUTOFF` vertices `dense_msf` runs `_prim_on_lists`). Then
-every `sdglab` module's binding of those three functions is replaced by one
+`graph.PRIM_LIST_CUTOFF` vertices `dense_msf` runs `_prim_on_lists`, and
+above it its Borůvka passes call `_trees`, `_jump` and `_mask_disk`). Then
+every `sdglab` module's binding of those six functions is replaced by one
 that raises (modules import by name, so patching the defining module alone
 would miss calls), and `verify_certificate` must still accept the
 certificate: it tests the radii
@@ -20,7 +21,7 @@ import pytest
 from sdglab.decomposition import Prepared, verify_certificate
 from sdglab.sweep import build_instance, standard_suite
 
-BUILDER_SHORTCUTS = ("dense_msf", "_prim_on_lists", "sdg_msf")
+BUILDER_SHORTCUTS = ("dense_msf", "_prim_on_lists", "_trees", "_jump", "_mask_disk", "sdg_msf")
 SPECS = [s for s in standard_suite(1, trials=1) if s.n > 4][::6]
 
 
