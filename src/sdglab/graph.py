@@ -71,8 +71,9 @@ BLOCK_ENTRIES = 1 << 16
 
 # `dense_msf` and `is_msf` run on Python lists up to this many vertices, and
 # on arrays above, each cutoff at or below its kernel's measured crossover on
-# standard-suite inputs: between n = 48 and 68 for the builder (BENCH_31.json),
-# between 23 and 32 for the checker (BENCH_24.json).
+# standard-suite inputs: between n = 64 and 68 for the builder on random d2p2,
+# d1pinf and matrix inputs (BENCH_31.json), between 23 and 32 for the checker
+# (BENCH_24.json).
 PRIM_LIST_CUTOFF = 48
 CHECK_LIST_CUTOFF = 24
 

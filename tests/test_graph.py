@@ -374,10 +374,9 @@ def test_dense_msf_seeded_on_tied_and_grid_instances(n, side):
 def test_dense_msf_boruvka_round_on_tied_graphs(n):
     # Integer weights up to 3 or 63 with absent edges, and radii up to the
     # largest weight: a component's members often tie on their least leaving
-    # weight, and many rows run out of disk-graph edges, so their components
-    # retire, some while vertex 0, the column an all-+inf row records, lies
-    # in another component. Known edges from a tree away from vertex 0 keep
-    # it outside L. Every forest must equal Kruskal's.
+    # weight, and many rows have no disk-graph edge out of their component,
+    # so their components retire. Known edges from a tree away from vertex 0
+    # keep it outside L. Every forest must equal Kruskal's.
     rng = np.random.default_rng(n + 3)
     for top, frac in ((3, 0.0), (3, 0.5), (63, 0.0), (63, 0.5), (63, 0.9)):
         w = rng.integers(1, top + 1, size=(n, n)).astype(float)
@@ -582,7 +581,8 @@ def test_dense_msf_memory_is_linear():
         _, peak = _traced_peak(lambda: dense_msf(d))
         assert peak < 2 * 2**20  # one n x n int64 array would take 8 MiB
     # With radii it masks each block as it reads it and keeps no copy of the
-    # disk graph's rows (8 MiB less one row), so the plain bound holds.
+    # disk graph's rows, which would take 8 MiB less one row: the plain bound
+    # holds.
     f, peak = _traced_peak(lambda: dense_msf(m.matrix, radii=r.radii))
     assert f == dense_msf(disk)
     assert peak < 2 * 2**20
